@@ -33,7 +33,6 @@ from .counting import (
 )
 from .diagnostics import (
     IdentityViolationError,
-    ProbeRow,
     band_recip_sum,
     convergence_table,
     probe_band_pi,
@@ -60,7 +59,6 @@ __all__ = [
     "MemoryBudgetError",
     "MertensResult",
     "PrimeTable",
-    "ProbeRow",
     "QuadratureConfig",
     "QuadratureError",
     "Ratio",

@@ -73,12 +73,13 @@ def log_integral(x: float, cfg: QuadratureConfig | None = None) -> float:
 
     The integrand is smooth on [2, x], so plain recursive bisection with
     Richardson correction reaches the configured relative tolerance.
-    Raises ValueError for x < 2 and QuadratureError if max_depth is hit.
+    Raises ValueError for x < 2 or non-finite x and QuadratureError if
+    max_depth is hit.
     """
     cfg = cfg or QuadratureConfig()
     xf = float(x)
-    if xf < 2.0:
-        raise ValueError(f"log_integral requires x >= 2, got {x}")
+    if not 2.0 <= xf < math.inf:
+        raise ValueError(f"log_integral requires finite x >= 2, got {x}")
     if xf == 2.0:
         return 0.0
 

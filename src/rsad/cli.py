@@ -22,6 +22,7 @@ from .analytic import QuadratureError
 from .counting import BruteBudgetError, Ratio, TableTooSmallError
 from .primes import (
     DEFAULT_MEMORY_BUDGET_BYTES,
+    U64_MAX,
     CacheFormatError,
     MemoryBudgetError,
     PrimeTable,
@@ -35,6 +36,8 @@ AUTO_SIZE_MARGIN = 64
 
 TABLE_HEADER = "x,r,exact,estimate,abs_err,rel_err,ratio,err_normalized,seconds"
 COUNT_HEADER = "x,r,exact,estimate,abs_err,rel_err,method,seconds"
+# CountReport attributes behind the columns not named after one
+_COLUMN_ATTR = {"abs_err": "abs_error", "rel_err": "rel_error"}
 
 
 @dataclass
@@ -57,17 +60,18 @@ class RunConfig:
 
 
 def _parse_scale(text: str) -> int:
-    """Nonnegative integer, allowing scientific notation like 1e7."""
+    """Integer in [0, 2^64), allowing scientific notation like 1e7."""
     try:
         d = decimal.Decimal(text)
     except decimal.InvalidOperation:
         raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
-    if d != d.to_integral_value():
+    if not d.is_finite() or d != d.to_integral_value():
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    n = int(d)
-    if n < 0:
+    if d < 0:
         raise argparse.ArgumentTypeError(f"{text!r} must be nonnegative")
-    return n
+    if d > U64_MAX:
+        raise argparse.ArgumentTypeError(f"{text!r} must be below 2^64")
+    return int(d)
 
 
 def _parse_ratio(text: str) -> Ratio:
@@ -98,7 +102,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _config(args) -> RunConfig:
-    cache = os.environ.get(CACHE_ENV) or getattr(args, "cache", None)
+    cache = getattr(args, "cache", None) or os.environ.get(CACHE_ENV)
     return RunConfig(
         table_limit=getattr(args, "table_limit", None),
         memory_budget_bytes=getattr(args, "memory_budget_bytes", None)
@@ -132,29 +136,31 @@ def _get_table(cfg: RunConfig, required: int) -> PrimeTable:
     return build_table(limit, memory_budget_bytes=cfg.memory_budget_bytes)
 
 
-def _count_rows_text(rows: list[counting.CountReport], fmt: str, timing: bool) -> str:
+def _cell(rep: counting.CountReport, col: str, timing: bool):
+    if col == "seconds" and not timing:
+        return 0
+    value = getattr(rep, _COLUMN_ATTR.get(col, col))
+    return str(value) if isinstance(value, Ratio) else value
+
+
+def _reports_text(
+    reports: list[counting.CountReport], header: str, fmt: str, timing: bool
+) -> str:
+    """CSV or JSON with one row per report and the columns of header.
+
+    Reals get 12 significant digits, integers and text print verbatim, and
+    seconds reads 0 unless timing is on, so the bytes are deterministic.
+    """
+    cols = header.split(",")
+    rows = [[_cell(rep, col, timing) for col in cols] for rep in reports]
     if fmt == "json":
         payload = [
-            {
-                "x": rep.x,
-                "r": str(rep.r),
-                "exact": rep.exact,
-                "estimate": _jnum(rep.estimate),
-                "abs_err": _jnum(rep.abs_error),
-                "rel_err": _jnum(rep.rel_error),
-                "method": rep.method,
-                "seconds": _jnum(rep.elapsed) if timing else 0,
-            }
-            for rep in rows
+            {col: _jnum(v) if isinstance(v, float) else v for col, v in zip(cols, row)}
+            for row in rows
         ]
         return json.dumps(payload, indent=2) + "\n"
-    lines = [COUNT_HEADER]
-    for rep in rows:
-        secs = _fmt(rep.elapsed) if timing else "0"
-        lines.append(
-            f"{rep.x},{rep.r},{rep.exact},{_fmt(rep.estimate)},"
-            f"{_fmt(rep.abs_error)},{_fmt(rep.rel_error)},{rep.method},{secs}"
-        )
+    lines = [header]
+    lines.extend(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -168,7 +174,7 @@ def _cmd_count(args) -> int:
         counting.count_report(table, x, r, method=m, budget=cfg.brute_budget)
         for m in methods
     ]
-    _emit(_count_rows_text(rows, cfg.output_format, args.timing), cfg.output_path)
+    _emit(_reports_text(rows, COUNT_HEADER, cfg.output_format, args.timing), cfg.output_path)
     if len(rows) == 2 and rows[0].exact != rows[1].exact:
         print(
             f"method disagreement at x={x}, r={r}: "
@@ -199,14 +205,6 @@ def _geometric_grid(x_min: int, x_max: int, points_per_decade: int) -> list[int]
     return out
 
 
-def _table_row_text(row: diagnostics.ProbeRow, rep: counting.CountReport, secs: str) -> str:
-    return (
-        f"{row.scale},{row.r},{rep.exact},{_fmt(rep.estimate)},"
-        f"{_fmt(rep.abs_error)},{_fmt(rep.rel_error)},{_fmt(row.ratio)},"
-        f"{_fmt(row.err_normalized)},{secs}"
-    )
-
-
 def _cmd_table(args) -> int:
     cfg = _config(args)
     r = args.r
@@ -219,38 +217,9 @@ def _cmd_table(args) -> int:
     grid = _geometric_grid(args.x_min, args.x_max, args.points_per_decade)
     table = _get_table(cfg, counting._required_limit(args.x_max, r))
 
-    def one(x: int):
-        rep = counting.count_report(table, x, r, method="identity")
-        row = diagnostics.convergence_table(table, [x], r)[0]
-        return row, rep
-
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        results = list(pool.map(one, grid))
-
-    if cfg.output_format == "json":
-        payload = [
-            {
-                "x": row.scale,
-                "r": str(row.r),
-                "exact": rep.exact,
-                "estimate": _jnum(rep.estimate),
-                "abs_err": _jnum(rep.abs_error),
-                "rel_err": _jnum(rep.rel_error),
-                "ratio": _jnum(row.ratio),
-                "err_normalized": _jnum(row.err_normalized),
-                "seconds": _jnum(rep.elapsed) if args.timing else 0,
-            }
-            for row, rep in results
-        ]
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        lines = [TABLE_HEADER]
-        lines.extend(
-            _table_row_text(row, rep, _fmt(rep.elapsed) if args.timing else "0")
-            for row, rep in results
-        )
-        text = "\n".join(lines) + "\n"
-    _emit(text, cfg.output_path)
+        rows = list(pool.map(lambda x: counting.count_report(table, x, r), grid))
+    _emit(_reports_text(rows, TABLE_HEADER, cfg.output_format, args.timing), cfg.output_path)
     return 0
 
 

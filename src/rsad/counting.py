@@ -34,7 +34,7 @@ from .primes import U64_MAX, PrimeTable
 
 DEFAULT_BRUTE_BUDGET = 10**8
 
-# int64 is safe for scaled-prime arithmetic only below this product bound
+# floor_mul scales a prime array in uint64 only while num * p stays below this
 _NP_SAFE = 2**62
 
 
@@ -94,9 +94,19 @@ class Ratio:
         except ValueError as exc:
             raise ValueError(f"cannot parse ratio {text!r}: {exc}") from exc
 
-    def floor_mul(self, n: int) -> int:
-        """floor(r * n), exact."""
-        return self.num * n // self.den
+    def floor_mul(self, n):
+        """floor(r * n), exact; elementwise when n is an ascending uint64 array.
+
+        An array whose products num * n reach 2^62 is scaled in Python
+        integers instead of uint64; each floor(r * n) must fit in uint64.
+        """
+        if not isinstance(n, np.ndarray):
+            return self.num * n // self.den
+        if n.size == 0:
+            return n
+        if self.num * int(n[-1]) < _NP_SAFE:
+            return n * np.uint64(self.num) // np.uint64(self.den)
+        return (n.astype(object) * self.num // self.den).astype(np.uint64)
 
     def log(self) -> float:
         """log(num/den), stable for full-width parts."""
@@ -134,16 +144,39 @@ class Decomposition:
 
 @dataclass(frozen=True)
 class CountReport:
-    """One (x, r) evaluation: exact count, estimate, errors, timing."""
+    """One exact count (or probe sum) at x against its main term.
 
-    x: int
+    err_scale is the expected size of the error term, so err_normalized
+    is the deviation in those units; a bounded err_normalized across a
+    grid is the empirical signature that the error term has that shape.
+    """
+
+    x: int  # the x, or the z of a probe, evaluated at
     r: Ratio
     exact: int
     estimate: float
-    abs_error: float
-    rel_error: float
-    method: str  # "brute" or "identity"
-    elapsed: float
+    err_scale: float
+    method: str  # "brute", "identity" or "probe"
+    seconds: float  # wall time of the exact computation
+
+    @property
+    def abs_error(self) -> float:
+        return abs(self.exact - self.estimate)
+
+    @property
+    def rel_error(self) -> float:
+        return self.abs_error / max(self.exact, 1)
+
+    @property
+    def ratio(self) -> float:
+        """exact / estimate; 1.0 when both are zero."""
+        if self.estimate == 0.0:
+            return 1.0 if self.exact == 0 else math.inf
+        return self.exact / self.estimate
+
+    @property
+    def err_normalized(self) -> float:
+        return self.abs_error / self.err_scale
 
 
 def _validate_x(x: int) -> None:
@@ -156,35 +189,6 @@ def _validate_x(x: int) -> None:
 def _required_limit(x: int, r: Ratio) -> int:
     """floor(sqrt(r*x)), the largest pi argument either counter can issue."""
     return math.isqrt(r.num * x // r.den)
-
-
-def _split_indices(table: PrimeTable, x: int, r: Ratio) -> tuple[int, int]:
-    """(k1, k2): counts of primes <= sqrt(x) and <= sqrt(x/r).
-
-    Both square-root bounds are taken with integer arithmetic only:
-    p <= sqrt(x) iff p <= isqrt(x), and p <= sqrt(x/r) iff
-    p^2 * num <= x * den iff p <= isqrt(x*den // num).
-    """
-    k1 = table.prime_count(math.isqrt(x))
-    k2 = table.prime_count(math.isqrt(x * r.den // r.num))
-    return k1, k2
-
-
-def _pi_many(table: PrimeTable, values: np.ndarray) -> int:
-    """Sum of pi over an array of query values already <= table.limit."""
-    if values.size == 0:
-        return 0
-    return int(np.searchsorted(table.primes, values, side="right").sum(dtype=np.int64))
-
-
-def _pi_scaled_sum(table: PrimeTable, ps: np.ndarray, r: Ratio) -> int:
-    """sum of pi(floor(r*p)) over the prime slice ps."""
-    if ps.size == 0:
-        return 0
-    if r.num * int(ps[-1]) < _NP_SAFE:
-        targets = ps * np.uint64(r.num) // np.uint64(r.den)
-        return _pi_many(table, targets)
-    return sum(table.prime_count(r.floor_mul(int(p))) for p in ps)
 
 
 def cofactor_count(table: PrimeTable, p: int, x: int, r: Ratio) -> int:
@@ -236,8 +240,7 @@ def count_brute(
         hi = min(r.floor_mul(p), x // p)
         if hi <= p:
             continue
-        j = int(np.searchsorted(primes, np.uint64(hi), side="right"))
-        total += j - (i + 1)
+        total += table.prime_count(hi) - (i + 1)
     return total
 
 
@@ -266,7 +269,7 @@ def brute_counts_upto(
         hi = min(r.floor_mul(p), max_x // p)
         if hi <= p:
             continue
-        j = int(np.searchsorted(primes, np.uint64(hi), side="right"))
+        j = table.prime_count(hi)
         if j > i + 1:
             pieces.append(primes[i + 1 : j] * np.uint64(p))
     if pieces:
@@ -290,14 +293,13 @@ def count_identity(table: PrimeTable, x: int, r: Ratio) -> Decomposition:
     need = _required_limit(x, r)
     if table.limit < need:
         raise TableTooSmallError(need, table.limit)
-    k1, k2 = _split_indices(table, x, r)
+    # p <= sqrt(x) iff p <= isqrt(x); p <= sqrt(x/r) iff p^2*num <= x*den
+    # iff p <= isqrt(x*den // num)
+    k1 = table.prime_count(math.isqrt(x))
+    k2 = table.prime_count(math.isqrt(x * r.den // r.num))
     s1 = k1 * (k1 + 1) // 2
-    s2 = _pi_scaled_sum(table, table.primes[:k2], r)
-    band = table.primes[k2:k1]
-    if band.size:
-        s3 = _pi_many(table, np.uint64(x) // band)
-    else:
-        s3 = 0
+    s2 = table.pi_sum(r.floor_mul(table.primes[:k2]))
+    s3 = table.pi_sum(np.uint64(x) // table.primes[k2:k1])
     return Decomposition(s1=s1, s2=s2, s3=s3, total=s2 + s3 - s1)
 
 
@@ -311,10 +313,7 @@ def count_pi2(table: PrimeTable, x: int) -> int:
     if x >= 4 and table.limit < x // 2:
         raise TableTooSmallError(x // 2, table.limit)
     k = table.prime_count(math.isqrt(x))
-    if k == 0:
-        return 0
-    ps = table.primes[:k]
-    return _pi_many(table, np.uint64(x) // ps) - k * (k + 1) // 2
+    return table.pi_sum(np.uint64(x) // table.primes[:k]) - k * (k + 1) // 2
 
 
 def count_report(
@@ -324,7 +323,11 @@ def count_report(
     method: str = "identity",
     budget: int = DEFAULT_BRUTE_BUDGET,
 ) -> CountReport:
-    """Run one counter, time it, and attach the asymptotic estimate."""
+    """Run one counter, time it, and attach the estimate and error scale.
+
+    The estimate is 2*x*log(r)/log(x)^2 and the error scale
+    r*log(e*r)*x/log(x)^3; below x = 2 they are 0 and inf.
+    """
     from .analytic import rsa_count_estimate
 
     t0 = time.perf_counter()
@@ -334,16 +337,19 @@ def count_report(
         exact = count_brute(x, r, table, budget=budget)
     else:
         raise ValueError(f"unknown method {method!r}")
-    elapsed = time.perf_counter() - t0
-    estimate = rsa_count_estimate(x, r) if x >= 2 else 0.0
-    abs_error = abs(exact - estimate)
+    seconds = time.perf_counter() - t0
+    if x >= 2:
+        xf = float(x)
+        estimate = rsa_count_estimate(x, r)
+        err_scale = float(r) * (1.0 + r.log()) * xf / math.log(xf) ** 3
+    else:
+        estimate, err_scale = 0.0, math.inf
     return CountReport(
         x=x,
         r=r,
         exact=exact,
         estimate=estimate,
-        abs_error=abs_error,
-        rel_error=abs_error / max(exact, 1),
+        err_scale=err_scale,
         method=method,
-        elapsed=elapsed,
+        seconds=seconds,
     )

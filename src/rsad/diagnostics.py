@@ -1,6 +1,6 @@
 """Empirical probes: exact sums against their asymptotic main terms.
 
-Each probe returns a ProbeRow pairing an exactly computed quantity with
+Each probe returns a CountReport pairing an exactly computed quantity with
 its closed-form main term, the ratio of the two, and the deviation scaled
 by the expected size of the error term.  A bounded err_normalized across a
 grid is the empirical signature that the error term has the right shape.
@@ -9,40 +9,22 @@ grid is the empirical signature that the error term has the right shape.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import analytic
 from .counting import (
+    CountReport,
     Ratio,
     TableTooSmallError,
-    _pi_many,
-    _pi_scaled_sum,
-    _split_indices,
     count_identity,
+    count_report,
 )
 from .primes import PrimeTable
 
 
 class IdentityViolationError(Exception):
     """An exact summation identity failed; the prime table is corrupt."""
-
-
-@dataclass(frozen=True)
-class ProbeRow:
-    scale: int  # the z or x the probe was run at
-    r: Ratio
-    exact: float  # exact sum (integral-valued probes store an int)
-    main_term: float
-    ratio: float  # exact / main_term; 1.0 when both are zero
-    err_normalized: float  # |exact - main_term| / expected error size
-
-
-def _ratio_of(exact: float, main_term: float) -> float:
-    if main_term == 0.0:
-        return 1.0 if exact == 0 else math.inf
-    return exact / main_term
 
 
 def sum_pi_p(table: PrimeTable, z: int) -> int:
@@ -54,7 +36,7 @@ def sum_pi_p(table: PrimeTable, z: int) -> int:
     and raises IdentityViolationError.
     """
     k = table.prime_count(z)
-    total = _pi_many(table, table.primes[:k])
+    total = table.pi_sum(table.primes[:k])
     expected = k * (k + 1) // 2
     if total != expected:
         raise IdentityViolationError(
@@ -63,7 +45,7 @@ def sum_pi_p(table: PrimeTable, z: int) -> int:
     return total
 
 
-def probe_pi_rp(table: PrimeTable, z: int, r: Ratio) -> ProbeRow:
+def probe_pi_rp(table: PrimeTable, z: int, r: Ratio) -> CountReport:
     """Exact sum_{p<=z} pi(floor(r*p)) against r*z^2/(2*log(z)^2).
 
     err_normalized scales the deviation by r*log(e*r)*z^2/log(z)^3.
@@ -75,22 +57,20 @@ def probe_pi_rp(table: PrimeTable, z: int, r: Ratio) -> ProbeRow:
     if table.limit < need:
         raise TableTooSmallError(need, table.limit)
     k = table.prime_count(z)
-    exact = _pi_scaled_sum(table, table.primes[:k], r)
-    main = analytic.pi_rp_sum_main(z, r)
-    rf = r.num / r.den
+    exact = table.pi_sum(r.floor_mul(table.primes[:k]))
     zf = float(z)
-    err_scale = rf * (1.0 + r.log()) * zf * zf / math.log(zf) ** 3
-    return ProbeRow(
-        scale=z,
+    return CountReport(
+        x=z,
         r=r,
         exact=exact,
-        main_term=main,
-        ratio=_ratio_of(exact, main),
-        err_normalized=abs(exact - main) / err_scale,
+        estimate=analytic.pi_rp_sum_main(z, r),
+        err_scale=float(r) * (1.0 + r.log()) * zf * zf / math.log(zf) ** 3,
+        method="probe",
+        seconds=0.0,
     )
 
 
-def probe_band_pi(table: PrimeTable, x: int, r: Ratio) -> ProbeRow:
+def probe_band_pi(table: PrimeTable, x: int, r: Ratio) -> CountReport:
     """Exact sum of pi(floor(x/p)) over sqrt(x/r) < p <= sqrt(x).
 
     This is the s3 sum of the identity counter.  Its main term is the
@@ -102,22 +82,15 @@ def probe_band_pi(table: PrimeTable, x: int, r: Ratio) -> ProbeRow:
         raise ValueError(f"probe requires x >= 2, got {x}")
     if r.num * r.num > x * r.den * r.den:
         raise ValueError(f"probe requires r <= sqrt(x), got r={r}, x={x}")
-    need = math.isqrt(r.num * x // r.den)
-    if table.limit < need:
-        raise TableTooSmallError(need, table.limit)
-    k1, k2 = _split_indices(table, x, r)
-    band = table.primes[k2:k1]
-    exact = _pi_many(table, np.uint64(x) // band) if band.size else 0
-    main = analytic.rsa_count_estimate(x, r)
     xf = float(x)
-    err_scale = xf * (1.0 + r.log()) ** 2 / math.log(xf) ** 3
-    return ProbeRow(
-        scale=x,
+    return CountReport(
+        x=x,
         r=r,
-        exact=exact,
-        main_term=main,
-        ratio=_ratio_of(exact, main),
-        err_normalized=abs(exact - main) / err_scale,
+        exact=count_identity(table, x, r).s3,
+        estimate=analytic.rsa_count_estimate(x, r),
+        err_scale=xf * (1.0 + r.log()) ** 2 / math.log(xf) ** 3,
+        method="probe",
+        seconds=0.0,
     )
 
 
@@ -133,39 +106,19 @@ def band_recip_sum(table: PrimeTable, x: int, r: Ratio) -> float:
         raise ValueError(f"band_recip_sum requires r <= sqrt(x), got r={r}, x={x}")
     if table.limit < math.isqrt(x):
         raise TableTooSmallError(math.isqrt(x), table.limit)
-    k1, k2 = _split_indices(table, x, r)
-    band = table.primes[k2:k1]
-    if band.size == 0:
-        return 0.0
+    band = table.primes_between(math.isqrt(x * r.den // r.num), math.isqrt(x))
     return math.fsum((1.0 / band.astype(np.float64)).tolist())
 
 
 def convergence_table(
     table: PrimeTable, x_values: list[int], r: Ratio
-) -> list[ProbeRow]:
-    """One row per x: exact C_r(x) against the 2*x*log(r)/log(x)^2 estimate.
+) -> list[CountReport]:
+    """One identity count_report per x: exact C_r(x) against the estimate.
 
-    err_normalized divides the deviation by r*log(e*r)*x/log(x)^3, the
-    expected error size; the ratio column approaching 1 along a growing
-    grid is the convergence the estimate asserts.
+    The ratio column approaching 1 along a growing grid is the convergence
+    the estimate 2*x*log(r)/log(x)^2 asserts.
     """
-    rows = []
-    rf = r.num / r.den
     for x in x_values:
         if x < 2:
             raise ValueError(f"convergence_table requires x >= 2, got {x}")
-        exact = count_identity(table, x, r).total
-        main = analytic.rsa_count_estimate(x, r)
-        xf = float(x)
-        err_scale = rf * (1.0 + r.log()) * xf / math.log(xf) ** 3
-        rows.append(
-            ProbeRow(
-                scale=x,
-                r=r,
-                exact=exact,
-                main_term=main,
-                ratio=_ratio_of(exact, main),
-                err_normalized=abs(exact - main) / err_scale,
-            )
-        )
-    return rows
+    return [count_report(table, x, r) for x in x_values]

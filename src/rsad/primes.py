@@ -1,7 +1,8 @@
 """Segmented sieve of Eratosthenes and exact prime-counting queries.
 
 A built PrimeTable holds every prime up to its limit as a sorted uint64
-array.  pi(n) queries are answered by binary search, so a table sized to
+array and is the package's only pi oracle: prime_count, pi_sum and
+primes_between answer every pi query by binary search, so a table sized to
 sqrt(r*x) is enough to drive the identity-based semiprime counters.  Tables
 are immutable once built and safe to share between threads.
 """
@@ -82,12 +83,24 @@ class PrimeTable:
     def prime_count(self, n: int) -> int:
         """pi(n): number of primes <= n.  Requires n <= limit."""
         self._check_range(n)
-        return int(np.searchsorted(self.primes, np.uint64(n), side="right"))
+        return int(self.primes.searchsorted(np.uint64(n), side="right"))
+
+    def pi_sum(self, values: np.ndarray) -> int:
+        """Sum of pi(v) over a monotone uint64 array of queries.
+
+        Only the two ends are range-checked, so the array must be sorted,
+        ascending or descending; raises TableLimitError when either end
+        exceeds the limit.
+        """
+        if values.size == 0:
+            return 0
+        self._check_range(max(int(values[0]), int(values[-1])))
+        return int(self.primes.searchsorted(values, side="right").sum(dtype=np.int64))
 
     def is_prime(self, n: int) -> bool:
         """Exact membership test for n <= limit."""
         self._check_range(n)
-        i = int(np.searchsorted(self.primes, np.uint64(n), side="left"))
+        i = int(self.primes.searchsorted(np.uint64(n), side="left"))
         return i < self.primes.size and int(self.primes[i]) == n
 
     def primes_between(self, lo_exclusive: int, hi_inclusive: int) -> np.ndarray:
@@ -99,8 +112,8 @@ class PrimeTable:
         if lo_exclusive >= hi_inclusive:
             return self.primes[:0]
         lo = max(lo_exclusive, 0)
-        i = int(np.searchsorted(self.primes, np.uint64(lo), side="right"))
-        j = int(np.searchsorted(self.primes, np.uint64(hi_inclusive), side="right"))
+        i = int(self.primes.searchsorted(np.uint64(lo), side="right"))
+        j = int(self.primes.searchsorted(np.uint64(hi_inclusive), side="right"))
         return self.primes[i:j]
 
     def save(self, path) -> None:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,25 @@ from rsad.cli import _geometric_grid, main
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def exit_code(*argv):
+    """main's return value, or the code of the SystemExit argparse raises."""
+    try:
+        return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+# Byte-exact stdout of count, table, mertens, pi and li, frozen before the
+# count and table writers were merged; a change here must be deliberate.
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[c["argv"] for c in GOLDEN])
+def test_golden_stdout(case, capsys):
+    assert run_cli(*case["argv"].split()) == 0
+    assert capsys.readouterr().out == case["stdout"]
 
 
 # --- grids ---------------------------------------------------------------
@@ -80,6 +100,19 @@ def test_bad_scale_exits_2():
 def test_bad_grid_returns_2(capsys):
     assert run_cli("table", "--x-min", "1", "--x-max", "10", "--r", "2") == 2
     assert run_cli("table", "--x-min", "100", "--x-max", "10", "--r", "2") == 2
+
+
+@pytest.mark.parametrize("argv", [
+    "count --x inf --r 2",
+    "count --x 1e30 --r 2",
+    "count --x 18446744073709551616 --r 2 --memory-budget-bytes 1000",
+    "pi --x inf",
+    "table --x-min 100 --x-max inf --r 2",
+    "li --x nan",
+    "li --x inf",
+])
+def test_never_valid_input_exits_2(argv, capsys):
+    assert exit_code(*argv.split()) == 2
 
 
 def test_table_limit_too_small_returns_3(capsys):
@@ -247,6 +280,13 @@ def test_cache_env_var_overrides(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(cli.CACHE_ENV, str(cache))
     assert run_cli("pi", "--x", "100") == 0
     assert cache.exists()
+
+
+def test_cache_flag_beats_env_var(tmp_path, capsys, monkeypatch):
+    env, flag = tmp_path / "env.bin", tmp_path / "flag.bin"
+    monkeypatch.setenv(cli.CACHE_ENV, str(env))
+    assert run_cli("pi", "--x", "1000", "--cache", str(flag)) == 0
+    assert flag.exists() and not env.exists()
 
 
 def test_cache_too_small_is_rebuilt(tmp_path, capsys):

@@ -164,6 +164,15 @@ def test_count_identity_spread(t100k):
             assert count_identity(t100k, x, r).total == count_brute(x, r, t100k)
 
 
+@pytest.mark.parametrize("x,expected", [(10**4, 169), (10**5, 1128), (10**6, 8097)])
+def test_wide_ratio_matches_audited_r2_counts(t10k, x, expected):
+    # r = 2 + 3/2^61: num * p >= 2^62 for every p, so s2 scales the primes
+    # in exact integers; no q = 2p is prime, so the counts are C_2's
+    r = Ratio(2**62 + 3, 2**61)
+    assert count_identity(t10k, x, r).total == expected
+    assert count_brute(x, r, t10k) == expected
+
+
 def test_count_identity_unit_ratio(t10k):
     # r=1 admits no pairs at all: p < q <= p is empty
     for x in [0, 10, 100, 10**4]:
@@ -248,7 +257,7 @@ def test_count_report_fields(t10k):
     assert rep.estimate == pytest.approx(163.4195825, rel=1e-8)
     assert rep.abs_error == pytest.approx(abs(169 - rep.estimate), rel=1e-15)
     assert rep.rel_error == pytest.approx(rep.abs_error / 169, rel=1e-15)
-    assert rep.elapsed >= 0.0
+    assert rep.seconds >= 0.0
 
 
 def test_count_report_methods_agree(t10k):

@@ -46,9 +46,9 @@ def test_sum_pi_p_detects_corrupt_table():
 
 def test_probe_pi_rp_hand_values(t10k):
     row = probe_pi_rp(t10k, 10, Ratio(2))
-    assert row.scale == 10
+    assert row.x == 10
     assert row.exact == 15  # pi(4)+pi(6)+pi(10)+pi(14)
-    assert row.main_term == pytest.approx(100.0 / math.log(10.0) ** 2, rel=1e-15)
+    assert row.estimate == pytest.approx(100.0 / math.log(10.0) ** 2, rel=1e-15)
     assert row.ratio == pytest.approx(15 * math.log(10.0) ** 2 / 100.0, rel=1e-15)
 
 
@@ -69,7 +69,7 @@ def test_probe_band_pi_hand_values(t10k):
     # band primes for x=1000, r=2 are (22, 31]: 23, 29, 31
     row = probe_band_pi(t10k, 1000, Ratio(2))
     assert row.exact == 14 + 11 + 11  # pi(43) + pi(34) + pi(32)
-    assert row.main_term == pytest.approx(rsa_count_estimate(1000, Ratio(2)), rel=1e-15)
+    assert row.estimate == pytest.approx(rsa_count_estimate(1000, Ratio(2)), rel=1e-15)
     assert row.ratio == pytest.approx(36 / rsa_count_estimate(1000, Ratio(2)), rel=1e-15)
 
 
@@ -101,7 +101,7 @@ def test_band_recip_sum_tracks_log_ratio(t10m):
 
 def test_convergence_table_rows(t100k):
     rows = convergence_table(t100k, [10**4, 10**5], Ratio(2))
-    assert [row.scale for row in rows] == [10**4, 10**5]
+    assert [row.x for row in rows] == [10**4, 10**5]
     first = rows[0]
     assert first.exact == 169
     est = rsa_count_estimate(10**4, Ratio(2))

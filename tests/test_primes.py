@@ -75,6 +75,18 @@ def test_query_above_limit_raises(t10k):
         t10k.prime_count(-1)
 
 
+def test_pi_sum(t10k):
+    queries = np.array([10, 100, 1000], dtype=np.uint64)
+    assert t10k.pi_sum(queries) == 4 + 25 + 168
+    assert t10k.pi_sum(queries[::-1]) == 4 + 25 + 168
+    assert t10k.pi_sum(queries[:0]) == 0
+    over = np.array([10, t10k.limit + 1], dtype=np.uint64)
+    with pytest.raises(TableLimitError):
+        t10k.pi_sum(over)  # never answered as pi(limit)
+    with pytest.raises(TableLimitError):
+        t10k.pi_sum(over[::-1])
+
+
 def test_primes_between(t10k):
     assert t10k.primes_between(10, 20).tolist() == [11, 13, 17, 19]
     assert t10k.primes_between(7, 7).tolist() == []
