@@ -14,8 +14,6 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from pathlib import Path
 
 from . import analytic, counting, diagnostics
 from .analytic import QuadratureError
@@ -40,25 +38,6 @@ COUNT_HEADER = "x,r,exact,estimate,abs_err,rel_err,method,seconds"
 _COLUMN_ATTR = {"abs_err": "abs_error", "rel_err": "rel_error"}
 
 
-@dataclass
-class RunConfig:
-    table_limit: int | None = None
-    memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES
-    brute_budget: int = counting.DEFAULT_BRUTE_BUDGET
-    output_format: str = "csv"
-    output_path: str | None = None
-    cache_path: str | None = None
-    threads: int = 0
-
-    def __post_init__(self):
-        if self.memory_budget_bytes < 1 or self.brute_budget < 1:
-            raise ValueError("budgets must be positive")
-        if self.output_format not in ("csv", "json"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
-        if self.threads < 1:
-            self.threads = os.cpu_count() or 1
-
-
 def _parse_scale(text: str) -> int:
     """Integer in [0, 2^64), allowing scientific notation like 1e7."""
     try:
@@ -72,6 +51,14 @@ def _parse_scale(text: str) -> int:
     if d > U64_MAX:
         raise argparse.ArgumentTypeError(f"{text!r} must be below 2^64")
     return int(d)
+
+
+def _parse_positive(text: str) -> int:
+    """Integer in [1, 2^64), for budgets and thread counts."""
+    value = _parse_scale(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} must be at least 1")
+    return value
 
 
 def _parse_ratio(text: str) -> Ratio:
@@ -101,39 +88,24 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
-def _config(args) -> RunConfig:
-    cache = getattr(args, "cache", None) or os.environ.get(CACHE_ENV)
-    return RunConfig(
-        table_limit=getattr(args, "table_limit", None),
-        memory_budget_bytes=getattr(args, "memory_budget_bytes", None)
-        or DEFAULT_MEMORY_BUDGET_BYTES,
-        brute_budget=getattr(args, "brute_budget", None)
-        or counting.DEFAULT_BRUTE_BUDGET,
-        output_format=getattr(args, "format", "csv"),
-        output_path=getattr(args, "out", None),
-        cache_path=cache,
-        threads=getattr(args, "threads", None) or 0,
-    )
-
-
-def _get_table(cfg: RunConfig, required: int) -> PrimeTable:
+def _get_table(args, required: int) -> PrimeTable:
     """Build (or load from cache) a table covering `required`.
 
     An explicit --table-limit is respected verbatim; otherwise the limit
-    auto-sizes to required plus a small margin.  A cache file is reused
-    when it covers the requirement, else rebuilt and rewritten.
+    auto-sizes to required plus a small margin.  The cache is --cache, else
+    $RSAD_CACHE; it is reused when it covers the requirement, else rebuilt
+    and rewritten.
     """
-    limit = cfg.table_limit if cfg.table_limit is not None else required + AUTO_SIZE_MARGIN
-    if cfg.cache_path:
-        path = Path(cfg.cache_path)
-        if path.exists():
-            table = load_table(path)
-            if table.limit >= required:
-                return table
-        table = build_table(limit, memory_budget_bytes=cfg.memory_budget_bytes)
-        table.save(path)
-        return table
-    return build_table(limit, memory_budget_bytes=cfg.memory_budget_bytes)
+    limit = args.table_limit if args.table_limit is not None else required + AUTO_SIZE_MARGIN
+    cache = args.cache or os.environ.get(CACHE_ENV)
+    if cache and os.path.exists(cache):
+        table = load_table(cache)
+        if table.limit >= required:
+            return table
+    table = build_table(limit, memory_budget_bytes=args.memory_budget_bytes)
+    if cache:
+        table.save(cache)
+    return table
 
 
 def _cell(rep: counting.CountReport, col: str, timing: bool):
@@ -165,16 +137,15 @@ def _reports_text(
 
 
 def _cmd_count(args) -> int:
-    cfg = _config(args)
     x, r = args.x, args.r
     methods = ["brute", "identity"] if args.method == "both" else [args.method]
     required = counting._required_limit(x, r)
-    table = _get_table(cfg, required)
+    table = _get_table(args, required)
     rows = [
-        counting.count_report(table, x, r, method=m, budget=cfg.brute_budget)
+        counting.count_report(table, x, r, method=m, budget=args.brute_budget)
         for m in methods
     ]
-    _emit(_reports_text(rows, COUNT_HEADER, cfg.output_format, args.timing), cfg.output_path)
+    _emit(_reports_text(rows, COUNT_HEADER, args.format, args.timing), args.out)
     if len(rows) == 2 and rows[0].exact != rows[1].exact:
         print(
             f"method disagreement at x={x}, r={r}: "
@@ -206,7 +177,6 @@ def _geometric_grid(x_min: int, x_max: int, points_per_decade: int) -> list[int]
 
 
 def _cmd_table(args) -> int:
-    cfg = _config(args)
     r = args.r
     if args.x_min < 2:
         raise ValueError(f"--x-min must be >= 2, got {args.x_min}")
@@ -215,59 +185,42 @@ def _cmd_table(args) -> int:
     if args.points_per_decade < 1:
         raise ValueError("--points-per-decade must be >= 1")
     grid = _geometric_grid(args.x_min, args.x_max, args.points_per_decade)
-    table = _get_table(cfg, counting._required_limit(args.x_max, r))
+    table = _get_table(args, counting._required_limit(args.x_max, r))
 
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+    with ThreadPoolExecutor(max_workers=args.threads) as pool:
         rows = list(pool.map(lambda x: counting.count_report(table, x, r), grid))
-    _emit(_reports_text(rows, TABLE_HEADER, cfg.output_format, args.timing), cfg.output_path)
+    _emit(_reports_text(rows, TABLE_HEADER, args.format, args.timing), args.out)
     return 0
 
 
 def _cmd_mertens(args) -> int:
-    cfg = _config(args)
     if args.z < 2:
         raise ValueError(f"--z must be >= 2, got {args.z}")
-    table = _get_table(cfg, args.z)
+    table = _get_table(args, args.z)
     res = analytic.mertens_sum(table, args.z)
-    if cfg.output_format == "json":
-        text = (
-            json.dumps(
-                {
-                    "z": res.z,
-                    "sum": _jnum(res.sum),
-                    "loglog_z": _jnum(res.loglog_z),
-                    "residual": _jnum(res.residual),
-                },
-                indent=2,
-            )
-            + "\n"
-        )
+    fields = {"sum": res.sum, "loglog_z": res.loglog_z, "residual": res.residual}
+    if args.format == "json":
+        doc = {"z": res.z, **{name: _jnum(v) for name, v in fields.items()}}
+        text = json.dumps(doc, indent=2) + "\n"
     else:
-        text = (
-            f"sum={_fmt(res.sum)}\n"
-            f"loglog_z={_fmt(res.loglog_z)}\n"
-            f"residual={_fmt(res.residual)}\n"
-        )
-    _emit(text, cfg.output_path)
+        text = "".join(f"{name}={_fmt(v)}\n" for name, v in fields.items())
+    _emit(text, args.out)
     return 0
 
 
 def _cmd_pi(args) -> int:
-    cfg = _config(args)
-    table = _get_table(cfg, args.x)
-    _emit(f"{table.prime_count(args.x)}\n", cfg.output_path)
+    table = _get_table(args, args.x)
+    _emit(f"{table.prime_count(args.x)}\n", args.out)
     return 0
 
 
 def _cmd_li(args) -> int:
-    cfg = _config(args)
     val = analytic.log_integral(args.x)
-    _emit(f"{_fmt(val)}\n", cfg.output_path)
+    _emit(f"{_fmt(val)}\n", args.out)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    cfg = _config(args)
     max_x = args.max_x
     ratios = args.r
     sum_check_max = min(max_x, 10**4)
@@ -276,12 +229,12 @@ def _cmd_verify(args) -> int:
         [counting._required_limit(max_x, r) for r in ratios]
         + [sum_check_max, pi2_sample_max, 2]
     )
-    table = _get_table(cfg, required)
+    table = _get_table(args, required)
 
     checks = 0
     step = max(1, max_x // 5)
     for r in ratios:
-        brute = counting.brute_counts_upto(table, max_x, r, budget=cfg.brute_budget)
+        brute = counting.brute_counts_upto(table, max_x, r, budget=args.brute_budget)
         for x in range(max_x + 1):
             ident = counting.count_identity(table, x, r).total
             if ident != int(brute[x]):
@@ -329,17 +282,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_threads=True):
+    def common(p):
         p.add_argument("--format", choices=["csv", "json"], default="csv")
         p.add_argument("--out", metavar="PATH", default=None)
         p.add_argument("--cache", metavar="PATH", default=None)
         p.add_argument("--table-limit", type=_parse_scale, default=None)
-        p.add_argument("--brute-budget", type=_parse_scale, default=None)
-        p.add_argument("--memory-budget-bytes", type=_parse_scale, default=None)
+        p.add_argument("--brute-budget", type=_parse_positive,
+                       default=counting.DEFAULT_BRUTE_BUDGET)
+        p.add_argument("--memory-budget-bytes", type=_parse_positive,
+                       default=DEFAULT_MEMORY_BUDGET_BYTES)
         p.add_argument("--timing", action="store_true",
                        help="emit measured wall time in the seconds column")
-        if with_threads:
-            p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--threads", type=_parse_positive, default=os.cpu_count() or 1)
 
     p = sub.add_parser("count", help="exact count C_r(x) plus the estimate")
     p.add_argument("--x", type=_parse_scale, required=True)
@@ -374,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="cross-check both counters and identities")
     p.add_argument("--max-x", type=_parse_scale, default=10**5)
-    p.add_argument("--r", type=_parse_ratio_list, default=None)
+    p.add_argument("--r", type=_parse_ratio_list,
+                   default=[Ratio(3, 2), Ratio(2), Ratio(5), Ratio(10)])
     common(p)
     p.set_defaults(func=_cmd_verify)
 
@@ -384,8 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify" and args.r is None:
-        args.r = [Ratio(3, 2), Ratio(2), Ratio(5), Ratio(10)]
     try:
         return args.func(args)
     except (

@@ -192,11 +192,7 @@ def _required_limit(x: int, r: Ratio) -> int:
 
 
 def cofactor_count(table: PrimeTable, p: int, x: int, r: Ratio) -> int:
-    """Number of primes q with p < q <= min(r*p, x/p), for prime p.
-
-    Piecewise in p: pi(floor(r*p)) - pi(p) while p <= sqrt(x/r), then
-    pi(floor(x/p)) - pi(p) up to sqrt(x), then 0.
-    """
+    """Number of primes q with p < q <= min(r*p, x/p), for prime p; 0 once p^2 > x."""
     _validate_x(x)
     if p > table.limit:
         raise TableTooSmallError(p, table.limit)
@@ -204,13 +200,28 @@ def cofactor_count(table: PrimeTable, p: int, x: int, r: Ratio) -> int:
         raise ValueError(f"cofactor_count requires a prime p, got {p}")
     if p * p > x:
         return 0
-    if p * p * r.num <= x * r.den:
-        hi = r.floor_mul(p)
-    else:
-        hi = x // p
+    hi = min(r.floor_mul(p), x // p)
     if hi > table.limit:
         raise TableTooSmallError(hi, table.limit)
     return table.prime_count(hi) - table.prime_count(p)
+
+
+def _cofactor_slices(table: PrimeTable, x: int, r: Ratio, budget: int):
+    """Yield (p, qs) for each prime p <= sqrt(x), qs the primes in (p, min(r*p, x/p)].
+
+    Both bounds are exact: q <= floor(r*p) iff q*den <= num*p, and
+    q <= floor(x/p) iff p*q <= x.  qs is a view into the table.
+    """
+    _validate_x(x)
+    if x > budget:
+        raise BruteBudgetError(f"x={x} exceeds brute-force budget {budget}")
+    need = _required_limit(x, r)
+    if table.limit < need:
+        raise TableTooSmallError(need, table.limit)
+    primes = table.primes
+    for i in range(table.prime_count(math.isqrt(x))):
+        p = int(primes[i])
+        yield p, primes[i + 1 : table.prime_count(min(r.floor_mul(p), x // p))]
 
 
 def count_brute(
@@ -221,27 +232,11 @@ def count_brute(
 ) -> int:
     """C_r(x) by direct pair enumeration over the prime table.
 
-    Outer loop over primes p <= sqrt(x); the admissible q sit in
-    (p, min(r*p, x/p)] and are located by binary search.  Both bounds are
-    exact: q <= floor(r*p) iff q*den <= num*p, and q <= floor(x/p) iff
-    p*q <= x.  Never touches the identity's partial sums, so it serves as
-    the independent oracle for count_identity.
+    Counts the admissible cofactors of every prime p <= sqrt(x).  Never
+    touches the identity's partial sums, so it serves as the independent
+    oracle for count_identity.
     """
-    _validate_x(x)
-    if x > budget:
-        raise BruteBudgetError(f"x={x} exceeds brute-force budget {budget}")
-    need = _required_limit(x, r)
-    if table.limit < need:
-        raise TableTooSmallError(need, table.limit)
-    primes = table.primes
-    total = 0
-    for i in range(table.prime_count(math.isqrt(x))):
-        p = int(primes[i])
-        hi = min(r.floor_mul(p), x // p)
-        if hi <= p:
-            continue
-        total += table.prime_count(hi) - (i + 1)
-    return total
+    return sum(qs.size for _, qs in _cofactor_slices(table, x, r, budget))
 
 
 def brute_counts_upto(
@@ -252,32 +247,15 @@ def brute_counts_upto(
 ) -> np.ndarray:
     """Incremental-sweep form of the brute counter.
 
-    Materializes every product p*q <= max_x with p < q <= r*p, sorts them,
-    and returns counts[n] = C_r(n) for all 0 <= n <= max_x.  Same
+    Materializes every product p*q <= max_x with p < q <= r*p, tallies
+    them, and returns counts[n] = C_r(n) for all 0 <= n <= max_x.  Same
     enumeration as count_brute, amortized over a whole sweep.
     """
-    _validate_x(max_x)
-    if max_x > budget:
-        raise BruteBudgetError(f"max_x={max_x} exceeds brute-force budget {budget}")
-    need = _required_limit(max_x, r)
-    if table.limit < need:
-        raise TableTooSmallError(need, table.limit)
-    primes = table.primes
-    pieces = []
-    for i in range(table.prime_count(math.isqrt(max_x))):
-        p = int(primes[i])
-        hi = min(r.floor_mul(p), max_x // p)
-        if hi <= p:
-            continue
-        j = table.prime_count(hi)
-        if j > i + 1:
-            pieces.append(primes[i + 1 : j] * np.uint64(p))
-    if pieces:
-        products = np.sort(np.concatenate(pieces))
-    else:
-        products = np.empty(0, dtype=np.uint64)
-    grid = np.arange(max_x + 1, dtype=np.uint64)
-    return np.searchsorted(products, grid, side="right").astype(np.int64)
+    products = np.concatenate(
+        [np.empty(0, dtype=np.uint64)]
+        + [qs * np.uint64(p) for p, qs in _cofactor_slices(table, max_x, r, budget)]
+    )
+    return np.bincount(products.astype(np.int64), minlength=max_x + 1).cumsum()
 
 
 def count_identity(table: PrimeTable, x: int, r: Ratio) -> Decomposition:

@@ -20,8 +20,8 @@ U64_MAX = 2**64 - 1
 # Segment buffer size in bytes; one byte tracks one odd candidate.
 DEFAULT_SEGMENT_BYTES = 2**18
 
-# Refuse builds whose prime storage estimate (8 bytes per prime,
-# pi(limit) ~ limit/log(limit)) would exceed this.
+# Refuse builds whose peak memory estimate (see _peak_estimate_bytes) would
+# exceed this.
 DEFAULT_MEMORY_BUDGET_BYTES = 8 * 2**30
 
 CACHE_MAGIC = b"RSAD1"
@@ -40,23 +40,15 @@ class CacheFormatError(Exception):
     """Prime cache file is missing, truncated, or inconsistent."""
 
 
-def _storage_estimate_bytes(limit: int) -> int:
-    if limit < 3:
+def _peak_estimate_bytes(limit: int) -> int:
+    """Bytes of prime storage at a build's peak: the chunk list plus its merged copy.
+
+    16 bytes per prime, with pi(limit) < L/ln L * (1 + 1.2762/ln L) (Dusart).
+    """
+    if limit < 2:
         return 0
-    return int(8 * limit / math.log(limit))
-
-
-def _odd_primes_upto(n: int) -> list[int]:
-    """Odd primes <= n by a plain byte sieve (used for the base primes)."""
-    if n < 3:
-        return []
-    flags = bytearray([1]) * (n + 1)
-    flags[0:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(n) + 1):
-        if flags[p]:
-            start = p * p
-            flags[start :: p] = b"\x00" * ((n - start) // p + 1)
-    return [i for i in range(3, n + 1, 2) if flags[i]]
+    log = math.log(limit)
+    return int(16 * limit / log * (1 + 1.2762 / log))
 
 
 @dataclass(frozen=True)
@@ -132,10 +124,11 @@ def build_table(
 ) -> PrimeTable:
     """Sieve all primes <= limit into an immutable PrimeTable.
 
-    Odd candidates are sieved in cache-sized segments; the merge order is
-    fixed, so two builds with the same limit produce identical tables.
-    Raises MemoryBudgetError before sieving if the table would not fit the
-    configured budget.
+    Odd candidates are sieved in cache-sized segments by the base primes
+    up to sqrt(limit), themselves built by this function; the merge order
+    is fixed, so two builds with the same limit produce identical tables.
+    Raises MemoryBudgetError before sieving if the build's peak would not
+    fit the configured budget.
     """
     if not isinstance(limit, int) or isinstance(limit, bool):
         raise ValueError(f"limit must be an integer, got {limit!r}")
@@ -146,10 +139,10 @@ def build_table(
     if memory_budget_bytes < 1:
         raise ValueError("memory_budget_bytes must be positive")
 
-    estimate = _storage_estimate_bytes(limit)
+    estimate = _peak_estimate_bytes(limit)
     if estimate > memory_budget_bytes:
         raise MemoryBudgetError(
-            f"limit {limit} needs ~{estimate} bytes of prime storage, "
+            f"limit {limit} needs up to {estimate} bytes at peak, "
             f"over the {memory_budget_bytes}-byte budget; raise "
             f"memory_budget_bytes to override"
         )
@@ -159,7 +152,7 @@ def build_table(
         empty.setflags(write=False)
         return PrimeTable(limit=limit, primes=empty)
 
-    base_odd = _odd_primes_upto(math.isqrt(limit))
+    base_odd = build_table(math.isqrt(limit)).primes[1:].tolist()
     chunks = [np.array([2], dtype=np.uint64)]
 
     # Odd n = 2i + 1 lives at index i; indices start at 1 (the value 3).

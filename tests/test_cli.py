@@ -21,8 +21,8 @@ def exit_code(*argv):
         return exc.code
 
 
-# Byte-exact stdout of count, table, mertens, pi and li, frozen before the
-# count and table writers were merged; a change here must be deliberate.
+# Byte-exact stdout of count, table, mertens, pi, li and verify, each frozen
+# from the code before a rewrite of its path; a change here must be deliberate.
 GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
 
 
@@ -110,6 +110,10 @@ def test_bad_grid_returns_2(capsys):
     "table --x-min 100 --x-max inf --r 2",
     "li --x nan",
     "li --x inf",
+    "count --x 100 --r 2 --method brute --brute-budget 0",
+    "count --x 100 --r 2 --memory-budget-bytes 0",
+    "table --x-min 100 --x-max 1000 --r 2 --threads 0",
+    "table --x-min 100 --x-max 1000 --r 2 --threads -1",
 ])
 def test_never_valid_input_exits_2(argv, capsys):
     assert exit_code(*argv.split()) == 2

@@ -35,8 +35,10 @@ def test_prime_count_10e8(t100m):
 
 
 def test_primes_match_trial_division():
-    table = build_table(3000)
-    assert table.primes.tolist() == prime_list(3000)
+    # every limit below 400 crosses each p^2 hand-off of the recursive base sieve
+    for limit in range(400):
+        assert build_table(limit).primes.tolist() == prime_list(limit), limit
+    assert build_table(3000).primes.tolist() == prime_list(3000)
 
 
 def test_prime_count_exhaustive_small(t10k):
@@ -109,6 +111,10 @@ def test_segment_size_does_not_change_output():
 def test_memory_budget_enforced():
     with pytest.raises(MemoryBudgetError):
         build_table(10**9, memory_budget_bytes=1000)
+    # one byte below the finished table's 78498 u64 primes; the build's
+    # chunk list plus its merged copy needs about twice the table
+    with pytest.raises(MemoryBudgetError, match="peak"):
+        build_table(10**6, memory_budget_bytes=8 * 78498 - 1)
 
 
 def test_limit_validation():
