@@ -348,6 +348,7 @@ def main(argv=None) -> int:
         TableLimitError,
         CacheFormatError,
         QuadratureError,
+        MemoryError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -18,7 +18,7 @@ import numpy as np
 U64_MAX = 2**64 - 1
 
 # Segment buffer size in bytes; one byte tracks one odd candidate.
-DEFAULT_SEGMENT_BYTES = 2**18
+DEFAULT_SEGMENT_BYTES = 2**19
 
 # Refuse builds whose peak memory estimate (see _peak_estimate_bytes) would
 # exceed this.
@@ -40,15 +40,21 @@ class CacheFormatError(Exception):
     """Prime cache file is missing, truncated, or inconsistent."""
 
 
-def _peak_estimate_bytes(limit: int) -> int:
-    """Bytes of prime storage at a build's peak: the chunk list plus its merged copy.
+def _prime_count_bound(limit: int) -> int:
+    """An upper bound on pi(limit): L/ln L * (1 + 1.2762/ln L) (Dusart), for L > 1."""
+    log = math.log(limit)
+    return int(limit / log * (1 + 1.2762 / log)) + 1
 
-    16 bytes per prime, with pi(limit) < L/ln L * (1 + 1.2762/ln L) (Dusart).
+
+def _peak_estimate_bytes(limit: int, segment_bytes: int) -> int:
+    """Bytes build_table holds at its peak: the output plus one segment buffer.
+
+    8 bytes per prime at _prime_count_bound(limit), plus segment_bytes, or the
+    number of odd candidates when that is fewer.
     """
     if limit < 2:
         return 0
-    log = math.log(limit)
-    return int(16 * limit / log * (1 + 1.2762 / log))
+    return 8 * _prime_count_bound(limit) + min(segment_bytes, (limit - 1) // 2)
 
 
 @dataclass(frozen=True)
@@ -124,11 +130,13 @@ def build_table(
 ) -> PrimeTable:
     """Sieve all primes <= limit into an immutable PrimeTable.
 
-    Odd candidates are sieved in cache-sized segments by the base primes
-    up to sqrt(limit), themselves built by this function; the merge order
-    is fixed, so two builds with the same limit produce identical tables.
-    Raises MemoryBudgetError before sieving if the build's peak would not
-    fit the configured budget.
+    The output is allocated once, at Dusart's bound on pi(limit), before the
+    base primes up to sqrt(limit) are built by this function.  Odd candidates
+    are sieved in one reused buffer of segment_bytes, and each segment's
+    primes are written in order into the output, so two builds with the same
+    limit produce identical tables.  Raises MemoryBudgetError if the peak (see
+    _peak_estimate_bytes) would not fit the budget, and MemoryError if the
+    output cannot be allocated.
     """
     if not isinstance(limit, int) or isinstance(limit, bool):
         raise ValueError(f"limit must be an integer, got {limit!r}")
@@ -139,7 +147,7 @@ def build_table(
     if memory_budget_bytes < 1:
         raise ValueError("memory_budget_bytes must be positive")
 
-    estimate = _peak_estimate_bytes(limit)
+    estimate = _peak_estimate_bytes(limit, segment_bytes)
     if estimate > memory_budget_bytes:
         raise MemoryBudgetError(
             f"limit {limit} needs up to {estimate} bytes at peak, "
@@ -152,33 +160,35 @@ def build_table(
         empty.setflags(write=False)
         return PrimeTable(limit=limit, primes=empty)
 
-    base_odd = build_table(math.isqrt(limit)).primes[1:].tolist()
-    chunks = [np.array([2], dtype=np.uint64)]
+    # Allocated first, so a table too large for memory fails before any sieving.
+    out = np.empty(_prime_count_bound(limit), dtype=np.uint64)
+    out[0] = 2
+    n = 1
 
-    # Odd n = 2i + 1 lives at index i; indices start at 1 (the value 3).
-    i0 = 1
+    # Odd n = 2i + 1 lives at index i, from 1 (the value 3).  The odd multiples
+    # of p are the indices = (p - 1)/2 mod p, crossed off from p^2's index
+    # (p - 1)/2 * (p + 1); for limits below 2^64 all are below 2^63, so int64 is exact.
+    base = build_table(math.isqrt(limit)).primes[1:].astype(np.int64)
+    base_idx = base // 2
+    square_idx = base_idx * (base + 1)
+
     i_end = (limit - 1) // 2 + 1
-    while i0 < i_end:
+    seg = np.empty(min(segment_bytes, i_end - 1), dtype=bool)
+    for i0 in range(1, i_end, segment_bytes):
         i1 = min(i0 + segment_bytes, i_end)
-        buf = np.ones(i1 - i0, dtype=bool)
-        lo_val = 2 * i0 + 1
-        hi_val = 2 * (i1 - 1) + 1
-        for p in base_odd:
-            start = p * p
-            if start > hi_val:
-                break
-            if start < lo_val:
-                start = ((lo_val + p - 1) // p) * p
-                if start % 2 == 0:
-                    start += p
-            # odd multiples of p sit p apart in odd-index space
-            buf[(start - 1) // 2 - i0 :: p] = False
-        idx = np.flatnonzero(buf)
-        if idx.size:
-            chunks.append(((idx + i0) * 2 + 1).astype(np.uint64))
-        i0 = i1
+        buf = seg[: i1 - i0]
+        buf.fill(True)
+        k = int(square_idx.searchsorted(i1))  # p^2 at or before the segment end
+        offsets = np.maximum(square_idx[:k], i0 + (base_idx[:k] - i0) % base[:k]) - i0
+        for o, p in zip(offsets.tolist(), base[:k].tolist()):
+            buf[o::p] = False
+        idx = np.flatnonzero(buf).view(np.uint64)
+        dst = out[n : n + idx.size]
+        np.multiply(idx, 2, out=dst)
+        np.add(dst, 2 * i0 + 1, out=dst)
+        n += idx.size
 
-    primes = np.concatenate(chunks)
+    primes = out[:n]
     primes.setflags(write=False)
     return PrimeTable(limit=limit, primes=primes)
 

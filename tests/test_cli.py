@@ -309,6 +309,19 @@ def test_corrupt_cache_returns_3(tmp_path, capsys):
 
 # --- process-level entry -------------------------------------------------
 
+def test_unallocatable_table_exits_3():
+    # admitted by the budget, but the 1.6 EiB output cannot be allocated;
+    # the allocation comes before any sieving, so this fails at once
+    proc = subprocess.run(
+        [sys.executable, "-m", "rsad", "pi", "--x", "1e19",
+         "--memory-budget-bytes", "1e19"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_module_invocation_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "rsad", "count", "--x", "100", "--r", "2"],

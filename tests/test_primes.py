@@ -9,6 +9,8 @@ from rsad import (
     load_table,
 )
 
+from rsad.primes import DEFAULT_SEGMENT_BYTES, _peak_estimate_bytes
+
 from oracles import pi_td, prime_list
 
 KNOWN_PI = [
@@ -103,18 +105,28 @@ def test_primes_are_read_only(t10k):
 
 
 def test_segment_size_does_not_change_output():
-    base = build_table(10**4)
-    tiny = build_table(10**4, segment_bytes=64)
-    assert np.array_equal(base.primes, tiny.primes)
+    # segment edges fall on and between the start offsets of every base prime
+    cases = [(10**4 + 1, 1229, [1, 2, 3, 64, 97]), (10**6, 78498, [97, 2**19])]
+    for limit, pi, sizes in cases:
+        base = build_table(limit)
+        assert base.primes.dtype == np.uint64
+        assert not base.primes.flags.writeable
+        assert base.primes.size == base.count == pi
+        for size in sizes:
+            assert np.array_equal(build_table(limit, segment_bytes=size).primes, base.primes)
 
 
 def test_memory_budget_enforced():
     with pytest.raises(MemoryBudgetError):
         build_table(10**9, memory_budget_bytes=1000)
-    # one byte below the finished table's 78498 u64 primes; the build's
-    # chunk list plus its merged copy needs about twice the table
+    # one byte below the finished table's 78498 u64 primes
     with pytest.raises(MemoryBudgetError, match="peak"):
         build_table(10**6, memory_budget_bytes=8 * 78498 - 1)
+    # the peak is the output preallocated at Dusart's bound plus one segment
+    peak = _peak_estimate_bytes(10**6, DEFAULT_SEGMENT_BYTES)
+    assert build_table(10**6, memory_budget_bytes=peak).count == 78498
+    with pytest.raises(MemoryBudgetError, match="peak"):
+        build_table(10**6, memory_budget_bytes=peak - 1)
 
 
 def test_limit_validation():
