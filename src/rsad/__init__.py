@@ -10,8 +10,6 @@ exact counts approach the estimate.
 
 from .analytic import (
     MertensResult,
-    QuadratureConfig,
-    QuadratureError,
     band_recip_estimate,
     log_integral,
     mertens_sum,
@@ -59,8 +57,6 @@ __all__ = [
     "MemoryBudgetError",
     "MertensResult",
     "PrimeTable",
-    "QuadratureConfig",
-    "QuadratureError",
     "Ratio",
     "TableLimitError",
     "TableTooSmallError",

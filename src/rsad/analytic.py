@@ -17,22 +17,6 @@ from .counting import Ratio
 from .primes import PrimeTable
 
 
-class QuadratureError(Exception):
-    """Adaptive quadrature failed to meet tolerance before max depth."""
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    relative_tolerance: float = 1e-12
-    max_depth: int = 60
-
-    def __post_init__(self):
-        if not self.relative_tolerance > 0:
-            raise ValueError("relative_tolerance must be positive")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-
-
 @dataclass(frozen=True)
 class MertensResult:
     """One evaluation of sum_{p<=z} 1/p against log log z."""
@@ -43,55 +27,30 @@ class MertensResult:
     residual: float  # sum - log log z; tends to the Meissel-Mertens constant
 
 
-def _simpson(fa: float, fm: float, fb: float, width: float) -> float:
-    return width / 6.0 * (fa + 4.0 * fm + fb)
+def log_integral(x: float) -> float:
+    """Li(x), the integral of 1/log t from 2 to x, as Ei(log x) - Ei(log 2).
 
-
-def _adaptive(f, a, b, fa, fm, fb, whole, tol, depth, max_depth):
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    left = _simpson(fa, flm, fm, m - a)
-    right = _simpson(fm, frm, fb, b - m)
-    delta = left + right - whole
-    if abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0
-    if depth >= max_depth:
-        raise QuadratureError(
-            f"tolerance not reached at depth {max_depth} on [{a}, {b}]"
-        )
-    half = 0.5 * tol
-    return _adaptive(f, a, m, fa, flm, fm, left, half, depth + 1, max_depth) + _adaptive(
-        f, m, b, fm, frm, fb, right, half, depth + 1, max_depth
-    )
-
-
-def log_integral(x: float, cfg: QuadratureConfig | None = None) -> float:
-    """Li(x), the integral of 1/log t from 2 to x, by adaptive Simpson.
-
-    The integrand is smooth on [2, x], so plain recursive bisection with
-    Richardson correction reaches the configured relative tolerance.
-    Raises ValueError for x < 2 or non-finite x and QuadratureError if
-    max_depth is hit.
+    With L = log x, l = log 2 and d = log(x/2), the difference of the two
+    Ei series is  log1p(d/l) + sum_{n>=1} (L^n - l^n)/(n*n!).  Every term
+    is positive, so neither Euler's constant nor Li(2) is subtracted and
+    x just above 2 keeps full relative accuracy.  a = (L^n - l^n)/n! and
+    b = l^n/n! follow  a <- a/n*L + b/n*d,  b <- b/n*l;  the terms fall
+    once n > L, and the sum stops when one no longer moves the total.
+    Finite for every finite x >= 2; raises ValueError otherwise.
     """
-    cfg = cfg or QuadratureConfig()
     xf = float(x)
     if not 2.0 <= xf < math.inf:
         raise ValueError(f"log_integral requires finite x >= 2, got {x}")
-    if xf == 2.0:
-        return 0.0
-
-    def f(t: float) -> float:
-        return 1.0 / math.log(t)
-
-    a, b = 2.0, xf
-    m = 0.5 * (a + b)
-    fa, fm, fb = f(a), f(m), f(b)
-    whole = _simpson(fa, fm, fb, b - a)
-    tol = cfg.relative_tolerance * abs(whole)
-    return _adaptive(f, a, b, fa, fm, fb, whole, tol, 0, cfg.max_depth)
+    log_x, log_2, d = math.log(xf), math.log(2.0), math.log(xf / 2.0)
+    total = math.log1p(d / log_2)
+    a, b, n = 0.0, 1.0, 0
+    while True:
+        n += 1
+        a, b = a / n * log_x + b / n * d, b / n * log_2
+        term = a / n
+        total += term
+        if n > log_x and term <= 1e-17 * total:
+            return total
 
 
 def mertens_sum(table: PrimeTable, z: int) -> MertensResult:
@@ -105,7 +64,7 @@ def mertens_sum(table: PrimeTable, z: int) -> MertensResult:
         raise ValueError(f"mertens_sum requires z >= 2, got {z}")
     k = table.prime_count(z)
     recip = 1.0 / table.primes[:k].astype(np.float64)
-    total = math.fsum(recip.tolist())
+    total = math.fsum(recip)
     loglog = math.log(math.log(z))
     return MertensResult(z=z, sum=total, loglog_z=loglog, residual=total - loglog)
 

@@ -16,7 +16,6 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 from . import analytic, counting, diagnostics
-from .analytic import QuadratureError
 from .counting import BruteBudgetError, Ratio, TableTooSmallError
 from .primes import (
     DEFAULT_MEMORY_BUDGET_BYTES,
@@ -54,7 +53,7 @@ def _parse_scale(text: str) -> int:
 
 
 def _parse_positive(text: str) -> int:
-    """Integer in [1, 2^64), for budgets and thread counts."""
+    """Integer in [1, 2^64), for budgets, thread counts and grid density."""
     value = _parse_scale(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"{text!r} must be at least 1")
@@ -182,8 +181,6 @@ def _cmd_table(args) -> int:
         raise ValueError(f"--x-min must be >= 2, got {args.x_min}")
     if args.x_min > args.x_max:
         raise ValueError("--x-min must not exceed --x-max")
-    if args.points_per_decade < 1:
-        raise ValueError("--points-per-decade must be >= 1")
     grid = _geometric_grid(args.x_min, args.x_max, args.points_per_decade)
     table = _get_table(args, counting._required_limit(args.x_max, r))
 
@@ -306,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="convergence table over a geometric grid")
     p.add_argument("--x-min", type=_parse_scale, required=True)
     p.add_argument("--x-max", type=_parse_scale, required=True)
-    p.add_argument("--points-per-decade", type=int, default=4)
+    p.add_argument("--points-per-decade", type=_parse_positive, default=4)
     p.add_argument("--r", type=_parse_ratio, required=True)
     common(p)
     p.set_defaults(func=_cmd_table)
@@ -347,7 +344,6 @@ def main(argv=None) -> int:
         MemoryBudgetError,
         TableLimitError,
         CacheFormatError,
-        QuadratureError,
         MemoryError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

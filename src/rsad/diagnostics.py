@@ -107,7 +107,7 @@ def band_recip_sum(table: PrimeTable, x: int, r: Ratio) -> float:
     if table.limit < math.isqrt(x):
         raise TableTooSmallError(math.isqrt(x), table.limit)
     band = table.primes_between(math.isqrt(x * r.den // r.num), math.isqrt(x))
-    return math.fsum((1.0 / band.astype(np.float64)).tolist())
+    return math.fsum(1.0 / band.astype(np.float64))
 
 
 def convergence_table(

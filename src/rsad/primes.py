@@ -10,6 +10,7 @@ are immutable once built and safe to share between threads.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -115,11 +116,23 @@ class PrimeTable:
         return self.primes[i:j]
 
     def save(self, path) -> None:
-        """Write the binary cache: magic, limit, count, then u64 primes."""
+        """Write the binary cache: magic, limit, count, then u64 primes.
+
+        The bytes go to a temporary file beside path, which then replaces
+        path in one step, so a save that fails or is interrupted leaves any
+        cache already at path whole.
+        """
         header = _CACHE_HEADER.pack(CACHE_MAGIC, self.limit, self.count)
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(self.primes.astype("<u8", copy=False).tobytes())
+        tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(header)
+                fh.write(self.primes.astype("<u8", copy=False).tobytes())
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
 
 
 def build_table(

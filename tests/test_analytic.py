@@ -1,10 +1,9 @@
 import math
+import sys
 
 import pytest
 
 from rsad import (
-    QuadratureConfig,
-    QuadratureError,
     Ratio,
     band_recip_estimate,
     log_integral,
@@ -52,17 +51,33 @@ def test_log_integral_additive_over_subintervals():
     assert whole - first == pytest.approx(mid, rel=1e-6)
 
 
-def test_quadrature_depth_exhaustion():
-    cfg = QuadratureConfig(relative_tolerance=1e-15, max_depth=2)
-    with pytest.raises(QuadratureError):
-        log_integral(1e6, cfg)
+# Li(x) frozen from mpmath at 40 digits (li(x) - li(2) at the float x given)
+# across the range the exact counters reach, up to 2^64 - 1
+LI_LARGE_REFERENCE = [
+    (1e8, 5762208.330284251),
+    (1e12, 37607950279.759705),
+    (1e16, 279238344248555.75),
+    (1e19, 2.3405766737622237e17),
+    (18446744073709551615, 4.256562841157186e17),
+]
 
 
-def test_quadrature_config_validation():
-    with pytest.raises(ValueError):
-        QuadratureConfig(relative_tolerance=0.0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(max_depth=0)
+@pytest.mark.parametrize("x,expected", LI_LARGE_REFERENCE)
+def test_log_integral_large_x_reference_values(x, expected):
+    assert log_integral(x) == pytest.approx(expected, rel=1e-14)
+
+
+def test_log_integral_just_above_two():
+    # li(x) - li(2) in floats loses ~5.5e-10 relative here to cancellation
+    expected = 1.4426949864936583e-07
+    assert log_integral(2 + 1e-7) == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+def test_log_integral_finite_at_largest_float():
+    # mpmath at 40 digits; summing ~900 terms costs 2.5e-14 relative here
+    value = log_integral(sys.float_info.max)
+    assert math.isfinite(value)
+    assert value == pytest.approx(2.536315701167842e305, rel=1e-13)
 
 
 def test_mertens_small_exact(t10k):

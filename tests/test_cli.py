@@ -114,6 +114,7 @@ def test_bad_grid_returns_2(capsys):
     "count --x 100 --r 2 --memory-budget-bytes 0",
     "table --x-min 100 --x-max 1000 --r 2 --threads 0",
     "table --x-min 100 --x-max 1000 --r 2 --threads -1",
+    "table --x-min 100 --x-max 1000 --r 2 --points-per-decade 0",
 ])
 def test_never_valid_input_exits_2(argv, capsys):
     assert exit_code(*argv.split()) == 2
@@ -216,6 +217,17 @@ def test_pi_subcommand(capsys):
 def test_li_subcommand(capsys):
     assert run_cli("li", "--x", "100") == 0
     assert capsys.readouterr().out == "29.080977804\n"
+
+
+# Li from mpmath at 40 digits, to the 12 significant digits li prints
+@pytest.mark.parametrize("x,stdout", [
+    ("1e16", "2.79238344249e+14\n"),
+    ("1e19", "2.34057667376e+17\n"),
+    ("18446744073709551615", "4.25656284116e+17\n"),
+])
+def test_li_subcommand_large_x(x, stdout, capsys):
+    assert run_cli("li", "--x", x) == 0
+    assert capsys.readouterr().out == stdout
 
 
 def test_li_rejects_small_x(capsys):

@@ -4,6 +4,7 @@ import pytest
 from rsad import (
     CacheFormatError,
     MemoryBudgetError,
+    PrimeTable,
     TableLimitError,
     build_table,
     load_table,
@@ -142,6 +143,25 @@ def test_save_load_round_trip(tmp_path, t10k):
     loaded = load_table(path)
     assert loaded.limit == t10k.limit
     assert np.array_equal(loaded.primes, t10k.primes)
+
+
+class _FailingBytes(np.ndarray):
+    """A prime array whose serialisation fails, as a full disk would."""
+
+    def tobytes(self, *args, **kwargs):
+        raise OSError("no space left on device")
+
+
+def test_interrupted_save_keeps_existing_cache(tmp_path, t10k):
+    path = tmp_path / "primes.bin"
+    t10k.save(path)
+    failing = PrimeTable(limit=100, primes=build_table(100).primes.view(_FailingBytes))
+    with pytest.raises(OSError):
+        failing.save(path)
+    loaded = load_table(path)
+    assert loaded.limit == t10k.limit
+    assert np.array_equal(loaded.primes, t10k.primes)
+    assert [p.name for p in tmp_path.iterdir()] == ["primes.bin"]
 
 
 def test_load_rejects_bad_magic(tmp_path, t10k):
