@@ -28,6 +28,7 @@ from .counting import (
     count_identity,
     count_pi2,
     count_report,
+    count_sweep,
 )
 from .diagnostics import (
     IdentityViolationError,
@@ -70,6 +71,7 @@ __all__ = [
     "count_identity",
     "count_pi2",
     "count_report",
+    "count_sweep",
     "load_table",
     "log_integral",
     "mertens_sum",

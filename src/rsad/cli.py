@@ -87,21 +87,29 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
-def _get_table(args, required: int) -> PrimeTable:
-    """Build (or load from cache) a table covering `required`.
-
-    An explicit --table-limit is respected verbatim; otherwise the limit
-    auto-sizes to required plus a small margin.  The cache is --cache, else
-    $RSAD_CACHE; it is reused when it covers the requirement, else rebuilt
-    and rewritten.
-    """
-    limit = args.table_limit if args.table_limit is not None else required + AUTO_SIZE_MARGIN
+def _cached_table(args, required: int) -> PrimeTable | None:
+    """The table in --cache, else $RSAD_CACHE, if that file covers `required`."""
     cache = args.cache or os.environ.get(CACHE_ENV)
     if cache and os.path.exists(cache):
         table = load_table(cache)
         if table.limit >= required:
             return table
+    return None
+
+
+def _get_table(args, required: int) -> PrimeTable:
+    """Load a cached table covering `required`, or build one.
+
+    An explicit --table-limit is respected verbatim; otherwise the limit
+    auto-sizes to required plus a small margin.  A built table is written
+    to the cache (--cache, else $RSAD_CACHE) when one is named.
+    """
+    table = _cached_table(args, required)
+    if table is not None:
+        return table
+    limit = args.table_limit if args.table_limit is not None else required + AUTO_SIZE_MARGIN
     table = build_table(limit, memory_budget_bytes=args.memory_budget_bytes)
+    cache = args.cache or os.environ.get(CACHE_ENV)
     if cache:
         table.save(cache)
     return table
@@ -138,8 +146,15 @@ def _reports_text(
 def _cmd_count(args) -> int:
     x, r = args.x, args.r
     methods = ["brute", "identity"] if args.method == "both" else [args.method]
+    if "brute" in methods:
+        counting._check_brute_budget(x, args.brute_budget)
     required = counting._required_limit(x, r)
-    table = _get_table(args, required)
+    if methods == ["identity"] and args.table_limit is None:
+        # no table is built for the identity alone: count_report sweeps pi
+        # in bounded memory unless the cache already covers sqrt(r*x)
+        table = _cached_table(args, required)
+    else:
+        table = _get_table(args, required)
     rows = [
         counting.count_report(table, x, r, method=m, budget=args.brute_budget)
         for m in methods
@@ -156,22 +171,30 @@ def _cmd_count(args) -> int:
 
 
 def _geometric_grid(x_min: int, x_max: int, points_per_decade: int) -> list[int]:
-    """Ascending grid from x_min to x_max, points_per_decade per decade."""
-    if x_min == x_max:
-        return [x_min]
-    xs = []
+    """Ascending grid from x_min to x_max, points_per_decade per decade.
+
+    The points are round(x_min * 10^(k/points_per_decade)) for k = 0, 1, ...
+    that exceed the point before, up to the first at or above x_max, which
+    becomes x_max.  A galloping search finds each next k, so the work grows
+    with the points kept, not with k.
+    """
+
+    def point(k: int) -> int:
+        return int(round(x_min * 10 ** (k / points_per_decade)))
+
+    out = [x_min]
     k = 0
-    while True:
-        v = int(round(x_min * 10 ** (k / points_per_decade)))
-        if v >= x_max:
-            break
-        xs.append(v)
+    while out[-1] < x_max:
+        # the first k with point(k) > out[-1]: gallop from k, then bisect
+        step = 1
+        while point(k + step) <= out[-1]:
+            k, step = k + step, 2 * step
+        while step > 1:
+            step //= 2
+            if point(k + step) <= out[-1]:
+                k += step
         k += 1
-    xs.append(x_max)
-    out = []
-    for v in xs:
-        if not out or v > out[-1]:
-            out.append(v)
+        out.append(min(point(k), x_max))
     return out
 
 

@@ -48,14 +48,15 @@ def _prime_count_bound(limit: int) -> int:
 
 
 def _peak_estimate_bytes(limit: int, segment_bytes: int) -> int:
-    """Bytes build_table holds at its peak: the output plus one segment buffer.
+    """Bytes build_table holds at its peak: the output and the sieve's buffers.
 
-    8 bytes per prime at _prime_count_bound(limit), plus segment_bytes, or the
-    number of odd candidates when that is fewer.
+    8 bytes per prime at _prime_count_bound(limit), plus a segment buffer and
+    the wheel pattern, each the smaller of segment_bytes and the number of
+    odd candidates, the pattern 15015 bytes longer.
     """
     if limit < 2:
         return 0
-    return 8 * _prime_count_bound(limit) + min(segment_bytes, (limit - 1) // 2)
+    return 8 * _prime_count_bound(limit) + 2 * min(segment_bytes, (limit + 1) // 2) + _WHEEL
 
 
 @dataclass(frozen=True)
@@ -175,35 +176,87 @@ def build_table(
 
     # Allocated first, so a table too large for memory fails before any sieving.
     out = np.empty(_prime_count_bound(limit), dtype=np.uint64)
-    out[0] = 2
-    n = 1
-
-    # Odd n = 2i + 1 lives at index i, from 1 (the value 3).  The odd multiples
-    # of p are the indices = (p - 1)/2 mod p, crossed off from p^2's index
-    # (p - 1)/2 * (p + 1); for limits below 2^64 all are below 2^63, so int64 is exact.
-    base = build_table(math.isqrt(limit)).primes[1:].astype(np.int64)
-    base_idx = base // 2
-    square_idx = base_idx * (base + 1)
-
-    i_end = (limit - 1) // 2 + 1
-    seg = np.empty(min(segment_bytes, i_end - 1), dtype=bool)
-    for i0 in range(1, i_end, segment_bytes):
-        i1 = min(i0 + segment_bytes, i_end)
-        buf = seg[: i1 - i0]
-        buf.fill(True)
-        k = int(square_idx.searchsorted(i1))  # p^2 at or before the segment end
-        offsets = np.maximum(square_idx[:k], i0 + (base_idx[:k] - i0) % base[:k]) - i0
-        for o, p in zip(offsets.tolist(), base[:k].tolist()):
-            buf[o::p] = False
-        idx = np.flatnonzero(buf).view(np.uint64)
-        dst = out[n : n + idx.size]
-        np.multiply(idx, 2, out=dst)
-        np.add(dst, 2 * i0 + 1, out=dst)
-        n += idx.size
+    n = 0
+    for chunk in _OddSieve(limit, segment_bytes).primes(2, limit):
+        out[n : n + chunk.size] = chunk
+        n += chunk.size
 
     primes = out[:n]
     primes.setflags(write=False)
     return PrimeTable(limit=limit, primes=primes)
+
+
+# The odd multiples of 3, 5, 7, 11 and 13 repeat every 3*5*7*11*13 odd
+# candidates.  Each segment starts as a copy of that pattern, so these primes
+# never enter the crossing-off loop.
+_WHEEL_PRIMES = (3, 5, 7, 11, 13)
+_WHEEL = 15015
+# Primality of the odd candidates 1, 3, ..., 13, which the pattern gets wrong
+# for 1 and for the wheel primes themselves.
+_SMALL_ODD_IS_PRIME = (False, True, True, True, False, True, True)
+
+
+class _OddSieve:
+    """Segmented sieve of the odd candidates n = 2i + 1 <= limit, by index i.
+
+    Holds the base primes up to sqrt(limit), built by build_table, and the
+    wheel pattern; every segment of every range is sieved by segments().
+    """
+
+    def __init__(self, limit: int, segment_bytes: int):
+        base = build_table(math.isqrt(limit)).primes
+        # Odd n = 2i + 1 lives at index i.  The odd multiples of p are the
+        # indices = (p - 1)/2 mod p, crossed off from p^2's index
+        # (p - 1)/2 * (p + 1); for limits below 2^64 all are below 2^63, so
+        # int64 is exact.
+        self.base = base[base > _WHEEL_PRIMES[-1]].astype(np.int64)
+        self.base_idx = self.base // 2
+        self.square_idx = self.base_idx * (self.base + 1)
+        self.segment_bytes = min(segment_bytes, (limit + 1) // 2)
+        self.pattern = np.ones(_WHEEL + self.segment_bytes, dtype=bool)
+        for p in _WHEEL_PRIMES:
+            self.pattern[p // 2 :: p] = False
+
+    def segments(self, i_lo: int, i_hi: int, descending: bool = False):
+        """Yield (i0, flags) for consecutive segments of the indices [i_lo, i_hi).
+
+        flags[j] is True iff 2*(i0 + j) + 1 is prime.  Segments come in
+        ascending order, or descending with descending=True, and share one
+        buffer, so each flags is overwritten by the next.
+        """
+        size = self.segment_bytes
+        buf = np.empty(min(size, max(i_hi - i_lo, 0)), dtype=bool)
+        starts = range(i_lo, i_hi, size)
+        for i0 in reversed(starts) if descending else starts:
+            i1 = min(i0 + size, i_hi)
+            flags = buf[: i1 - i0]
+            w = i0 % _WHEEL
+            flags[:] = self.pattern[w : w + flags.size]
+            for i in range(i0, min(i1, len(_SMALL_ODD_IS_PRIME))):
+                flags[i - i0] = _SMALL_ODD_IS_PRIME[i]
+            k = int(self.square_idx.searchsorted(i1))  # p^2 at or before the segment end
+            base = self.base[:k]
+            offsets = np.maximum(self.square_idx[:k], i0 + (self.base_idx[:k] - i0) % base) - i0
+            for o, p in zip(offsets.tolist(), base.tolist()):
+                flags[o::p] = False
+            yield i0, flags
+
+    def primes(self, lo: int, hi: int, descending: bool = False):
+        """Yield the primes in [lo, hi] as uint64 arrays, one per segment.
+
+        Ascending, or with descending=True, descending across and within
+        the arrays.  hi must not exceed the sieve's limit.
+        """
+        two = [np.array([2], dtype=np.uint64)] if lo <= 2 <= hi else []
+        if not descending:
+            yield from two
+        for i0, flags in self.segments(lo // 2, (hi + 1) // 2, descending):
+            p = np.flatnonzero(flags).view(np.uint64)
+            p *= 2
+            p += 2 * i0 + 1
+            yield p[::-1] if descending else p
+        if descending:
+            yield from two
 
 
 def load_table(path) -> PrimeTable:

@@ -26,7 +26,7 @@ LI_REFERENCE = [
 
 @pytest.mark.parametrize("x,expected", LI_REFERENCE)
 def test_log_integral_reference_values(x, expected):
-    assert log_integral(x) == pytest.approx(expected, rel=1e-12)
+    assert log_integral(x) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_log_integral_lower_endpoint():
@@ -48,7 +48,7 @@ def test_log_integral_additive_over_subintervals():
     n = 20000
     h = 950.0 / n
     mid = sum(h / math.log(50.0 + (i + 0.5) * h) for i in range(n))
-    assert whole - first == pytest.approx(mid, rel=1e-6)
+    assert whole - first == pytest.approx(mid, rel=1e-6, abs=0)
 
 
 # Li(x) frozen from mpmath at 40 digits (li(x) - li(2) at the float x given)
@@ -64,7 +64,7 @@ LI_LARGE_REFERENCE = [
 
 @pytest.mark.parametrize("x,expected", LI_LARGE_REFERENCE)
 def test_log_integral_large_x_reference_values(x, expected):
-    assert log_integral(x) == pytest.approx(expected, rel=1e-14)
+    assert log_integral(x) == pytest.approx(expected, rel=1e-14, abs=0)
 
 
 def test_log_integral_just_above_two():
@@ -77,14 +77,14 @@ def test_log_integral_finite_at_largest_float():
     # mpmath at 40 digits; summing ~900 terms costs 2.5e-14 relative here
     value = log_integral(sys.float_info.max)
     assert math.isfinite(value)
-    assert value == pytest.approx(2.536315701167842e305, rel=1e-13)
+    assert value == pytest.approx(2.536315701167842e305, rel=1e-13, abs=0)
 
 
 def test_mertens_small_exact(t10k):
     # 1/2 + 1/3 + 1/5 + 1/7 = 247/210
     res = mertens_sum(t10k, 10)
     assert res.z == 10
-    assert res.sum == pytest.approx(247.0 / 210.0, rel=1e-15)
+    assert res.sum == pytest.approx(247.0 / 210.0, rel=1e-15, abs=0)
     assert res.residual == pytest.approx(res.sum - math.log(math.log(10.0)), abs=1e-15)
 
 
@@ -109,9 +109,9 @@ def test_mertens_validation(t10k):
 def test_rsa_count_estimate_formula():
     x, r = 10**4, Ratio(2)
     expected = 2.0 * x * math.log(2.0) / math.log(x) ** 2
-    assert rsa_count_estimate(x, r) == pytest.approx(expected, rel=1e-15)
+    assert rsa_count_estimate(x, r) == pytest.approx(expected, rel=1e-15, abs=0)
     assert rsa_count_estimate(10**4, Ratio(3, 2)) == pytest.approx(
-        2.0 * 10**4 * math.log(1.5) / math.log(10**4) ** 2, rel=1e-15
+        2.0 * 10**4 * math.log(1.5) / math.log(10**4) ** 2, rel=1e-15, abs=0
     )
 
 
@@ -127,16 +127,16 @@ def test_rsa_count_estimate_validation():
 def test_pi_rp_sum_main_formula():
     # r*z^2 / (2 log^2 z)
     assert pi_rp_sum_main(100, Ratio(1)) == pytest.approx(
-        10**4 / (2 * math.log(100) ** 2), rel=1e-15
+        10**4 / (2 * math.log(100) ** 2), rel=1e-15, abs=0
     )
     assert pi_rp_sum_main(100, Ratio(2)) == pytest.approx(
-        2 * 10**4 / (2 * math.log(100) ** 2), rel=1e-15
+        2 * 10**4 / (2 * math.log(100) ** 2), rel=1e-15, abs=0
     )
 
 
 def test_band_recip_estimate():
     assert band_recip_estimate(10**6, Ratio(2)) == pytest.approx(
-        math.log(2.0) / math.log(10**6), rel=1e-15
+        math.log(2.0) / math.log(10**6), rel=1e-15, abs=0
     )
     assert band_recip_estimate(100, Ratio(1)) == 0.0
 
@@ -147,5 +147,5 @@ def test_band_recip_estimate_requires_r_below_sqrt_x():
         band_recip_estimate(100, Ratio(11))
     # boundary r = sqrt(x) exactly is allowed
     assert band_recip_estimate(100, Ratio(10)) == pytest.approx(
-        math.log(10.0) / math.log(100.0), rel=1e-15
+        math.log(10.0) / math.log(100.0), rel=1e-15, abs=0
     )

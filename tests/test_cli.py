@@ -1,10 +1,12 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import rsad.primes
 from rsad import cli
 from rsad.cli import _geometric_grid, main
 
@@ -46,6 +48,44 @@ def test_geometric_grid_monotone_endpoints():
     grid = _geometric_grid(50, 98765, 7)
     assert grid[0] == 50 and grid[-1] == 98765
     assert all(a < b for a, b in zip(grid, grid[1:]))
+
+
+def _grid_stepping_every_k(x_min, x_max, points_per_decade):
+    # the grid as first written: every k, repeats dropped afterwards
+    if x_min == x_max:
+        return [x_min]
+    xs = []
+    k = 0
+    while True:
+        v = int(round(x_min * 10 ** (k / points_per_decade)))
+        if v >= x_max:
+            break
+        xs.append(v)
+        k += 1
+    xs.append(x_max)
+    out = []
+    for v in xs:
+        if not out or v > out[-1]:
+            out.append(v)
+    return out
+
+
+@pytest.mark.parametrize("x_min,x_max", [
+    (2, 3), (2, 1000), (100, 1000), (50, 98765), (999, 1000), (7, 10**9), (10**15, 10**18),
+])
+def test_geometric_grid_matches_stepping_every_k(x_min, x_max):
+    for ppd in range(1, 61):
+        assert _geometric_grid(x_min, x_max, ppd) == _grid_stepping_every_k(x_min, x_max, ppd)
+
+
+def test_geometric_grid_dense_request_is_bounded(capsys):
+    # 1e12 points per decade: every integer from 100 to 1000 once
+    assert run_cli(
+        "table", "--x-min", "100", "--x-max", "1000", "--r", "2",
+        "--points-per-decade", "1e12",
+    ) == 0
+    rows = capsys.readouterr().out.strip().split("\n")[1:]
+    assert [int(row.split(",")[0]) for row in rows] == list(range(100, 1001))
 
 
 # --- count ---------------------------------------------------------------
@@ -134,6 +174,58 @@ def test_brute_budget_returns_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("method", ["brute", "both"])
+def test_brute_budget_checked_before_any_table(capsys, monkeypatch, method):
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(cli, "build_table", no_table)
+    assert run_cli("count", "--x", "1e17", "--r", "2", "--method", method) == 3
+    assert "exceeds brute-force budget" in capsys.readouterr().err
+
+
+def _record_builds(monkeypatch):
+    limits = []
+
+    def recorder(build):
+        def wrapped(limit, **kwargs):
+            limits.append(limit)
+            return build(limit, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(rsad.primes, "build_table", recorder(rsad.primes.build_table))
+    monkeypatch.setattr(cli, "build_table", recorder(cli.build_table))
+    return limits
+
+
+def test_count_without_a_table_sieves_only_base_primes(capsys, monkeypatch):
+    from rsad import Ratio, count_identity
+
+    want = count_identity(rsad.primes.build_table(math.isqrt(2 * 10**12)), 10**12, Ratio(2))
+    limits = _record_builds(monkeypatch)
+    assert run_cli("count", "--x", "1e12", "--r", "2") == 0
+    assert capsys.readouterr().out.split("\n")[1].startswith(f"1000000000000,2,{want.total},")
+    assert limits and max(limits) <= math.isqrt(math.isqrt(2 * 10**12)) + 1
+
+
+def test_count_reads_a_covering_cache_only(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "primes.bin"
+    assert run_cli("pi", "--x", "1000", "--cache", str(cache)) == 0
+    stamp = cache.stat().st_mtime_ns
+    limits = _record_builds(monkeypatch)
+    # sqrt(2e5) = 447 is covered: the cached table answers, nothing is built
+    assert run_cli("count", "--x", "2e5", "--r", "2", "--cache", str(cache)) == 0
+    assert limits == []
+    # sqrt(2e8) is not: the sweep answers, and the cache is left as it was
+    assert run_cli("count", "--x", "1e8", "--r", "2", "--cache", str(cache)) == 0
+    assert max(limits) <= math.isqrt(math.isqrt(2 * 10**8)) + 1
+    assert cache.stat().st_mtime_ns == stamp
+    out = capsys.readouterr().out.split("\n")
+    assert [line.split(",")[2] for line in out if line[:1].isdigit() and "," in line] == [
+        "2013", "453998",
+    ]
+
+
 def test_method_disagreement_returns_4(capsys, monkeypatch):
     from rsad import counting
 
@@ -204,7 +296,7 @@ def test_table_json(capsys):
     rows = json.loads(capsys.readouterr().out)
     assert rows[0]["x"] == 1000
     assert rows[0]["exact"] == 25
-    assert rows[0]["ratio"] == pytest.approx(rows[0]["exact"] / rows[0]["estimate"], rel=1e-9)
+    assert rows[0]["ratio"] == pytest.approx(rows[0]["exact"] / rows[0]["estimate"], rel=1e-9, abs=0)
 
 
 # --- scalar subcommands --------------------------------------------------

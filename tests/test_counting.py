@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -14,8 +15,9 @@ from rsad import (
     count_identity,
     count_pi2,
     count_report,
+    count_sweep,
 )
-from rsad.counting import _required_limit
+from rsad.counting import SWEEP_SEGMENT_BYTES, _required_limit
 
 from oracles import rsa_count_pairs, semiprime_count
 
@@ -56,7 +58,7 @@ def test_ratio_floor_mul():
 def test_ratio_numerics():
     assert float(Ratio(3, 2)) == 1.5
     assert Ratio(1).log() == 0.0
-    assert Ratio(2).log() == pytest.approx(math.log(2), rel=1e-15)
+    assert Ratio(2).log() == pytest.approx(math.log(2), rel=1e-15, abs=0)
     assert Ratio(3, 2) < Ratio(2) < Ratio(5)
     assert Ratio(2) <= Ratio(2)
     assert Ratio(2) * Ratio(3, 2) == Ratio(3)
@@ -196,6 +198,70 @@ def test_required_limit():
     assert _required_limit(100, Ratio(1)) == 10
 
 
+# --- table-free sweep ---------------------------------------------------
+
+SWEEP_RATIOS = [Ratio(3, 2), Ratio(2), Ratio(10), Ratio(7, 3), Ratio(2**62 + 3, 2**61)]
+
+
+@pytest.mark.parametrize("r", SWEEP_RATIOS, ids=str)
+def test_count_sweep_matches_identity_below_3000(t10k, r):
+    for x in range(3000):
+        assert count_sweep(x, r) == count_identity(t10k, x, r), x
+
+
+@pytest.mark.parametrize("segment_bytes", [1, 4, 97])
+def test_count_sweep_segment_size_does_not_change_output(t10k, segment_bytes):
+    # segment edges fall between the arguments of one segment, and of one
+    # prime stream, at every offset
+    for r in SWEEP_RATIOS:
+        for x in range(0, 3000, 23):
+            got = count_sweep(x, r, segment_bytes=segment_bytes)
+            assert got == count_identity(t10k, x, r), (x, r)
+
+
+@pytest.mark.parametrize("segment_bytes,x_max", [
+    (1, 10**6), (4, 10**6), (97, 10**9), (SWEEP_SEGMENT_BYTES, 10**9),
+])
+def test_count_sweep_matches_identity_random(t100k, segment_bytes, x_max):
+    rng = random.Random(20261018 + segment_bytes)
+    for r in SWEEP_RATIOS:
+        for x in [rng.randrange(x_max) for _ in range(10)]:
+            got = count_sweep(x, r, segment_bytes=segment_bytes)
+            assert got == count_identity(t100k, x, r), (x, r)
+
+
+def test_count_sweep_ratio_above_x(t10k):
+    # sqrt(x/r) < 1, so s2 is empty, and the sweep stops at x, not sqrt(r*x)
+    for x in [0, 1, 4, 9, 100, 9973]:
+        r = Ratio(x + 1)
+        d = count_sweep(x, r)
+        assert d.s2 == 0
+        assert d == count_identity(t10k, x, r)
+
+
+def test_count_sweep_reference_value_1e16():
+    assert count_sweep(10**16, Ratio(2)).total == 10818912949586
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("x,expected", [
+    (10**17, 95496219725167),
+    (10**18, 849125507548358),
+    (2**64 - 1, 13625007731678062),
+])
+def test_count_sweep_reference_values_large(x, expected):
+    assert count_sweep(x, Ratio(2)).total == expected
+
+
+def test_count_sweep_validation():
+    with pytest.raises(ValueError):
+        count_sweep(-1, Ratio(2))
+    with pytest.raises(ValueError):
+        count_sweep(2**64, Ratio(2))
+    with pytest.raises(ValueError):
+        count_sweep(100, Ratio(2), segment_bytes=0)
+
+
 # --- sweep form ----------------------------------------------------------
 
 @pytest.mark.parametrize("r", [Ratio(3, 2), Ratio(2)])
@@ -254,9 +320,9 @@ def test_count_report_fields(t10k):
     rep = count_report(t10k, 10**4, Ratio(2), method="identity")
     assert rep.exact == 169
     assert rep.method == "identity"
-    assert rep.estimate == pytest.approx(163.4195825, rel=1e-8)
-    assert rep.abs_error == pytest.approx(abs(169 - rep.estimate), rel=1e-15)
-    assert rep.rel_error == pytest.approx(rep.abs_error / 169, rel=1e-15)
+    assert rep.estimate == pytest.approx(163.4195825, rel=1e-8, abs=0)
+    assert rep.abs_error == pytest.approx(abs(169 - rep.estimate), rel=1e-15, abs=0)
+    assert rep.rel_error == pytest.approx(rep.abs_error / 169, rel=1e-15, abs=0)
     assert rep.seconds >= 0.0
 
 

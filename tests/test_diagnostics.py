@@ -48,15 +48,15 @@ def test_probe_pi_rp_hand_values(t10k):
     row = probe_pi_rp(t10k, 10, Ratio(2))
     assert row.x == 10
     assert row.exact == 15  # pi(4)+pi(6)+pi(10)+pi(14)
-    assert row.estimate == pytest.approx(100.0 / math.log(10.0) ** 2, rel=1e-15)
-    assert row.ratio == pytest.approx(15 * math.log(10.0) ** 2 / 100.0, rel=1e-15)
+    assert row.estimate == pytest.approx(100.0 / math.log(10.0) ** 2, rel=1e-15, abs=0)
+    assert row.ratio == pytest.approx(15 * math.log(10.0) ** 2 / 100.0, rel=1e-15, abs=0)
 
 
 def test_probe_pi_rp_frozen_golden(t10m):
     row = probe_pi_rp(t10m, 10**6, Ratio(2))
     assert row.exact == 5828801128
-    assert row.ratio == pytest.approx(1.112533548728312, rel=1e-12)
-    assert row.err_normalized == pytest.approx(0.459117922066, rel=1e-9)
+    assert row.ratio == pytest.approx(1.112533548728312, rel=1e-12, abs=0)
+    assert row.err_normalized == pytest.approx(0.459117922066, rel=1e-9, abs=0)
     assert 0.5 < row.ratio < 2.0
 
 
@@ -69,8 +69,8 @@ def test_probe_band_pi_hand_values(t10k):
     # band primes for x=1000, r=2 are (22, 31]: 23, 29, 31
     row = probe_band_pi(t10k, 1000, Ratio(2))
     assert row.exact == 14 + 11 + 11  # pi(43) + pi(34) + pi(32)
-    assert row.estimate == pytest.approx(rsa_count_estimate(1000, Ratio(2)), rel=1e-15)
-    assert row.ratio == pytest.approx(36 / rsa_count_estimate(1000, Ratio(2)), rel=1e-15)
+    assert row.estimate == pytest.approx(rsa_count_estimate(1000, Ratio(2)), rel=1e-15, abs=0)
+    assert row.ratio == pytest.approx(36 / rsa_count_estimate(1000, Ratio(2)), rel=1e-15, abs=0)
 
 
 def test_probe_band_pi_empty_band(t10k):
@@ -83,7 +83,7 @@ def test_probe_band_pi_empty_band(t10k):
 def test_probe_band_pi_frozen_golden(t10m):
     row = probe_band_pi(t10m, 10**6, Ratio(2))
     assert row.exact == 8170
-    assert row.ratio == pytest.approx(1.1248651916856824, rel=1e-12)
+    assert row.ratio == pytest.approx(1.1248651916856824, rel=1e-12, abs=0)
 
 
 def test_band_recip_sum_hand_values(t10k):
@@ -96,7 +96,7 @@ def test_band_recip_sum_tracks_log_ratio(t10m):
     # sum over sqrt(x/r) < p <= sqrt(x) of 1/p approaches log(r)/log(x)
     got = band_recip_sum(t10m, 10**12, Ratio(2))
     want = math.log(2.0) / math.log(1e12)
-    assert got == pytest.approx(want, rel=0.05)
+    assert got == pytest.approx(want, rel=0.05, abs=0)
 
 
 def test_convergence_table_rows(t100k):
@@ -105,9 +105,9 @@ def test_convergence_table_rows(t100k):
     first = rows[0]
     assert first.exact == 169
     est = rsa_count_estimate(10**4, Ratio(2))
-    assert first.ratio == pytest.approx(169 / est, rel=1e-15)
+    assert first.ratio == pytest.approx(169 / est, rel=1e-15, abs=0)
     scale = 2.0 * (1.0 + math.log(2.0)) * 10**4 / math.log(10**4) ** 3
-    assert first.err_normalized == pytest.approx(abs(169 - est) / scale, rel=1e-12)
+    assert first.err_normalized == pytest.approx(abs(169 - est) / scale, rel=1e-12, abs=0)
 
 
 def test_convergence_table_validation(t10k):

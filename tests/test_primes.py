@@ -10,7 +10,7 @@ from rsad import (
     load_table,
 )
 
-from rsad.primes import DEFAULT_SEGMENT_BYTES, _peak_estimate_bytes
+from rsad.primes import DEFAULT_SEGMENT_BYTES, _OddSieve, _peak_estimate_bytes
 
 from oracles import pi_td, prime_list
 
@@ -115,6 +115,20 @@ def test_segment_size_does_not_change_output():
         assert base.primes.size == base.count == pi
         for size in sizes:
             assert np.array_equal(build_table(limit, segment_bytes=size).primes, base.primes)
+
+
+def test_sieve_ranges_match_trial_division():
+    # any [lo, hi], ascending or descending, split at any segment offset
+    cases = [(0, 3000), (2, 2), (3, 3), (0, 1), (4, 100), (13, 169), (1000, 1500), (2999, 3000), (50, 40)]
+    for size in (1, 4, 97, DEFAULT_SEGMENT_BYTES):
+        sieve = _OddSieve(3000, size)
+        for lo, hi in cases:
+            want = [p for p in prime_list(hi) if p >= lo]
+            up = np.concatenate([np.empty(0, np.uint64), *sieve.primes(lo, hi)])
+            down = np.concatenate([np.empty(0, np.uint64), *sieve.primes(lo, hi, descending=True)])
+            assert up.dtype == down.dtype == np.uint64
+            assert up.tolist() == want, (size, lo, hi)
+            assert down.tolist() == want[::-1], (size, lo, hi)
 
 
 def test_memory_budget_enforced():
