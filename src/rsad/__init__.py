@@ -21,9 +21,7 @@ from .counting import (
     CountReport,
     Decomposition,
     Ratio,
-    TableTooSmallError,
     brute_counts_upto,
-    cofactor_count,
     count_brute,
     count_identity,
     count_pi2,
@@ -60,12 +58,10 @@ __all__ = [
     "PrimeTable",
     "Ratio",
     "TableLimitError",
-    "TableTooSmallError",
     "band_recip_estimate",
     "band_recip_sum",
     "brute_counts_upto",
     "build_table",
-    "cofactor_count",
     "convergence_table",
     "count_brute",
     "count_identity",

@@ -16,7 +16,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 from . import analytic, counting, diagnostics
-from .counting import BruteBudgetError, Ratio, TableTooSmallError
+from .counting import BruteBudgetError, Ratio
 from .primes import (
     DEFAULT_MEMORY_BUDGET_BYTES,
     U64_MAX,
@@ -87,29 +87,20 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
-def _cached_table(args, required: int) -> PrimeTable | None:
-    """The table in --cache, else $RSAD_CACHE, if that file covers `required`."""
+def _get_table(args, required: int) -> PrimeTable:
+    """Load the cached table if it covers `required`, or build one.
+
+    The cache is --cache, else $RSAD_CACHE.  An explicit --table-limit is
+    respected verbatim; otherwise the limit auto-sizes to required plus a
+    small margin.  A built table is written to the cache when one is named.
+    """
     cache = args.cache or os.environ.get(CACHE_ENV)
     if cache and os.path.exists(cache):
         table = load_table(cache)
         if table.limit >= required:
             return table
-    return None
-
-
-def _get_table(args, required: int) -> PrimeTable:
-    """Load a cached table covering `required`, or build one.
-
-    An explicit --table-limit is respected verbatim; otherwise the limit
-    auto-sizes to required plus a small margin.  A built table is written
-    to the cache (--cache, else $RSAD_CACHE) when one is named.
-    """
-    table = _cached_table(args, required)
-    if table is not None:
-        return table
     limit = args.table_limit if args.table_limit is not None else required + AUTO_SIZE_MARGIN
     table = build_table(limit, memory_budget_bytes=args.memory_budget_bytes)
-    cache = args.cache or os.environ.get(CACHE_ENV)
     if cache:
         table.save(cache)
     return table
@@ -148,15 +139,13 @@ def _cmd_count(args) -> int:
     methods = ["brute", "identity"] if args.method == "both" else [args.method]
     if "brute" in methods:
         counting._check_brute_budget(x, args.brute_budget)
-    required = counting._required_limit(x, r)
-    if methods == ["identity"] and args.table_limit is None:
-        # no table is built for the identity alone: count_report sweeps pi
-        # in bounded memory unless the cache already covers sqrt(r*x)
-        table = _cached_table(args, required)
-    else:
-        table = _get_table(args, required)
+    # only brute reads a table; the identity always sweeps pi in bounded
+    # memory, so it never depends on a cache brute could share with it
+    table = _get_table(args, counting._required_limit(x, r)) if "brute" in methods else None
     rows = [
-        counting.count_report(table, x, r, method=m, budget=args.brute_budget)
+        counting.count_report(
+            table if m == "brute" else None, x, r, method=m, budget=args.brute_budget
+        )
         for m in methods
     ]
     _emit(_reports_text(rows, COUNT_HEADER, args.format, args.timing), args.out)
@@ -362,7 +351,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (
-        TableTooSmallError,
         BruteBudgetError,
         MemoryBudgetError,
         TableLimitError,

@@ -1,8 +1,8 @@
 """Exact counting of RSA integers, by enumeration and by identity.
 
 An RSA integer for the bound r >= 1 is a semiprime n = p*q with
-p < q <= r*p.  C_r(x) counts them up to x.  Two independent routes are
-implemented:
+p < q <= r*p.  C_r(x) counts them up to x.  Three routes are implemented,
+two of them independent:
 
   * count_brute: walk primes p <= sqrt(x) and count admissible cofactors
     q in (p, min(r*p, x/p)] directly on the prime table.
@@ -12,7 +12,10 @@ implemented:
                  + sum_{p<=sqrt(x/r)} pi(r*p)
                  + sum_{sqrt(x/r) < p <= sqrt(x)} pi(x/p)
 
-    whose three partial sums are reported as (s1, s2, s3).
+    whose three partial sums are reported as (s1, s2, s3), with every pi
+    answered on the prime table.
+  * count_sweep: the same decomposition with no table, its pi arguments
+    answered in order by one segmented sieve over [0, sqrt(r*x)].
 
 All boundary tests are integer-exact: r is an exact rational num/den, the
 range split p <= sqrt(x/r) is decided as p^2*num <= x*den, and pi(r*p),
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .primes import U64_MAX, PrimeTable, _OddSieve
+from .primes import U64_MAX, PrimeTable, TableLimitError, _OddSieve
 
 DEFAULT_BRUTE_BUDGET = 10**8
 
@@ -41,17 +44,6 @@ SWEEP_SEGMENT_BYTES = 2**20
 
 # floor_mul scales a prime array in uint64 only while num * p stays below this
 _NP_SAFE = 2**62
-
-
-class TableTooSmallError(Exception):
-    """The prime table cannot answer a pi query this count needs."""
-
-    def __init__(self, required: int, limit: int):
-        self.required = required
-        self.limit = limit
-        super().__init__(
-            f"prime table limit {limit} too small; need at least {required}"
-        )
 
 
 class BruteBudgetError(Exception):
@@ -123,15 +115,6 @@ class Ratio:
     def __str__(self) -> str:
         return str(self.num) if self.den == 1 else f"{self.num}/{self.den}"
 
-    def __mul__(self, other: "Ratio") -> "Ratio":
-        return Ratio(self.num * other.num, self.den * other.den)
-
-    def __le__(self, other: "Ratio") -> bool:
-        return self.num * other.den <= other.num * self.den
-
-    def __lt__(self, other: "Ratio") -> bool:
-        return self.num * other.den < other.num * self.den
-
 
 @dataclass(frozen=True)
 class Decomposition:
@@ -196,21 +179,6 @@ def _required_limit(x: int, r: Ratio) -> int:
     return math.isqrt(r.num * x // r.den)
 
 
-def cofactor_count(table: PrimeTable, p: int, x: int, r: Ratio) -> int:
-    """Number of primes q with p < q <= min(r*p, x/p), for prime p; 0 once p^2 > x."""
-    _validate_x(x)
-    if p > table.limit:
-        raise TableTooSmallError(p, table.limit)
-    if not table.is_prime(p):
-        raise ValueError(f"cofactor_count requires a prime p, got {p}")
-    if p * p > x:
-        return 0
-    hi = min(r.floor_mul(p), x // p)
-    if hi > table.limit:
-        raise TableTooSmallError(hi, table.limit)
-    return table.prime_count(hi) - table.prime_count(p)
-
-
 def _check_brute_budget(x: int, budget: int) -> None:
     if x > budget:
         raise BruteBudgetError(f"x={x} exceeds brute-force budget {budget}")
@@ -226,7 +194,7 @@ def _cofactor_slices(table: PrimeTable, x: int, r: Ratio, budget: int):
     _check_brute_budget(x, budget)
     need = _required_limit(x, r)
     if table.limit < need:
-        raise TableTooSmallError(need, table.limit)
+        raise TableLimitError(need, table.limit)
     primes = table.primes
     for i in range(table.prime_count(math.isqrt(x))):
         p = int(primes[i])
@@ -279,7 +247,7 @@ def count_identity(table: PrimeTable, x: int, r: Ratio) -> Decomposition:
     _validate_x(x)
     need = _required_limit(x, r)
     if table.limit < need:
-        raise TableTooSmallError(need, table.limit)
+        raise TableLimitError(need, table.limit)
     # p <= sqrt(x) iff p <= isqrt(x); p <= sqrt(x/r) iff p^2*num <= x*den
     # iff p <= isqrt(x*den // num)
     k1 = table.prime_count(math.isqrt(x))
@@ -390,7 +358,7 @@ def count_pi2(table: PrimeTable, x: int) -> int:
     """
     _validate_x(x)
     if x >= 4 and table.limit < x // 2:
-        raise TableTooSmallError(x // 2, table.limit)
+        raise TableLimitError(x // 2, table.limit)
     k = table.prime_count(math.isqrt(x))
     return table.pi_sum(np.uint64(x) // table.primes[:k]) - k * (k + 1) // 2
 
@@ -404,8 +372,10 @@ def count_report(
 ) -> CountReport:
     """Run one counter, time it, and attach the estimate and error scale.
 
-    With no table, the identity runs as count_sweep; brute needs a table.
-    The estimate is 2*x*log(r)/log(x)^2 and the error scale
+    With method "identity", count_sweep runs when table is None (the
+    CLI's count) and count_identity on the table otherwise (the CLI's
+    table grid); "brute" runs count_brute and needs a table.  The
+    estimate is 2*x*log(r)/log(x)^2 and the error scale
     r*log(e*r)*x/log(x)^3; below x = 2 they are 0 and inf.
     """
     from .analytic import rsa_count_estimate

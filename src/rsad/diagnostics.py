@@ -16,11 +16,10 @@ from . import analytic
 from .counting import (
     CountReport,
     Ratio,
-    TableTooSmallError,
     count_identity,
     count_report,
 )
-from .primes import PrimeTable
+from .primes import PrimeTable, TableLimitError
 
 
 class IdentityViolationError(Exception):
@@ -55,7 +54,7 @@ def probe_pi_rp(table: PrimeTable, z: int, r: Ratio) -> CountReport:
         raise ValueError(f"probe requires z >= 2, got {z}")
     need = r.floor_mul(z)
     if table.limit < need:
-        raise TableTooSmallError(need, table.limit)
+        raise TableLimitError(need, table.limit)
     k = table.prime_count(z)
     exact = table.pi_sum(r.floor_mul(table.primes[:k]))
     zf = float(z)
@@ -105,7 +104,7 @@ def band_recip_sum(table: PrimeTable, x: int, r: Ratio) -> float:
     if r.num * r.num > x * r.den * r.den:
         raise ValueError(f"band_recip_sum requires r <= sqrt(x), got r={r}, x={x}")
     if table.limit < math.isqrt(x):
-        raise TableTooSmallError(math.isqrt(x), table.limit)
+        raise TableLimitError(math.isqrt(x), table.limit)
     band = table.primes_between(math.isqrt(x * r.den // r.num), math.isqrt(x))
     return math.fsum(1.0 / band.astype(np.float64))
 

@@ -1,10 +1,10 @@
 """Segmented sieve of Eratosthenes and exact prime-counting queries.
 
 A built PrimeTable holds every prime up to its limit as a sorted uint64
-array and is the package's only pi oracle: prime_count, pi_sum and
-primes_between answer every pi query by binary search, so a table sized to
-sqrt(r*x) is enough to drive the identity-based semiprime counters.  Tables
-are immutable once built and safe to share between threads.
+array: prime_count, pi_sum and primes_between answer pi queries on it by
+binary search, so a table sized to sqrt(r*x) is enough to drive the
+table-based semiprime counters.  Tables are immutable once built and safe
+to share between threads.
 """
 
 from __future__ import annotations
@@ -34,7 +34,12 @@ class MemoryBudgetError(Exception):
 
 
 class TableLimitError(Exception):
-    """Query argument exceeds the table limit (never silently clamped)."""
+    """The table stops below a pi argument a query or count needs (never clamped)."""
+
+    def __init__(self, required: int, limit: int):
+        self.required = required
+        self.limit = limit
+        super().__init__(f"prime table limit {limit} too small; need at least {required}")
 
 
 class CacheFormatError(Exception):
@@ -75,10 +80,7 @@ class PrimeTable:
         if n < 0:
             raise ValueError(f"query argument must be nonnegative, got {n}")
         if n > self.limit:
-            raise TableLimitError(
-                f"query for {n} exceeds table limit {self.limit}; "
-                f"build a larger table"
-            )
+            raise TableLimitError(n, self.limit)
 
     def prime_count(self, n: int) -> int:
         """pi(n): number of primes <= n.  Requires n <= limit."""
@@ -96,12 +98,6 @@ class PrimeTable:
             return 0
         self._check_range(max(int(values[0]), int(values[-1])))
         return int(self.primes.searchsorted(values, side="right").sum(dtype=np.int64))
-
-    def is_prime(self, n: int) -> bool:
-        """Exact membership test for n <= limit."""
-        self._check_range(n)
-        i = int(self.primes.searchsorted(np.uint64(n), side="left"))
-        return i < self.primes.size and int(self.primes[i]) == n
 
     def primes_between(self, lo_exclusive: int, hi_inclusive: int) -> np.ndarray:
         """Primes p with lo_exclusive < p <= hi_inclusive, ascending.

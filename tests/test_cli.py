@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import rsad.primes
-from rsad import cli
+from rsad import PrimeTable, cli
 from rsad.cli import _geometric_grid, main
 
 
@@ -161,7 +161,9 @@ def test_never_valid_input_exits_2(argv, capsys):
 
 
 def test_table_limit_too_small_returns_3(capsys):
-    code = run_cli("count", "--x", "1e6", "--r", "2", "--table-limit", "100")
+    code = run_cli(
+        "count", "--x", "1e6", "--r", "2", "--method", "brute", "--table-limit", "100"
+    )
     assert code == 3
     assert "too small" in capsys.readouterr().err
 
@@ -208,22 +210,32 @@ def test_count_without_a_table_sieves_only_base_primes(capsys, monkeypatch):
     assert limits and max(limits) <= math.isqrt(math.isqrt(2 * 10**12)) + 1
 
 
-def test_count_reads_a_covering_cache_only(tmp_path, capsys, monkeypatch):
+def test_count_identity_never_reads_a_corrupt_cache(tmp_path, capsys, monkeypatch):
+    # a well-formed cache to 20000 that lacks the prime 3571: on it the
+    # identity and brute both give C_2(1e8) = 453361, not 453998
+    good = rsad.primes.build_table(20000)
     cache = tmp_path / "primes.bin"
-    assert run_cli("pi", "--x", "1000", "--cache", str(cache)) == 0
-    stamp = cache.stat().st_mtime_ns
+    PrimeTable(limit=good.limit, primes=good.primes[good.primes != 3571]).save(cache)
+    assert run_cli("count", "--x", "1e8", "--r", "2", "--method", "both",
+                   "--cache", str(cache)) == 4
+    captured = capsys.readouterr()
+    assert "method disagreement" in captured.err
+    assert "brute=453361, identity=453998" in captured.err
+
+    def no_load(path):
+        raise AssertionError("the cache was read")
+
+    monkeypatch.setattr(cli, "load_table", no_load)
     limits = _record_builds(monkeypatch)
-    # sqrt(2e5) = 447 is covered: the cached table answers, nothing is built
-    assert run_cli("count", "--x", "2e5", "--r", "2", "--cache", str(cache)) == 0
-    assert limits == []
-    # sqrt(2e8) is not: the sweep answers, and the cache is left as it was
-    assert run_cli("count", "--x", "1e8", "--r", "2", "--cache", str(cache)) == 0
+    flags = [["--cache", str(cache)], ["--table-limit", "20000"],
+             ["--cache", str(cache), "--table-limit", "20000"]]
+    for extra in flags:
+        assert run_cli("count", "--x", "1e8", "--r", "2", *extra) == 0
+    monkeypatch.setenv(cli.CACHE_ENV, str(cache))
+    assert run_cli("count", "--x", "1e8", "--r", "2") == 0
     assert max(limits) <= math.isqrt(math.isqrt(2 * 10**8)) + 1
-    assert cache.stat().st_mtime_ns == stamp
     out = capsys.readouterr().out.split("\n")
-    assert [line.split(",")[2] for line in out if line[:1].isdigit() and "," in line] == [
-        "2013", "453998",
-    ]
+    assert [line.split(",")[2] for line in out if line[:1].isdigit()] == ["453998"] * 4
 
 
 def test_method_disagreement_returns_4(capsys, monkeypatch):

@@ -8,9 +8,8 @@ from rsad import (
     BruteBudgetError,
     Decomposition,
     Ratio,
-    TableTooSmallError,
+    TableLimitError,
     brute_counts_upto,
-    cofactor_count,
     count_brute,
     count_identity,
     count_pi2,
@@ -59,9 +58,6 @@ def test_ratio_numerics():
     assert float(Ratio(3, 2)) == 1.5
     assert Ratio(1).log() == 0.0
     assert Ratio(2).log() == pytest.approx(math.log(2), rel=1e-15, abs=0)
-    assert Ratio(3, 2) < Ratio(2) < Ratio(5)
-    assert Ratio(2) <= Ratio(2)
-    assert Ratio(2) * Ratio(3, 2) == Ratio(3)
 
 
 def test_ratio_validation():
@@ -71,49 +67,6 @@ def test_ratio_validation():
         Ratio(3, 0)
     with pytest.raises(ValueError):
         Ratio(1.5)  # floats must go through parse
-
-
-# --- cofactor counts -----------------------------------------------------
-
-def test_cofactor_count_hand_values(t10k):
-    # x=100, r=2: p=2 -> {3}, p=3 -> {5}, p=5 -> {7}, p=7 -> {11,13}
-    r = Ratio(2)
-    assert cofactor_count(t10k, 2, 100, r) == 1
-    assert cofactor_count(t10k, 3, 100, r) == 1
-    assert cofactor_count(t10k, 5, 100, r) == 1
-    assert cofactor_count(t10k, 7, 100, r) == 2
-    assert cofactor_count(t10k, 11, 100, r) == 0  # 11^2 > 100
-
-
-def test_cofactor_count_branch_boundary(t10k):
-    # p^2 * r == x exactly: x=50, r=2, p=5 takes the r*p branch
-    assert cofactor_count(t10k, 5, 50, Ratio(2)) == 1  # q=7, 35 <= 50
-    # one past the boundary switches to the x/p branch
-    assert cofactor_count(t10k, 5, 49, Ratio(2)) == 1  # q in (5, 9]: {7}
-    assert cofactor_count(t10k, 5, 34, Ratio(2)) == 0  # q in (5, 6]: none
-
-
-def test_cofactor_count_sums_to_brute(t10k):
-    r = Ratio(2)
-    total = sum(
-        cofactor_count(t10k, int(p), 100, r) for p in t10k.primes_between(1, 10)
-    )
-    assert total == count_brute(100, r, t10k) == 5
-
-
-def test_cofactor_count_rejects_composite(t10k):
-    with pytest.raises(ValueError):
-        cofactor_count(t10k, 4, 100, Ratio(2))
-
-
-def test_cofactor_count_table_too_small():
-    from rsad import build_table
-
-    small = build_table(10)
-    with pytest.raises(TableTooSmallError) as info:
-        cofactor_count(small, 3, 10**4, Ratio(10))  # needs pi(30)
-    assert info.value.required == 30
-    assert info.value.limit == 10
 
 
 # --- brute versus oracle -------------------------------------------------
@@ -143,8 +96,10 @@ def test_count_brute_table_too_small():
     from rsad import build_table
 
     small = build_table(100)
-    with pytest.raises(TableTooSmallError):
+    with pytest.raises(TableLimitError) as info:
         count_brute(10**4, Ratio(2), small)
+    assert (info.value.required, info.value.limit) == (math.isqrt(2 * 10**4), 100)
+    assert "too small" in str(info.value)
 
 
 # --- identity versus brute ----------------------------------------------
@@ -182,7 +137,7 @@ def test_count_identity_unit_ratio(t10k):
 
 
 def test_count_identity_table_too_small(t10k):
-    with pytest.raises(TableTooSmallError) as info:
+    with pytest.raises(TableLimitError) as info:
         count_identity(t10k, 10**8, Ratio(2))
     assert info.value.required == math.isqrt(2 * 10**8)
 
@@ -310,7 +265,7 @@ def test_count_pi2_table_requirement():
     from rsad import build_table
 
     small = build_table(40)
-    with pytest.raises(TableTooSmallError):
+    with pytest.raises(TableLimitError):
         count_pi2(small, 100)  # needs pi(50)
 
 

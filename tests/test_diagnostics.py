@@ -7,7 +7,7 @@ from rsad import (
     IdentityViolationError,
     PrimeTable,
     Ratio,
-    TableTooSmallError,
+    TableLimitError,
     band_recip_sum,
     convergence_table,
     probe_band_pi,
@@ -61,7 +61,7 @@ def test_probe_pi_rp_frozen_golden(t10m):
 
 
 def test_probe_pi_rp_table_requirement(t10k):
-    with pytest.raises(TableTooSmallError):
+    with pytest.raises(TableLimitError):
         probe_pi_rp(t10k, 10**4, Ratio(2))  # needs pi(2*10^4)
 
 

@@ -66,16 +66,10 @@ def test_count_property(t10k):
     assert t10k.count == 1229 + pi_td(10**4 + 64) - pi_td(10**4)
 
 
-def test_is_prime(t10k):
-    for n in [0, 1, 4, 6, 9, 100]:
-        assert not t10k.is_prime(n)
-    for n in [2, 3, 5, 97, 9973]:
-        assert t10k.is_prime(n)
-
-
 def test_query_above_limit_raises(t10k):
-    with pytest.raises(TableLimitError):
+    with pytest.raises(TableLimitError) as info:
         t10k.prime_count(10**4 + 65)
+    assert (info.value.required, info.value.limit) == (10**4 + 65, 10**4 + 64)
     with pytest.raises(ValueError):
         t10k.prime_count(-1)
 
