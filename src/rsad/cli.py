@@ -28,7 +28,6 @@ from .primes import (
     load_table,
 )
 
-CACHE_ENV = "RSAD_CACHE"
 AUTO_SIZE_MARGIN = 64
 
 TABLE_HEADER = "x,r,exact,estimate,abs_err,rel_err,ratio,err_normalized,seconds"
@@ -88,21 +87,17 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _get_table(args, required: int) -> PrimeTable:
-    """Load the cached table if it covers `required`, or build one.
+    """Load --cache if it covers `required`, or build a table and save it there.
 
-    The cache is --cache, else $RSAD_CACHE.  An explicit --table-limit is
-    respected verbatim; otherwise the limit auto-sizes to required plus a
-    small margin.  A built table is written to the cache when one is named.
+    A built table's limit is required plus a small margin.
     """
-    cache = args.cache or os.environ.get(CACHE_ENV)
-    if cache and os.path.exists(cache):
-        table = load_table(cache)
+    if args.cache and os.path.exists(args.cache):
+        table = load_table(args.cache)
         if table.limit >= required:
             return table
-    limit = args.table_limit if args.table_limit is not None else required + AUTO_SIZE_MARGIN
-    table = build_table(limit, memory_budget_bytes=args.memory_budget_bytes)
-    if cache:
-        table.save(cache)
+    table = build_table(required + AUTO_SIZE_MARGIN, memory_budget_bytes=args.memory_budget_bytes)
+    if args.cache:
+        table.save(args.cache)
     return table
 
 
@@ -234,6 +229,8 @@ def _cmd_verify(args) -> int:
     ratios = args.r
     sum_check_max = min(max_x, 10**4)
     pi2_sample_max = min(max_x, 1000)
+    if ratios:
+        counting._check_brute_budget(max_x, args.brute_budget)
     required = max(
         [counting._required_limit(max_x, r) for r in ratios]
         + [sum_check_max, pi2_sample_max, 2]
@@ -283,6 +280,48 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+# Every option, defined once.  Each subcommand lists the options its _cmd_*
+# reads, and accepts no other.
+_OPTIONS = {
+    "x": dict(type=_parse_scale, required=True),
+    "r": dict(type=_parse_ratio, required=True),
+    "method": dict(choices=["brute", "identity", "both"], default="identity"),
+    "x-min": dict(type=_parse_scale, required=True),
+    "x-max": dict(type=_parse_scale, required=True),
+    "points-per-decade": dict(type=_parse_positive, default=4),
+    "z": dict(type=_parse_scale, required=True),
+    "max-x": dict(type=_parse_scale, default=10**5),
+    "format": dict(choices=["csv", "json"], default="csv"),
+    "out": dict(metavar="PATH", default=None),
+    "timing": dict(action="store_true", help="emit measured wall time in the seconds column"),
+    "brute-budget": dict(type=_parse_positive, default=counting.DEFAULT_BRUTE_BUDGET),
+    "cache": dict(metavar="PATH", default=None),
+    "memory-budget-bytes": dict(type=_parse_positive, default=DEFAULT_MEMORY_BUDGET_BYTES),
+    "threads": dict(type=_parse_positive, default=os.cpu_count() or 1),
+}
+# li takes a real x and verify a list of ratios
+_OPTION_OVERRIDES = {
+    ("li", "x"): dict(type=float, required=True),
+    ("verify", "r"): dict(
+        type=_parse_ratio_list, default=(Ratio(3, 2), Ratio(2), Ratio(5), Ratio(10))
+    ),
+}
+# Only table reads --threads, and count reads --cache only when brute runs;
+# both are accepted anyway because the benchmark passes them to its ops.
+_SUBCOMMANDS = {
+    "count": (_cmd_count, "exact count C_r(x) plus the estimate",
+              "x r method format out timing brute-budget cache memory-budget-bytes threads"),
+    "table": (_cmd_table, "convergence table over a geometric grid",
+              "x-min x-max points-per-decade r format out timing cache memory-budget-bytes threads"),
+    "mertens": (_cmd_mertens, "prime reciprocal sum and residual at z",
+                "z format out cache memory-budget-bytes threads"),
+    "pi": (_cmd_pi, "exact prime count pi(x)", "x out cache memory-budget-bytes threads"),
+    "li": (_cmd_li, "logarithmic integral Li(x)", "x out threads"),
+    "verify": (_cmd_verify, "cross-check both counters and identities",
+               "max-x r brute-budget cache memory-budget-bytes threads"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rsad",
@@ -290,58 +329,11 @@ def build_parser() -> argparse.ArgumentParser:
         "exactly and compare against the asymptotic estimate.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--format", choices=["csv", "json"], default="csv")
-        p.add_argument("--out", metavar="PATH", default=None)
-        p.add_argument("--cache", metavar="PATH", default=None)
-        p.add_argument("--table-limit", type=_parse_scale, default=None)
-        p.add_argument("--brute-budget", type=_parse_positive,
-                       default=counting.DEFAULT_BRUTE_BUDGET)
-        p.add_argument("--memory-budget-bytes", type=_parse_positive,
-                       default=DEFAULT_MEMORY_BUDGET_BYTES)
-        p.add_argument("--timing", action="store_true",
-                       help="emit measured wall time in the seconds column")
-        p.add_argument("--threads", type=_parse_positive, default=os.cpu_count() or 1)
-
-    p = sub.add_parser("count", help="exact count C_r(x) plus the estimate")
-    p.add_argument("--x", type=_parse_scale, required=True)
-    p.add_argument("--r", type=_parse_ratio, required=True)
-    p.add_argument("--method", choices=["brute", "identity", "both"],
-                   default="identity")
-    common(p)
-    p.set_defaults(func=_cmd_count)
-
-    p = sub.add_parser("table", help="convergence table over a geometric grid")
-    p.add_argument("--x-min", type=_parse_scale, required=True)
-    p.add_argument("--x-max", type=_parse_scale, required=True)
-    p.add_argument("--points-per-decade", type=_parse_positive, default=4)
-    p.add_argument("--r", type=_parse_ratio, required=True)
-    common(p)
-    p.set_defaults(func=_cmd_table)
-
-    p = sub.add_parser("mertens", help="prime reciprocal sum and residual at z")
-    p.add_argument("--z", type=_parse_scale, required=True)
-    common(p)
-    p.set_defaults(func=_cmd_mertens)
-
-    p = sub.add_parser("pi", help="exact prime count pi(x)")
-    p.add_argument("--x", type=_parse_scale, required=True)
-    common(p)
-    p.set_defaults(func=_cmd_pi)
-
-    p = sub.add_parser("li", help="logarithmic integral Li(x)")
-    p.add_argument("--x", type=float, required=True)
-    common(p)
-    p.set_defaults(func=_cmd_li)
-
-    p = sub.add_parser("verify", help="cross-check both counters and identities")
-    p.add_argument("--max-x", type=_parse_scale, default=10**5)
-    p.add_argument("--r", type=_parse_ratio_list,
-                   default=[Ratio(3, 2), Ratio(2), Ratio(5), Ratio(10)])
-    common(p)
-    p.set_defaults(func=_cmd_verify)
-
+    for name, (func, help_text, options) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for opt in options.split():
+            p.add_argument(f"--{opt}", **_OPTION_OVERRIDES.get((name, opt), _OPTIONS[opt]))
+        p.set_defaults(func=func)
     return parser
 
 

@@ -124,7 +124,7 @@ class PrimeTable:
         try:
             with open(tmp, "wb") as fh:
                 fh.write(header)
-                fh.write(self.primes.astype("<u8", copy=False).tobytes())
+                self.primes.astype("<u8", copy=False).tofile(fh)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -273,8 +273,9 @@ def load_table(path) -> PrimeTable:
         raise CacheFormatError(
             f"cache {path} has {len(blob)} bytes, expected {expected}"
         )
+    # a read-only view over blob, not a second copy of the primes
     primes = np.frombuffer(blob, dtype="<u8", offset=_CACHE_HEADER.size).astype(
-        np.uint64, copy=True
+        np.uint64, copy=False
     )
     if primes.size != count:
         raise CacheFormatError(f"cache {path} count mismatch")

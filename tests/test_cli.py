@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -32,6 +33,44 @@ GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
 def test_golden_stdout(case, capsys):
     assert run_cli(*case["argv"].split()) == 0
     assert capsys.readouterr().out == case["stdout"]
+
+
+class _ReadRecorder(argparse.Namespace):
+    """A namespace that records the attributes set on it and read from it."""
+
+    def __init__(self):
+        object.__setattr__(self, "set_names", set())
+        object.__setattr__(self, "read_names", set())
+
+    def __setattr__(self, name, value):
+        self.set_names.add(name)
+        object.__setattr__(self, name, value)
+
+    def __getattribute__(self, name):
+        if name in object.__getattribute__(self, "set_names"):
+            object.__getattribute__(self, "read_names").add(name)
+        return object.__getattribute__(self, name)
+
+
+@pytest.mark.parametrize("argv", [
+    "count --x 1000 --r 2 --method both --cache {cache}",
+    "table --x-min 100 --x-max 1000 --r 2",
+    "mertens --z 100",
+    "pi --x 100",
+    "li --x 100",
+    "verify --max-x 50 --r 2",
+])
+def test_every_accepted_option_is_read(argv, tmp_path, capsys):
+    args = cli.build_parser().parse_args(
+        argv.format(cache=tmp_path / "primes.bin").split(), namespace=_ReadRecorder()
+    )
+    args.read_names.clear()  # argparse itself reads while it parses
+    assert args.func(args) == 0
+    unread = args.set_names - args.read_names - {"command", "func"}
+    if args.command != "table":
+        # the benchmark passes --threads to every op; only table reads it
+        unread.discard("threads")
+    assert not unread
 
 
 # --- grids ---------------------------------------------------------------
@@ -155,17 +194,16 @@ def test_bad_grid_returns_2(capsys):
     "table --x-min 100 --x-max 1000 --r 2 --threads 0",
     "table --x-min 100 --x-max 1000 --r 2 --threads -1",
     "table --x-min 100 --x-max 1000 --r 2 --points-per-decade 0",
+    # options a subcommand would not read
+    "li --x 100 --cache c",
+    "pi --x 100 --format json",
+    "mertens --z 10 --timing",
+    "verify --max-x 10 --out v",
+    "table --x-min 100 --x-max 1000 --r 2 --brute-budget 5",
+    "count --x 100 --r 2 --method brute --table-limit 100",
 ])
 def test_never_valid_input_exits_2(argv, capsys):
     assert exit_code(*argv.split()) == 2
-
-
-def test_table_limit_too_small_returns_3(capsys):
-    code = run_cli(
-        "count", "--x", "1e6", "--r", "2", "--method", "brute", "--table-limit", "100"
-    )
-    assert code == 3
-    assert "too small" in capsys.readouterr().err
 
 
 def test_brute_budget_returns_3(capsys):
@@ -176,13 +214,17 @@ def test_brute_budget_returns_3(capsys):
     assert code == 3
 
 
-@pytest.mark.parametrize("method", ["brute", "both"])
-def test_brute_budget_checked_before_any_table(capsys, monkeypatch, method):
+@pytest.mark.parametrize("argv", [
+    "count --x 1e17 --r 2 --method brute",
+    "count --x 1e17 --r 2 --method both",
+    "verify --max-x 1e16",
+], ids=["brute", "both", "verify"])
+def test_brute_budget_checked_before_any_table(capsys, monkeypatch, argv):
     def no_table(*args, **kwargs):
         raise AssertionError("a table was built")
 
     monkeypatch.setattr(cli, "build_table", no_table)
-    assert run_cli("count", "--x", "1e17", "--r", "2", "--method", method) == 3
+    assert run_cli(*argv.split()) == 3
     assert "exceeds brute-force budget" in capsys.readouterr().err
 
 
@@ -227,15 +269,10 @@ def test_count_identity_never_reads_a_corrupt_cache(tmp_path, capsys, monkeypatc
 
     monkeypatch.setattr(cli, "load_table", no_load)
     limits = _record_builds(monkeypatch)
-    flags = [["--cache", str(cache)], ["--table-limit", "20000"],
-             ["--cache", str(cache), "--table-limit", "20000"]]
-    for extra in flags:
-        assert run_cli("count", "--x", "1e8", "--r", "2", *extra) == 0
-    monkeypatch.setenv(cli.CACHE_ENV, str(cache))
-    assert run_cli("count", "--x", "1e8", "--r", "2") == 0
+    assert run_cli("count", "--x", "1e8", "--r", "2", "--cache", str(cache)) == 0
     assert max(limits) <= math.isqrt(math.isqrt(2 * 10**8)) + 1
     out = capsys.readouterr().out.split("\n")
-    assert [line.split(",")[2] for line in out if line[:1].isdigit()] == ["453998"] * 4
+    assert [line.split(",")[2] for line in out if line[:1].isdigit()] == ["453998"]
 
 
 def test_method_disagreement_returns_4(capsys, monkeypatch):
@@ -395,18 +432,11 @@ def test_cache_created_and_reused(tmp_path, capsys):
     assert outs == ["168", "168"]
 
 
-def test_cache_env_var_overrides(tmp_path, capsys, monkeypatch):
+def test_cache_env_var_is_not_read(tmp_path, capsys, monkeypatch):
     cache = tmp_path / "env.bin"
-    monkeypatch.setenv(cli.CACHE_ENV, str(cache))
+    monkeypatch.setenv("RSAD_CACHE", str(cache))
     assert run_cli("pi", "--x", "100") == 0
-    assert cache.exists()
-
-
-def test_cache_flag_beats_env_var(tmp_path, capsys, monkeypatch):
-    env, flag = tmp_path / "env.bin", tmp_path / "flag.bin"
-    monkeypatch.setenv(cli.CACHE_ENV, str(env))
-    assert run_cli("pi", "--x", "1000", "--cache", str(flag)) == 0
-    assert flag.exists() and not env.exists()
+    assert not cache.exists()
 
 
 def test_cache_too_small_is_rebuilt(tmp_path, capsys):

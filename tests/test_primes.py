@@ -156,7 +156,7 @@ def test_save_load_round_trip(tmp_path, t10k):
 class _FailingBytes(np.ndarray):
     """A prime array whose serialisation fails, as a full disk would."""
 
-    def tobytes(self, *args, **kwargs):
+    def tofile(self, *args, **kwargs):
         raise OSError("no space left on device")
 
 
