@@ -27,6 +27,8 @@ from .counting import (
     count_pi2,
     count_report,
     count_sweep,
+    count_sweep_grid,
+    grid_reports,
 )
 from .diagnostics import (
     IdentityViolationError,
@@ -40,9 +42,11 @@ from .primes import (
     CacheFormatError,
     MemoryBudgetError,
     PrimeTable,
+    SieveWorkError,
     TableLimitError,
     build_table,
     load_table,
+    prime_pi,
 )
 
 __version__ = "0.1.0"
@@ -57,6 +61,7 @@ __all__ = [
     "MertensResult",
     "PrimeTable",
     "Ratio",
+    "SieveWorkError",
     "TableLimitError",
     "band_recip_estimate",
     "band_recip_sum",
@@ -68,10 +73,13 @@ __all__ = [
     "count_pi2",
     "count_report",
     "count_sweep",
+    "count_sweep_grid",
+    "grid_reports",
     "load_table",
     "log_integral",
     "mertens_sum",
     "pi_rp_sum_main",
+    "prime_pi",
     "probe_band_pi",
     "probe_pi_rp",
     "rsa_count_estimate",

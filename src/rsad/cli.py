@@ -1,9 +1,9 @@
 """Command-line front end: count, table, mertens, pi, li, verify.
 
 Machine output (CSV or JSON) is deterministic by default so that repeated
-runs are byte-identical regardless of --threads; wall-clock timings go
-into the seconds column only with --timing.  Exit codes: 0 ok, 2 bad
-arguments, 3 table/budget/cache errors, 4 a cross-check failed.
+runs are byte-identical; wall-clock timings go into the seconds column
+only with --timing.  Exit codes: 0 ok, 2 bad arguments, 3 table, budget,
+work-bound or cache errors, 4 a cross-check failed.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import decimal
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import analytic, counting, diagnostics
 from .counting import BruteBudgetError, Ratio
@@ -23,9 +22,11 @@ from .primes import (
     CacheFormatError,
     MemoryBudgetError,
     PrimeTable,
+    SieveWorkError,
     TableLimitError,
     build_table,
     load_table,
+    prime_pi,
 )
 
 AUTO_SIZE_MARGIN = 64
@@ -189,10 +190,7 @@ def _cmd_table(args) -> int:
     if args.x_min > args.x_max:
         raise ValueError("--x-min must not exceed --x-max")
     grid = _geometric_grid(args.x_min, args.x_max, args.points_per_decade)
-    table = _get_table(args, counting._required_limit(args.x_max, r))
-
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        rows = list(pool.map(lambda x: counting.count_report(table, x, r), grid))
+    rows = counting.grid_reports(grid, r)
     _emit(_reports_text(rows, TABLE_HEADER, args.format, args.timing), args.out)
     return 0
 
@@ -200,8 +198,7 @@ def _cmd_table(args) -> int:
 def _cmd_mertens(args) -> int:
     if args.z < 2:
         raise ValueError(f"--z must be >= 2, got {args.z}")
-    table = _get_table(args, args.z)
-    res = analytic.mertens_sum(table, args.z)
+    res = analytic.mertens_sum(None, args.z)
     fields = {"sum": res.sum, "loglog_z": res.loglog_z, "residual": res.residual}
     if args.format == "json":
         doc = {"z": res.z, **{name: _jnum(v) for name, v in fields.items()}}
@@ -213,8 +210,7 @@ def _cmd_mertens(args) -> int:
 
 
 def _cmd_pi(args) -> int:
-    table = _get_table(args, args.x)
-    _emit(f"{table.prime_count(args.x)}\n", args.out)
+    _emit(f"{prime_pi(args.x)}\n", args.out)
     return 0
 
 
@@ -306,16 +302,17 @@ _OPTION_OVERRIDES = {
         type=_parse_ratio_list, default=(Ratio(3, 2), Ratio(2), Ratio(5), Ratio(10))
     ),
 }
-# Only table reads --threads, and count reads --cache only when brute runs;
-# both are accepted anyway because the benchmark passes them to its ops.
+# Nothing reads --threads, table, mertens and pi read no --cache, and count
+# reads it only when brute runs; they are accepted anyway because the
+# benchmark passes them to its ops.
 _SUBCOMMANDS = {
     "count": (_cmd_count, "exact count C_r(x) plus the estimate",
               "x r method format out timing brute-budget cache memory-budget-bytes threads"),
     "table": (_cmd_table, "convergence table over a geometric grid",
-              "x-min x-max points-per-decade r format out timing cache memory-budget-bytes threads"),
+              "x-min x-max points-per-decade r format out timing cache threads"),
     "mertens": (_cmd_mertens, "prime reciprocal sum and residual at z",
-                "z format out cache memory-budget-bytes threads"),
-    "pi": (_cmd_pi, "exact prime count pi(x)", "x out cache memory-budget-bytes threads"),
+                "z format out cache threads"),
+    "pi": (_cmd_pi, "exact prime count pi(x)", "x out cache threads"),
     "li": (_cmd_li, "logarithmic integral Li(x)", "x out threads"),
     "verify": (_cmd_verify, "cross-check both counters and identities",
                "max-x r brute-budget cache memory-budget-bytes threads"),
@@ -345,6 +342,7 @@ def main(argv=None) -> int:
     except (
         BruteBudgetError,
         MemoryBudgetError,
+        SieveWorkError,
         TableLimitError,
         CacheFormatError,
         MemoryError,

@@ -14,8 +14,9 @@ two of them independent:
 
     whose three partial sums are reported as (s1, s2, s3), with every pi
     answered on the prime table.
-  * count_sweep: the same decomposition with no table, its pi arguments
-    answered in order by one segmented sieve over [0, sqrt(r*x)].
+  * count_sweep_grid: the same decomposition with no table, at every x of
+    a grid, its pi arguments answered in order by one segmented sieve over
+    [0, sqrt(r*x_max)]; count_sweep is its one-point case.
 
 All boundary tests are integer-exact: r is an exact rational num/den, the
 range split p <= sqrt(x/r) is decided as p^2*num <= x*den, and pi(r*p),
@@ -33,14 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .primes import U64_MAX, PrimeTable, TableLimitError, _OddSieve
+from .primes import SWEEP_SEGMENT_BYTES, U64_MAX, PrimeTable, TableLimitError, _OddSieve
 
 DEFAULT_BRUTE_BUDGET = 10**8
-
-# count_sweep's segment, twice build_table's: the sweep holds no table, and
-# at x = 2^64 - 1 the larger segment halves the passes over the ~7700 base
-# primes (42 s against 51 s at 2^19 through the CLI, 2 cores)
-SWEEP_SEGMENT_BYTES = 2**20
 
 # floor_mul scales a prime array in uint64 only while num * p stays below this
 _NP_SAFE = 2**62
@@ -263,9 +259,12 @@ _BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder=
 _POP = _BITS.sum(axis=1, dtype=np.uint8)
 _POP_ABOVE = (_POP[:, None] - _BITS.cumsum(axis=1, dtype=np.uint8)).ravel()
 
+# a segment's running prime count is int32, so a segment holds fewer flags
+_MAX_SWEEP_SEGMENT = 2**31 - 1
 
-def _segment_pi_sum(args: np.ndarray, i0: int, packed: np.ndarray, upto: np.ndarray) -> int:
-    """Sum over args of the primes from index i0 to the index of each argument.
+
+def _segment_pi(args: np.ndarray, i0: int, packed: np.ndarray, upto: np.ndarray) -> np.ndarray:
+    """For each argument, the primes from index i0 up to it.
 
     packed holds the segment's flags, flag t as bit t % 8 of byte t // 8,
     and upto[j] counts the primes in bytes 0..j; the primes up to flag t
@@ -276,7 +275,15 @@ def _segment_pi_sum(args: np.ndarray, i0: int, packed: np.ndarray, upto: np.ndar
     j = t >> 3
     t &= 7
     t |= packed[j].astype(np.intp) << 3
-    return int(upto[j].sum()) - int(_POP_ABOVE[t].sum(dtype=np.int64))
+    return upto[j] - _POP_ABOVE[t]
+
+
+def _max_overlap(lo: np.ndarray, hi: np.ndarray) -> int:
+    """The most intervals [lo[b], hi[b]] that share one point; at least 1."""
+    if lo.size == 0:
+        return 1
+    depth = np.sort(lo).searchsorted(lo, side="right") - np.sort(hi).searchsorted(lo)
+    return int(depth.max())
 
 
 class _Queries:
@@ -307,47 +314,108 @@ class _Queries:
         return np.concatenate(parts)
 
 
+def count_sweep_grid(
+    xs: list[int], r: Ratio, *, segment_bytes: int = SWEEP_SEGMENT_BYTES
+) -> list[Decomposition]:
+    """count_identity's decomposition at every x of an ascending grid, without a table.
+
+    One ascending sweep over [0, min(sqrt(r*x_max), x_max)], which holds
+    every pi argument of every x, keeps a running pi and answers each
+    segment's arguments from the segment's cumulative prime count (the P2
+    term of Deleglise-Rivat is computed this way):
+
+      * s2: the arguments floor(r*p) do not depend on x, so one ascending
+        stream of p serves the whole grid.  For r >= 1, p <= sqrt(x/r)
+        exactly when floor(r*p) <= floor(r*floor(sqrt(x/r))), so s2(x) is
+        the running sum up to that argument.
+      * s3: each x has its own band of arguments floor(x/p), ascending as
+        p descends through (sqrt(x/r), sqrt(x)].  The arguments in a
+        segment (lo, hi] come from the p in (x/(hi+1), x/lo], which x
+        re-sieves when the sweep reaches them.
+      * s1: k1 = pi(floor(sqrt(x))) is one more argument of the sweep.
+
+    Only the base primes up to (r*x_max)^(1/4), the grid's sums, a fixed
+    number of segment buffers and about one segment's worth of pending s3
+    arguments are held, however dense the grid.
+    """
+    for x in xs:
+        _validate_x(x)
+    if any(a > b for a, b in zip(xs, xs[1:])):
+        raise ValueError("grid must be ascending")
+    if segment_bytes < 1:
+        raise ValueError("segment_bytes must be positive")
+    n = len(xs)
+    p1 = [math.isqrt(x) for x in xs]
+    p2 = [math.isqrt(x * r.den // r.num) for x in xs]
+    cut2 = [r.floor_mul(p) for p in p2]
+    k1, s2, s3 = [0] * n, [0] * n, [0] * n
+    # no prime p <= sqrt(x) below x = 4, so k1 = s3 = 0 (and s2 = 0, as p2 < 2)
+    live = [j for j in range(n) if p1[j] >= 2]
+    if live:
+        limit = min(_required_limit(xs[-1], r), xs[-1])
+        sieve = _OddSieve(limit, min(segment_bytes, _MAX_SWEEP_SEGMENT))
+        s2_args = _Queries(sieve.primes(2, p2[-1]), r.floor_mul)
+        # s3's arguments of x run from x // p1 to x // (p2 + 1).  Each x
+        # sieves its p downwards in blocks of at least `block` numbers (so a
+        # lone x sieves whole segments), and a block's arguments wait in
+        # pend[b] for their segment; the x whose bands share an argument
+        # hold about one segment's worth of numbers between them.
+        band = [j for j in live if p2[j] < p1[j]]
+        band_lo = np.array([xs[j] // p1[j] for j in band], dtype=np.uint64)
+        band_hi = np.array([xs[j] // (p2[j] + 1) for j in band], dtype=np.uint64)
+        block = 2 * sieve.segment_bytes // _max_overlap(band_lo, band_hi)
+        p_top = [p1[j] for j in band]  # the largest p of each band not yet sieved
+        pend = [np.empty(0, dtype=np.uint64) for _ in band]
+        below = 1  # primes below the segment, counting 2: the sweep sieves odd n only
+        run2 = 0  # s2's sum over the arguments answered so far
+        next2 = next1 = 0  # the first x whose s2, and the first live x whose k1, is open
+        for i0, flags in sieve.segments(0, (limit + 1) // 2):
+            packed = np.packbits(flags, bitorder="little")
+            upto = np.cumsum(_POP.take(packed), dtype=np.int32)
+            # this segment answers the arguments in (2*i0, 2*i1]
+            lo, hi = 2 * i0 + 1, min(2 * (i0 + flags.size), U64_MAX)
+
+            q = s2_args.upto(hi)
+            pis = _segment_pi(q, i0, packed, upto)
+            start = 0
+            while next2 < n and cut2[next2] <= hi:
+                end = int(q.searchsorted(np.uint64(cut2[next2]), side="right"))
+                run2 += (end - start) * below + int(pis[start:end].sum(dtype=np.int64))
+                s2[next2], start = run2, end
+                next2 += 1
+            run2 += (q.size - start) * below + int(pis[start:].sum(dtype=np.int64))
+
+            while next1 < len(live) and p1[live[next1]] <= hi:
+                j = live[next1]
+                k1[j] = below + int(_segment_pi(np.array([p1[j]], np.uint64), i0, packed, upto)[0])
+                next1 += 1
+
+            for b in np.flatnonzero((band_lo <= np.uint64(hi)) & (band_hi >= np.uint64(lo))):
+                j = band[b]
+                x = xs[j]
+                need = max(p2[j], x // (hi + 1)) + 1  # the least p with x // p <= hi
+                if p_top[b] >= need:
+                    p_lo = max(p2[j] + 1, min(need, p_top[b] - block + 1))
+                    chunks = [np.uint64(x) // p[::-1] for p in sieve.primes(p_lo, p_top[b])]
+                    pend[b] = np.concatenate([pend[b], *chunks[::-1]])
+                    p_top[b] = p_lo - 1
+                args = pend[b]
+                k = int(args.searchsorted(np.uint64(hi), side="right"))
+                # an empty view would keep the answered arguments alive
+                pend[b] = args[k:] if k < args.size else np.empty(0, np.uint64)
+                s3[j] += k * below + int(_segment_pi(args[:k], i0, packed, upto).sum(dtype=np.int64))
+            below += int(upto[-1])
+    return [
+        Decomposition(s1=k * (k + 1) // 2, s2=a, s3=b, total=a + b - k * (k + 1) // 2)
+        for k, a, b in zip(k1, s2, s3)
+    ]
+
+
 def count_sweep(
     x: int, r: Ratio, *, segment_bytes: int = SWEEP_SEGMENT_BYTES
 ) -> Decomposition:
-    """count_identity's decomposition without a prime table.
-
-    One ascending sweep over [0, min(sqrt(r*x), x)], which holds every pi
-    argument, keeps a running pi and answers each segment's arguments from
-    the segment's cumulative prime count: s2's floor(r*p) for ascending
-    p <= sqrt(x/r) and s3's floor(x/p) for descending p in
-    (sqrt(x/r), sqrt(x)].  Those p come from two more passes of the same
-    sieve, and together they are the primes up to sqrt(x), so k1 is their
-    number.  Only the base primes up to (r*x)^(1/4) and a few segments of
-    segment_bytes are held at a time; the order of the answers, not a
-    stored table, is what the sweep relies on (the P2 term of
-    Deleglise-Rivat is computed this way).
-    """
-    _validate_x(x)
-    if segment_bytes < 1:
-        raise ValueError("segment_bytes must be positive")
-    p1 = math.isqrt(x)
-    p2 = math.isqrt(x * r.den // r.num)
-    if p1 < 2:
-        return Decomposition(s1=0, s2=0, s3=0, total=0)
-    limit = min(_required_limit(x, r), x)
-    sieve = _OddSieve(limit, segment_bytes)
-    s2_args = _Queries(sieve.primes(2, p2), r.floor_mul)
-    s3_args = _Queries(sieve.primes(p2 + 1, p1, descending=True), lambda p: np.uint64(x) // p)
-    below = 1  # primes below the segment, counting 2: the sweep sieves odd n only
-    k1 = s2 = s3 = 0
-    for i0, flags in sieve.segments(0, (limit + 1) // 2):
-        packed = np.packbits(flags, bitorder="little")
-        upto = np.cumsum(_POP[packed], dtype=np.int64)
-        # arguments up to 2*i1 fall on the indices below i1
-        last = min(2 * (i0 + flags.size), U64_MAX)
-        q2, q3 = s2_args.upto(last), s3_args.upto(last)
-        s2 += q2.size * below + _segment_pi_sum(q2, i0, packed, upto)
-        s3 += q3.size * below + _segment_pi_sum(q3, i0, packed, upto)
-        k1 += q2.size + q3.size
-        below += int(upto[-1])
-    s1 = k1 * (k1 + 1) // 2
-    return Decomposition(s1=s1, s2=s2, s3=s3, total=s2 + s3 - s1)
+    """count_identity's decomposition without a prime table: count_sweep_grid at x alone."""
+    return count_sweep_grid([x], r, segment_bytes=segment_bytes)[0]
 
 
 def count_pi2(table: PrimeTable, x: int) -> int:
@@ -373,13 +441,9 @@ def count_report(
     """Run one counter, time it, and attach the estimate and error scale.
 
     With method "identity", count_sweep runs when table is None (the
-    CLI's count) and count_identity on the table otherwise (the CLI's
-    table grid); "brute" runs count_brute and needs a table.  The
-    estimate is 2*x*log(r)/log(x)^2 and the error scale
-    r*log(e*r)*x/log(x)^3; below x = 2 they are 0 and inf.
+    CLI's count) and count_identity on the table otherwise; "brute" runs
+    count_brute and needs a table.
     """
-    from .analytic import rsa_count_estimate
-
     t0 = time.perf_counter()
     if method == "identity":
         exact = (count_sweep(x, r) if table is None else count_identity(table, x, r)).total
@@ -387,7 +451,28 @@ def count_report(
         exact = count_brute(x, r, table, budget=budget)
     else:
         raise ValueError(f"unknown method {method!r}")
+    return _report(x, r, exact, method, time.perf_counter() - t0)
+
+
+def grid_reports(xs: list[int], r: Ratio) -> list[CountReport]:
+    """One identity report per x of an ascending grid, all from one count_sweep_grid.
+
+    Every report carries the one sweep's wall time as its seconds.
+    """
+    t0 = time.perf_counter()
+    sums = count_sweep_grid(xs, r)
     seconds = time.perf_counter() - t0
+    return [_report(x, r, d.total, "identity", seconds) for x, d in zip(xs, sums)]
+
+
+def _report(x: int, r: Ratio, exact: int, method: str, seconds: float) -> CountReport:
+    """The report of exact at x, with the estimate 2*x*log(r)/log(x)^2.
+
+    The error scale is r*log(e*r)*x/log(x)^3; below x = 2 the estimate and
+    the scale are 0 and inf.
+    """
+    from .analytic import rsa_count_estimate
+
     if x >= 2:
         xf = float(x)
         estimate = rsa_count_estimate(x, r)

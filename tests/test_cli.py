@@ -67,9 +67,11 @@ def test_every_accepted_option_is_read(argv, tmp_path, capsys):
     args.read_names.clear()  # argparse itself reads while it parses
     assert args.func(args) == 0
     unread = args.set_names - args.read_names - {"command", "func"}
-    if args.command != "table":
-        # the benchmark passes --threads to every op; only table reads it
-        unread.discard("threads")
+    # the benchmark passes --threads to every op and --cache to its table,
+    # mertens and pi ops, though nothing reads the one and those the other
+    unread.discard("threads")
+    if args.command in ("table", "mertens", "pi"):
+        unread.discard("cache")
     assert not unread
 
 
@@ -201,6 +203,9 @@ def test_bad_grid_returns_2(capsys):
     "verify --max-x 10 --out v",
     "table --x-min 100 --x-max 1000 --r 2 --brute-budget 5",
     "count --x 100 --r 2 --method brute --table-limit 100",
+    "table --x-min 100 --x-max 1000 --r 2 --memory-budget-bytes 1e9",
+    "mertens --z 100 --memory-budget-bytes 1e9",
+    "pi --x 100 --memory-budget-bytes 1e9",
 ])
 def test_never_valid_input_exits_2(argv, capsys):
     assert exit_code(*argv.split()) == 2
@@ -226,6 +231,58 @@ def test_brute_budget_checked_before_any_table(capsys, monkeypatch, argv):
     monkeypatch.setattr(cli, "build_table", no_table)
     assert run_cli(*argv.split()) == 3
     assert "exceeds brute-force budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    "pi --x 1e19",
+    "mertens --z 1e19",
+    "count --x 1e18 --r 1000000",
+    "table --x-min 1e18 --x-max 1e19 --r 1000000",
+])
+def test_work_bound_exits_3_before_sieving(argv, capsys, monkeypatch):
+    def no_sieve(*args, **kwargs):
+        raise AssertionError("a segment was sieved")
+
+    monkeypatch.setattr(rsad.primes._OddSieve, "segments", no_sieve)
+    assert run_cli(*argv.split()) == 3
+    assert capsys.readouterr().err.startswith("error: sieving to ")
+
+
+def _expected_without_cli_tables(argv):
+    """argv's stdout computed on a prime table outside the CLI."""
+    from rsad import Ratio, analytic, count_identity
+
+    table = rsad.primes.build_table(10**5)
+    if argv.startswith("pi"):
+        return f"{table.prime_count(10**5)}\n"
+    if argv.startswith("mertens"):
+        res = analytic.mertens_sum(table, 10**5)
+        return f"sum={res.sum:.12g}\nloglog_z={res.loglog_z:.12g}\nresidual={res.residual:.12g}\n"
+    grid = _geometric_grid(100, 10**5, 3)
+    return [count_identity(table, x, Ratio(5, 2)).total for x in grid]
+
+
+@pytest.mark.parametrize("argv", [
+    "table --x-min 100 --x-max 1e5 --r 5/2 --points-per-decade 3",
+    "pi --x 1e5",
+    "mertens --z 1e5",
+])
+def test_table_pi_and_mertens_hold_no_table(argv, tmp_path, capsys, monkeypatch):
+    want = _expected_without_cli_tables(argv)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table was built, loaded or saved")
+
+    monkeypatch.setattr(cli, "build_table", refuse)
+    monkeypatch.setattr(cli, "load_table", refuse)
+    monkeypatch.setattr(PrimeTable, "save", refuse)
+    cache = tmp_path / "primes.bin"
+    assert run_cli(*argv.split(), "--cache", str(cache)) == 0
+    assert not cache.exists()
+    out = capsys.readouterr().out
+    if argv.startswith("table"):
+        out = [int(line.split(",")[2]) for line in out.splitlines()[1:]]
+    assert out == want
 
 
 def _record_builds(monkeypatch):
@@ -421,46 +478,53 @@ def test_verify_catches_broken_counter(capsys, monkeypatch):
 
 # --- cache ---------------------------------------------------------------
 
+BRUTE = ("count", "--x", "1e4", "--r", "2", "--method", "brute")
+
+
+def _exact_column(out):
+    return [line.split(",")[2] for line in out.strip().split("\n") if line[:1].isdigit()]
+
+
 def test_cache_created_and_reused(tmp_path, capsys):
     cache = tmp_path / "primes.bin"
-    assert run_cli("pi", "--x", "1000", "--cache", str(cache)) == 0
+    assert run_cli(*BRUTE, "--cache", str(cache)) == 0
     assert cache.exists()
     stamp = cache.stat().st_mtime_ns
-    assert run_cli("pi", "--x", "1000", "--cache", str(cache)) == 0
+    assert run_cli(*BRUTE, "--cache", str(cache)) == 0
     assert cache.stat().st_mtime_ns == stamp  # second run loaded, not rebuilt
-    outs = capsys.readouterr().out.strip().split("\n")
-    assert outs == ["168", "168"]
+    assert _exact_column(capsys.readouterr().out) == ["169", "169"]
 
 
 def test_cache_env_var_is_not_read(tmp_path, capsys, monkeypatch):
     cache = tmp_path / "env.bin"
     monkeypatch.setenv("RSAD_CACHE", str(cache))
-    assert run_cli("pi", "--x", "100") == 0
+    assert run_cli(*BRUTE) == 0
     assert not cache.exists()
 
 
 def test_cache_too_small_is_rebuilt(tmp_path, capsys):
     cache = tmp_path / "primes.bin"
-    assert run_cli("pi", "--x", "100", "--cache", str(cache)) == 0
-    assert run_cli("pi", "--x", "10000", "--cache", str(cache)) == 0
-    outs = capsys.readouterr().out.strip().split("\n")
-    assert outs == ["25", "1229"]
+    assert run_cli("count", "--x", "100", "--r", "2", "--method", "brute",
+                   "--cache", str(cache)) == 0
+    assert run_cli(*BRUTE, "--cache", str(cache)) == 0
+    assert _exact_column(capsys.readouterr().out) == ["5", "169"]
 
 
 def test_corrupt_cache_returns_3(tmp_path, capsys):
     cache = tmp_path / "primes.bin"
     cache.write_bytes(b"garbage")
-    assert run_cli("pi", "--x", "100", "--cache", str(cache)) == 3
+    assert run_cli(*BRUTE, "--cache", str(cache)) == 3
 
 
 # --- process-level entry -------------------------------------------------
 
 def test_unallocatable_table_exits_3():
-    # admitted by the budget, but the 1.6 EiB output cannot be allocated;
-    # the allocation comes before any sieving, so this fails at once
+    # admitted by both budgets, but the 1.6 EiB table to sqrt(r*x) = 1e19
+    # cannot be allocated; the allocation comes before any sieving, so this
+    # fails at once
     proc = subprocess.run(
-        [sys.executable, "-m", "rsad", "pi", "--x", "1e19",
-         "--memory-budget-bytes", "1e19"],
+        [sys.executable, "-m", "rsad", "count", "--x", "1e19", "--r", "10000000000000000000",
+         "--method", "brute", "--brute-budget", "1e19", "--memory-budget-bytes", "1e19"],
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 3

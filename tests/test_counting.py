@@ -15,6 +15,8 @@ from rsad import (
     count_pi2,
     count_report,
     count_sweep,
+    count_sweep_grid,
+    grid_reports,
 )
 from rsad.counting import SWEEP_SEGMENT_BYTES, _required_limit
 
@@ -215,6 +217,64 @@ def test_count_sweep_validation():
         count_sweep(2**64, Ratio(2))
     with pytest.raises(ValueError):
         count_sweep(100, Ratio(2), segment_bytes=0)
+
+
+@pytest.mark.parametrize("segment_bytes,x_maxes", [
+    (1, (3000, 10**5)),
+    (4, (3000, 10**6)),
+    (97, (3000, 10**6, 10**9)),
+    (SWEEP_SEGMENT_BYTES, (3000, 10**6, 10**9, 10**12)),
+])
+def test_count_sweep_grid_matches_count_sweep_at_every_point(segment_bytes, x_maxes):
+    rng = random.Random(20261019 + segment_bytes)
+    for r in SWEEP_RATIOS:
+        for x_max in x_maxes:
+            # dense and sparse grids, repeats and the x < 4 with no prime p <= sqrt(x)
+            grid = sorted(rng.randrange(x_max) for _ in range(rng.choice((3, 12, 40))))
+            grid = sorted([0, 1, 3] + grid + grid[-2:])
+            got = count_sweep_grid(grid, r, segment_bytes=segment_bytes)
+            want = [count_sweep(x, r, segment_bytes=segment_bytes) for x in grid]
+            assert got == want, (str(r), grid)
+
+
+def test_count_sweep_grid_every_x_below_3000(t10k):
+    for r in SWEEP_RATIOS:
+        grid = list(range(3000))
+        assert count_sweep_grid(grid, r) == [count_identity(t10k, x, r) for x in grid]
+
+
+def test_count_sweep_grid_memory_does_not_grow_with_density():
+    import tracemalloc
+
+    from rsad.cli import _geometric_grid
+
+    peaks = []
+    for points_per_decade in (4, 100):
+        grid = _geometric_grid(10**12, 10**13, points_per_decade)
+        tracemalloc.start()
+        try:
+            count_sweep_grid(grid, Ratio(2))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # about 8.6 MB either way; holding each x's answered arguments made it 32 MB
+    assert peaks[1] < peaks[0] + 2**21
+
+
+def test_count_sweep_grid_shapes_and_validation():
+    assert count_sweep_grid([], Ratio(2)) == []
+    assert count_sweep_grid([2, 3], Ratio(2)) == [Decomposition(0, 0, 0, 0)] * 2
+    with pytest.raises(ValueError):
+        count_sweep_grid([100, 99], Ratio(2))
+    with pytest.raises(ValueError):
+        count_sweep_grid([100, 2**64], Ratio(2))
+
+
+def test_grid_reports_share_the_sweep_time():
+    reps = grid_reports([100, 1000, 10**4], Ratio(2))
+    assert [rep.exact for rep in reps] == [5, 25, 169]
+    assert len({rep.seconds for rep in reps}) == 1
+    assert all(rep.method == "identity" for rep in reps)
 
 
 # --- sweep form ----------------------------------------------------------

@@ -1,3 +1,6 @@
+import math
+import random
+
 import numpy as np
 import pytest
 
@@ -5,12 +8,19 @@ from rsad import (
     CacheFormatError,
     MemoryBudgetError,
     PrimeTable,
+    SieveWorkError,
     TableLimitError,
     build_table,
     load_table,
+    prime_pi,
 )
 
-from rsad.primes import DEFAULT_SEGMENT_BYTES, _OddSieve, _peak_estimate_bytes
+from rsad.primes import (
+    DEFAULT_SEGMENT_BYTES,
+    SIEVE_WORK_LIMIT,
+    _OddSieve,
+    _peak_estimate_bytes,
+)
 
 from oracles import pi_td, prime_list
 
@@ -112,17 +122,30 @@ def test_segment_size_does_not_change_output():
 
 
 def test_sieve_ranges_match_trial_division():
-    # any [lo, hi], ascending or descending, split at any segment offset
+    # any [lo, hi], split at any segment offset
     cases = [(0, 3000), (2, 2), (3, 3), (0, 1), (4, 100), (13, 169), (1000, 1500), (2999, 3000), (50, 40)]
     for size in (1, 4, 97, DEFAULT_SEGMENT_BYTES):
         sieve = _OddSieve(3000, size)
         for lo, hi in cases:
             want = [p for p in prime_list(hi) if p >= lo]
             up = np.concatenate([np.empty(0, np.uint64), *sieve.primes(lo, hi)])
-            down = np.concatenate([np.empty(0, np.uint64), *sieve.primes(lo, hi, descending=True)])
-            assert up.dtype == down.dtype == np.uint64
+            assert up.dtype == np.uint64
             assert up.tolist() == want, (size, lo, hi)
-            assert down.tolist() == want[::-1], (size, lo, hi)
+
+
+def test_prime_pi_matches_prime_count(t10k, t10m):
+    for n in range(3000):
+        assert prime_pi(n) == t10k.prime_count(n), n
+    rng = random.Random(20261020)
+    for n in [rng.randrange(10**7) for _ in range(200)]:
+        assert prime_pi(n) == t10m.prime_count(n), n
+
+
+def test_no_sieve_runs_past_the_work_bound():
+    # 2^36 admits sqrt(r*x) for every x < 2^64 with r <= 256
+    assert math.isqrt(256 * (2**64 - 1)) <= SIEVE_WORK_LIMIT
+    with pytest.raises(SieveWorkError):
+        _OddSieve(SIEVE_WORK_LIMIT + 1, DEFAULT_SEGMENT_BYTES)
 
 
 def test_memory_budget_enforced():
