@@ -46,6 +46,7 @@ from .primes import (
     TableLimitError,
     build_table,
     load_table,
+    prime_chunks,
     prime_pi,
 )
 
@@ -79,6 +80,7 @@ __all__ = [
     "log_integral",
     "mertens_sum",
     "pi_rp_sum_main",
+    "prime_chunks",
     "prime_pi",
     "probe_band_pi",
     "probe_pi_rp",

@@ -8,14 +8,14 @@ sums against.
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .counting import Ratio
-from .primes import SWEEP_SEGMENT_BYTES, PrimeTable, _OddSieve
+from .primes import PrimeTable, prime_chunks
 
 
 @dataclass(frozen=True)
@@ -54,47 +54,23 @@ def log_integral(x: float) -> float:
             return total
 
 
-def _exact_sum(arrays) -> float:
-    """The sum of the float64 arrays' values, all in (0, 1], rounded once.
-
-    Each value is m * 2^k with m = mantissa * 2^53 an integer below 2^53.
-    The m of each run of equal k are summed exactly, in two halves of at
-    most 27 bits so that int64 cannot overflow (for arrays of fewer than
-    2^36 values), and the exact total is
-    rounded by one integer division, which Python rounds correctly, as
-    math.fsum does: both return the float nearest the exact sum.
-    """
-    sums = defaultdict(int)  # k -> the sum of m over the values m * 2^k
-    for x in arrays:
-        if not x.size:
-            continue
-        mantissa, exp = np.frexp(x)
-        m = (mantissa * 2.0**53).astype(np.int64)
-        runs = np.flatnonzero(np.diff(exp, prepend=exp[0] - 1))
-        his = np.add.reduceat(m >> 26, runs).tolist()
-        los = np.add.reduceat(m & (2**26 - 1), runs).tolist()
-        for e, hi, lo in zip(exp[runs].tolist(), his, los):
-            sums[e - 53] += (hi << 26) + lo
-    k_min = min(sums)
-    return sum(m << (k - k_min) for k, m in sums.items()) / (1 << -k_min)
-
-
 def mertens_sum(table: PrimeTable | None, z: int) -> MertensResult:
     """sum_{p<=z} 1/p, the float nearest the exact sum of the reciprocals.
 
-    On a table, math.fsum sums the reciprocals.  With table None they come
-    from one sieve to z, segment by segment, with no table held, and
-    _exact_sum adds them in integers; both round the exact sum once, so
-    they give the same float.  Requires z >= 2, and z <= table.limit on a
-    table.
+    math.fsum sums the reciprocals, from the table or, with table None, from
+    one sieve to z, chunk by chunk, with no table held.  fsum rounds the
+    exact sum once, so both give the same float.  Requires z >= 2, and
+    z <= table.limit on a table.
     """
     if z < 2:
         raise ValueError(f"mertens_sum requires z >= 2, got {z}")
     if table is None:
-        chunks = _OddSieve(z, SWEEP_SEGMENT_BYTES).primes(2, z)
-        total = _exact_sum(1.0 / p.astype(np.float64) for p in chunks)
+        chunks = prime_chunks(z)
     else:
-        total = math.fsum(1.0 / table.primes[: table.prime_count(z)].astype(np.float64))
+        chunks = [table.primes[: table.prime_count(z)]]
+    total = math.fsum(
+        itertools.chain.from_iterable((1.0 / p.astype(np.float64)).tolist() for p in chunks)
+    )
     loglog = math.log(math.log(z))
     return MertensResult(z=z, sum=total, loglog_z=loglog, residual=total - loglog)
 

@@ -4,8 +4,8 @@ A built PrimeTable holds every prime up to its limit as a sorted uint64
 array: prime_count, pi_sum and primes_between answer pi queries on it by
 binary search, so a table sized to sqrt(r*x) is enough to drive the
 table-based semiprime counters.  Tables are immutable once built and safe
-to share between threads.  prime_pi counts the primes up to n on the same
-segmented sieve with no table.
+to share between threads.  prime_pi and prime_chunks count and stream the
+primes up to n on the same segmented sieve with no table.
 """
 
 from __future__ import annotations
@@ -272,11 +272,18 @@ class _OddSieve:
             yield p
 
 
-def prime_pi(n: int, *, segment_bytes: int = SWEEP_SEGMENT_BYTES) -> int:
+def prime_chunks(n: int):
+    """Yield the primes up to n as ascending uint64 arrays, one per segment of
+    one sieve to n, with no table held."""
+    if n >= 2:
+        yield from _OddSieve(n, SWEEP_SEGMENT_BYTES).primes(2, n)
+
+
+def prime_pi(n: int) -> int:
     """pi(n) with no table: a running count of the primes over the sieve's segments."""
     if n < 2:
         return 0
-    segments = _OddSieve(n, segment_bytes).segments(0, (n + 1) // 2)
+    segments = _OddSieve(n, SWEEP_SEGMENT_BYTES).segments(0, (n + 1) // 2)
     return 1 + sum(int(np.count_nonzero(flags)) for _, flags in segments)
 
 

@@ -1,7 +1,6 @@
 import math
 import sys
 
-import numpy as np
 import pytest
 
 from rsad import (
@@ -12,8 +11,6 @@ from rsad import (
     pi_rp_sum_main,
     rsa_count_estimate,
 )
-
-from rsad.analytic import _exact_sum
 
 from oracles import prime_list
 
@@ -111,21 +108,8 @@ def test_mertens_validation(t10k):
         mertens_sum(None, 1)
 
 
-def test_exact_sum_rounds_like_fsum():
-    rng = np.random.default_rng(20261021)
-    for _ in range(500):
-        # values over many binades, in chunks, some empty, in any order
-        x = rng.random(rng.integers(1, 200)) ** rng.integers(1, 80)
-        x = x[x > 0]
-        cuts = np.sort(rng.integers(0, x.size + 1, 3))
-        chunks = np.split(x, cuts)
-        assert _exact_sum(chunks) == math.fsum(x.tolist())
-    assert _exact_sum([np.array([1.0, 2.0**-60, 2.0**-60])]) == 1.0
-    assert _exact_sum([np.full(10, 0.1)]) == math.fsum([0.1] * 10) == 1.0
-
-
 def test_mertens_without_a_table_is_bit_identical(t10k, t10m):
-    # fsum on the table and _exact_sum on the sieve round the same exact sum once
+    # fsum rounds the same exact sum once, from the table or from the sieve
     for z in range(2, 3001):
         assert mertens_sum(None, z) == mertens_sum(t10k, z), z
     assert mertens_sum(None, 10**6) == mertens_sum(t10m, 10**6)

@@ -12,6 +12,7 @@ from rsad import (
     TableLimitError,
     build_table,
     load_table,
+    prime_chunks,
     prime_pi,
 )
 
@@ -136,6 +137,8 @@ def test_sieve_ranges_match_trial_division():
 def test_prime_pi_matches_prime_count(t10k, t10m):
     for n in range(3000):
         assert prime_pi(n) == t10k.prime_count(n), n
+        streamed = np.concatenate([np.empty(0, np.uint64), *prime_chunks(n)])
+        assert np.array_equal(streamed, t10k.primes[: t10k.prime_count(n)]), n
     rng = random.Random(20261020)
     for n in [rng.randrange(10**7) for _ in range(200)]:
         assert prime_pi(n) == t10m.prime_count(n), n
