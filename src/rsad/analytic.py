@@ -8,14 +8,13 @@ sums against.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .counting import Ratio
-from .primes import PrimeTable, prime_chunks
+from .primes import SWEEP_SEGMENT_BYTES, PrimeTable, prime_chunks
 
 
 @dataclass(frozen=True)
@@ -54,13 +53,48 @@ def log_integral(x: float) -> float:
             return total
 
 
+# Every 1/p with p < 2^38 is a whole multiple of 2^-90: its exponent is at
+# least -38, so its last bit is worth at least 2^-90.  Three 30-bit limbs
+# then hold it exactly.
+_RECIP_P_BOUND = 2**38
+_LIMB_SCALE = 2.0**30
+# At most this many reciprocals at a time: a sweep segment's bytes of
+# float64, so each limb sum stays below 2^17 * 2^30.
+_RECIP_PIECE = SWEEP_SEGMENT_BYTES // 8
+
+
+def _recip_sum(chunks) -> float:
+    """The float nearest the exact sum of the float reciprocals 1.0/p.
+
+    Each 1/p is split exactly into three 30-bit integer limbs (scale by
+    2^30, floor, keep the remainder, three times), each limb is summed in
+    int64, and the one integer N they make is divided by 2^90 with Python's
+    correctly rounded int division, the single rounding math.fsum makes.
+    chunks is an iterable of arrays of positive integers; a p >= 2^38 lies
+    outside the argument and raises ValueError.
+    """
+    limbs = [0, 0, 0]
+    for chunk in chunks:
+        if chunk.size and int(chunk.max()) >= _RECIP_P_BOUND:
+            raise ValueError(f"1/p is exact in 90 bits only for p < 2^38, got {int(chunk.max())}")
+        for i in range(0, chunk.size, _RECIP_PIECE):
+            frac = np.divide(1.0, chunk[i : i + _RECIP_PIECE], dtype=np.float64)
+            for k in range(3):
+                frac *= _LIMB_SCALE
+                whole = np.floor(frac)
+                frac -= whole
+                limbs[k] += int(whole.astype(np.int64).sum())
+    return ((limbs[0] << 60) + (limbs[1] << 30) + limbs[2]) / 2**90
+
+
 def mertens_sum(table: PrimeTable | None, z: int) -> MertensResult:
     """sum_{p<=z} 1/p, the float nearest the exact sum of the reciprocals.
 
-    math.fsum sums the reciprocals, from the table or, with table None, from
-    one sieve to z, chunk by chunk, with no table held.  fsum rounds the
-    exact sum once, so both give the same float.  Requires z >= 2, and
-    z <= table.limit on a table.
+    The reciprocals come from the table or, with table None, from one sieve
+    to z, chunk by chunk, with no table held.  Each 1/p is a whole multiple
+    of 2^-90, so _recip_sum adds them exactly as integers and rounds once:
+    both paths give the float math.fsum gives, bit for bit.  Requires
+    z >= 2, and z <= table.limit on a table.
     """
     if z < 2:
         raise ValueError(f"mertens_sum requires z >= 2, got {z}")
@@ -68,9 +102,7 @@ def mertens_sum(table: PrimeTable | None, z: int) -> MertensResult:
         chunks = prime_chunks(z)
     else:
         chunks = [table.primes[: table.prime_count(z)]]
-    total = math.fsum(
-        itertools.chain.from_iterable((1.0 / p.astype(np.float64)).tolist() for p in chunks)
-    )
+    total = _recip_sum(chunks)
     loglog = math.log(math.log(z))
     return MertensResult(z=z, sum=total, loglog_z=loglog, residual=total - loglog)
 

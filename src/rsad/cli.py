@@ -3,7 +3,8 @@
 Machine output (CSV or JSON) is deterministic by default so that repeated
 runs are byte-identical; wall-clock timings go into the seconds column
 only with --timing.  Exit codes: 0 ok, 2 bad arguments, 3 table, budget,
-work-bound or cache errors, 4 a cross-check failed.
+work-bound or cache errors or a file that cannot be written, 4 a cross-check
+failed.
 """
 
 from __future__ import annotations
@@ -68,7 +69,10 @@ def _parse_ratio(text: str) -> Ratio:
 
 
 def _parse_ratio_list(text: str) -> list[Ratio]:
-    return [_parse_ratio(part) for part in text.split(",") if part.strip()]
+    ratios = [_parse_ratio(part) for part in text.split(",") if part.strip()]
+    if not ratios:
+        raise argparse.ArgumentTypeError(f"{text!r} names no ratio")
+    return ratios
 
 
 def _fmt(v: float) -> str:
@@ -225,8 +229,7 @@ def _cmd_verify(args) -> int:
     ratios = args.r
     sum_check_max = min(max_x, 10**4)
     pi2_sample_max = min(max_x, 1000)
-    if ratios:
-        counting._check_brute_budget(max_x, args.brute_budget)
+    counting._check_brute_budget(max_x, args.brute_budget)
     required = max(
         [counting._required_limit(max_x, r) for r in ratios]
         + [sum_check_max, pi2_sample_max, 2]
@@ -346,6 +349,7 @@ def main(argv=None) -> int:
         TableLimitError,
         CacheFormatError,
         MemoryError,
+        OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from . import analytic
 from .counting import (
     CountReport,
@@ -94,7 +92,7 @@ def probe_band_pi(table: PrimeTable, x: int, r: Ratio) -> CountReport:
 
 
 def band_recip_sum(table: PrimeTable, x: int, r: Ratio) -> float:
-    """Exact sum of 1/p over sqrt(x/r) < p <= sqrt(x).
+    """sum of 1/p over sqrt(x/r) < p <= sqrt(x), the float nearest the exact sum.
 
     Comparable against analytic.band_recip_estimate(x, r); same domain
     checks as probe_band_pi.
@@ -106,7 +104,7 @@ def band_recip_sum(table: PrimeTable, x: int, r: Ratio) -> float:
     if table.limit < math.isqrt(x):
         raise TableLimitError(math.isqrt(x), table.limit)
     band = table.primes_between(math.isqrt(x * r.den // r.num), math.isqrt(x))
-    return math.fsum(1.0 / band.astype(np.float64))
+    return analytic._recip_sum([band])
 
 
 def convergence_table(

@@ -1,6 +1,10 @@
+import bisect
 import math
+import random
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from rsad import (
@@ -11,6 +15,7 @@ from rsad import (
     pi_rp_sum_main,
     rsa_count_estimate,
 )
+from rsad.analytic import _recip_sum
 
 from oracles import prime_list
 
@@ -109,10 +114,70 @@ def test_mertens_validation(t10k):
 
 
 def test_mertens_without_a_table_is_bit_identical(t10k, t10m):
-    # fsum rounds the same exact sum once, from the table or from the sieve
+    # the same exact sum, rounded once, from the table or from the sieve
     for z in range(2, 3001):
         assert mertens_sum(None, z) == mertens_sum(t10k, z), z
     assert mertens_sum(None, 10**6) == mertens_sum(t10m, 10**6)
+
+
+def _fsum_recips(primes) -> float:
+    return math.fsum([1.0 / int(p) for p in primes])
+
+
+def test_recip_sum_is_fsum_for_every_z_below_3000(t10k):
+    primes = prime_list(3000)
+    for z in range(2, 3000):
+        k = bisect.bisect_right(primes, z)
+        assert mertens_sum(t10k, z).sum == _fsum_recips(primes[:k]), z
+
+
+def test_recip_sum_is_fsum_at_random_z_below_1e7(t10m):
+    recips = (1.0 / t10m.primes.astype(np.float64)).tolist()
+    # log-uniform, so every decade is tried and fsum stays quick
+    rng = random.Random(20081)
+    for _ in range(200):
+        z = min(int(10 ** rng.uniform(math.log10(2), 7)), 10**7 - 1)
+        assert mertens_sum(t10m, z).sum == math.fsum(recips[: t10m.prime_count(z)]), z
+
+
+@pytest.mark.parametrize("chunks", [
+    [[2]],
+    [[2**38 - 1]],
+    [[]],
+    [[], [2, 3], [], [5]],
+    [[2**38 - 1, 3, 2**37 + 1]],
+], ids=["p=2-length-1", "largest-p", "empty", "empty-chunks", "unsorted"])
+def test_recip_sum_is_fsum_on_synthetic_chunks(chunks):
+    arrays = [np.array(c, dtype=np.uint64) for c in chunks]
+    assert _recip_sum(arrays) == _fsum_recips([p for c in chunks for p in c])
+
+
+def test_recip_sum_is_fsum_on_random_odd_p_below_2_38():
+    # reciprocals spread over all 38 binades, where a dropped limb shows
+    rng = random.Random(38)
+    for _ in range(50):
+        bits = [rng.randrange(2, 39) for _ in range(rng.randrange(1, 400))]
+        ps = [rng.randrange(1, 2**b, 2) for b in bits]
+        assert _recip_sum([np.array(ps, dtype=np.uint64)]) == _fsum_recips(ps), ps
+
+
+def test_recip_sum_rejects_p_outside_its_exactness_bound():
+    # 1/2^40 is exact, but the 90-bit argument covers only p < 2^38
+    with pytest.raises(ValueError):
+        _recip_sum([np.array([3, 2**40, 5], dtype=np.uint64)])
+    with pytest.raises(ValueError):
+        _recip_sum([np.array([2], dtype=np.uint64), np.array([2**38], dtype=np.uint64)])
+
+
+def test_mertens_on_a_table_holds_no_whole_slice_of_floats(t10m):
+    # 664579 primes: one float64 array over the whole slice alone is 5.3 MB
+    tracemalloc.start()
+    try:
+        mertens_sum(t10m, 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_rsa_count_estimate_formula():

@@ -206,6 +206,9 @@ def test_bad_grid_returns_2(capsys):
     "table --x-min 100 --x-max 1000 --r 2 --memory-budget-bytes 1e9",
     "mertens --z 100 --memory-budget-bytes 1e9",
     "pi --x 100 --memory-budget-bytes 1e9",
+    # verify with no ratio would skip its identity-vs-brute check
+    "verify --max-x 3 --r ,",
+    "verify --max-x 3 --r=",
 ])
 def test_never_valid_input_exits_2(argv, capsys):
     assert exit_code(*argv.split()) == 2
@@ -514,6 +517,19 @@ def test_corrupt_cache_returns_3(tmp_path, capsys):
     cache = tmp_path / "primes.bin"
     cache.write_bytes(b"garbage")
     assert run_cli(*BRUTE, "--cache", str(cache)) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    "mertens --z 1e4 --out {missing}/f",
+    "count --x 1e6 --r 2 --out {dir}",
+    "count --x 1e6 --r 2 --method brute --cache {missing}/c",
+    "verify --max-x 100 --cache {missing}/c",
+], ids=["out-missing-dir", "out-is-dir", "count-cache-missing-dir", "verify-cache-missing-dir"])
+def test_unwritable_out_or_cache_exits_3(tmp_path, capsys, argv):
+    argv = argv.format(dir=tmp_path, missing=tmp_path / "missing" / "d")
+    assert run_cli(*argv.split()) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 # --- process-level entry -------------------------------------------------
