@@ -3,17 +3,15 @@
 An RSA integer here is a product n = p*q of two primes with p < q <= r*p
 for a fixed aspect ratio r >= 1.  The package computes the exact count
 C_r(x) of such n <= x two independent ways (pair enumeration and a
-prime-counting identity), evaluates the smooth estimate
-2*x*log(r)/log(x)^2, and ships diagnostics that measure how fast the
-exact counts approach the estimate.
+prime-counting identity, whose partial sums s1, s2 and s3 it reports),
+reports each count against the smooth estimate 2*x*log(r)/log(x)^2, and
+checks the summation identity the prime-counting route rests on.
 """
 
 from .analytic import (
     MertensResult,
-    band_recip_estimate,
     log_integral,
     mertens_sum,
-    pi_rp_sum_main,
     rsa_count_estimate,
 )
 from .counting import (
@@ -32,10 +30,7 @@ from .counting import (
 )
 from .diagnostics import (
     IdentityViolationError,
-    band_recip_sum,
     convergence_table,
-    probe_band_pi,
-    probe_pi_rp,
     sum_pi_p,
 )
 from .primes import (
@@ -64,8 +59,6 @@ __all__ = [
     "Ratio",
     "SieveWorkError",
     "TableLimitError",
-    "band_recip_estimate",
-    "band_recip_sum",
     "brute_counts_upto",
     "build_table",
     "convergence_table",
@@ -79,11 +72,8 @@ __all__ = [
     "load_table",
     "log_integral",
     "mertens_sum",
-    "pi_rp_sum_main",
     "prime_chunks",
     "prime_pi",
-    "probe_band_pi",
-    "probe_pi_rp",
     "rsa_count_estimate",
     "sum_pi_p",
 ]

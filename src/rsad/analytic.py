@@ -2,19 +2,21 @@
 
 Holds the logarithmic integral Li(x) = integral from 2 to x of dt/log t,
 the prime reciprocal sum  sum_{p<=z} 1/p  with its log log z residual, and
-the closed-form main terms that the probes in `diagnostics` compare exact
-sums against.
+the estimate 2*x*log(r)/log(x)^2 that exact counts are compared against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .counting import Ratio
 from .primes import SWEEP_SEGMENT_BYTES, PrimeTable, prime_chunks
+
+if TYPE_CHECKING:
+    from .counting import Ratio
 
 
 @dataclass(frozen=True)
@@ -118,23 +120,3 @@ def rsa_count_estimate(x: int, r: Ratio) -> float:
         return 0.0
     return 2.0 * float(x) * r.log() / math.log(x) ** 2
 
-
-def pi_rp_sum_main(z: int, r: Ratio) -> float:
-    """Main term r*z^2/(2*log(z)^2) of the scaled sum  sum_{p<=z} pi(r*p)."""
-    if z < 2:
-        raise ValueError(f"pi_rp_sum_main requires z >= 2, got {z}")
-    zf = float(z)
-    return r.num / r.den * zf * zf / (2.0 * math.log(zf) ** 2)
-
-
-def band_recip_estimate(x: int, r: Ratio) -> float:
-    """Main term log(r)/log(x) of  sum 1/p  over sqrt(x/r) < p <= sqrt(x).
-
-    Requires x >= 2 and 1 <= r <= sqrt(x) (checked exactly as
-    num^2 <= x*den^2).
-    """
-    if x < 2:
-        raise ValueError(f"band_recip_estimate requires x >= 2, got {x}")
-    if r.num * r.num > x * r.den * r.den:
-        raise ValueError(f"band_recip_estimate requires r <= sqrt(x), got r={r}, x={x}")
-    return r.log() / math.log(x)

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analytic import rsa_count_estimate
 from .primes import SWEEP_SEGMENT_BYTES, U64_MAX, PrimeTable, TableLimitError, _OddSieve
 
 DEFAULT_BRUTE_BUDGET = 10**8
@@ -102,8 +103,16 @@ class Ratio:
         return (n.astype(object) * self.num // self.den).astype(np.uint64)
 
     def log(self) -> float:
-        """log(num/den), stable for full-width parts."""
-        return math.log(self.num) - math.log(self.den)
+        """log(num/den), accurate for full-width parts and for r near 1.
+
+        (num - den) / den is one correctly rounded int division, so log1p
+        keeps the digits that log(num) - log(den) cancels when num ~ den.
+        An integer r takes math.log(num), which is never less accurate
+        than log1p(num - 1) and is 1 ulp closer for about 1% of them.
+        """
+        if self.den == 1:
+            return math.log(self.num)
+        return math.log1p((self.num - self.den) / self.den)
 
     def __float__(self) -> float:
         return self.num / self.den
@@ -128,19 +137,19 @@ class Decomposition:
 
 @dataclass(frozen=True)
 class CountReport:
-    """One exact count (or probe sum) at x against its main term.
+    """One exact count at x against its main term.
 
     err_scale is the expected size of the error term, so err_normalized
     is the deviation in those units; a bounded err_normalized across a
     grid is the empirical signature that the error term has that shape.
     """
 
-    x: int  # the x, or the z of a probe, evaluated at
+    x: int
     r: Ratio
     exact: int
     estimate: float
     err_scale: float
-    method: str  # "brute", "identity" or "probe"
+    method: str  # "brute" or "identity"
     seconds: float  # wall time of the exact computation
 
     @property
@@ -171,8 +180,12 @@ def _validate_x(x: int) -> None:
 
 
 def _required_limit(x: int, r: Ratio) -> int:
-    """floor(sqrt(r*x)), the largest pi argument either counter can issue."""
-    return math.isqrt(r.num * x // r.den)
+    """min(floor(sqrt(r*x)), x), the largest pi argument either counter can issue.
+
+    s2's floor(r*p) is at most sqrt(r*x), and s2 is empty once r > x;
+    s3's floor(x/p) and brute's cofactors q <= x/p stay below x.
+    """
+    return min(math.isqrt(r.num * x // r.den), x)
 
 
 def _check_brute_budget(x: int, budget: int) -> None:
@@ -238,7 +251,7 @@ def count_identity(table: PrimeTable, x: int, r: Ratio) -> Decomposition:
     over 1..k1, so s1 = k1*(k1+1)/2 (the summation identity checked
     independently by diagnostics.sum_pi_p).  s2 and s3 issue real pi
     queries at floor(r*p) and floor(x/p).  Requires
-    table.limit >= floor(sqrt(r*x)).
+    table.limit >= min(floor(sqrt(r*x)), x).
     """
     _validate_x(x)
     need = _required_limit(x, r)
@@ -352,7 +365,7 @@ def count_sweep_grid(
     # no prime p <= sqrt(x) below x = 4, so k1 = s3 = 0 (and s2 = 0, as p2 < 2)
     live = [j for j in range(n) if p1[j] >= 2]
     if live:
-        limit = min(_required_limit(xs[-1], r), xs[-1])
+        limit = _required_limit(xs[-1], r)
         sieve = _OddSieve(limit, min(segment_bytes, _MAX_SWEEP_SEGMENT))
         s2_args = _Queries(sieve.primes(2, p2[-1]), r.floor_mul)
         # s3's arguments of x run from x // p1 to x // (p2 + 1).  Each x
@@ -471,8 +484,6 @@ def _report(x: int, r: Ratio, exact: int, method: str, seconds: float) -> CountR
     The error scale is r*log(e*r)*x/log(x)^3; below x = 2 the estimate and
     the scale are 0 and inf.
     """
-    from .analytic import rsa_count_estimate
-
     if x >= 2:
         xf = float(x)
         estimate = rsa_count_estimate(x, r)

@@ -1,9 +1,9 @@
 """Segmented sieve of Eratosthenes and exact prime-counting queries.
 
 A built PrimeTable holds every prime up to its limit as a sorted uint64
-array: prime_count, pi_sum and primes_between answer pi queries on it by
-binary search, so a table sized to sqrt(r*x) is enough to drive the
-table-based semiprime counters.  Tables are immutable once built and safe
+array: prime_count and pi_sum answer pi queries on it by binary search,
+so a table sized to min(sqrt(r*x), x) is enough to drive the table-based
+semiprime counters.  Tables are immutable once built and safe
 to share between threads.  prime_pi and prime_chunks count and stream the
 primes up to n on the same segmented sieve with no table.
 """
@@ -114,19 +114,6 @@ class PrimeTable:
             return 0
         self._check_range(max(int(values[0]), int(values[-1])))
         return int(self.primes.searchsorted(values, side="right").sum(dtype=np.int64))
-
-    def primes_between(self, lo_exclusive: int, hi_inclusive: int) -> np.ndarray:
-        """Primes p with lo_exclusive < p <= hi_inclusive, ascending.
-
-        Returns a read-only view into the table; empty when the interval is.
-        """
-        self._check_range(hi_inclusive)
-        if lo_exclusive >= hi_inclusive:
-            return self.primes[:0]
-        lo = max(lo_exclusive, 0)
-        i = int(self.primes.searchsorted(np.uint64(lo), side="right"))
-        j = int(self.primes.searchsorted(np.uint64(hi_inclusive), side="right"))
-        return self.primes[i:j]
 
     def save(self, path) -> None:
         """Write the binary cache: magic, limit, count, then u64 primes.

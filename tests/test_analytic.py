@@ -9,10 +9,8 @@ import pytest
 
 from rsad import (
     Ratio,
-    band_recip_estimate,
     log_integral,
     mertens_sum,
-    pi_rp_sum_main,
     rsa_count_estimate,
 )
 from rsad.analytic import _recip_sum
@@ -198,28 +196,11 @@ def test_rsa_count_estimate_validation():
         rsa_count_estimate(1, Ratio(2))
 
 
-def test_pi_rp_sum_main_formula():
-    # r*z^2 / (2 log^2 z)
-    assert pi_rp_sum_main(100, Ratio(1)) == pytest.approx(
-        10**4 / (2 * math.log(100) ** 2), rel=1e-15, abs=0
-    )
-    assert pi_rp_sum_main(100, Ratio(2)) == pytest.approx(
-        2 * 10**4 / (2 * math.log(100) ** 2), rel=1e-15, abs=0
-    )
-
-
-def test_band_recip_estimate():
-    assert band_recip_estimate(10**6, Ratio(2)) == pytest.approx(
-        math.log(2.0) / math.log(10**6), rel=1e-15, abs=0
-    )
-    assert band_recip_estimate(100, Ratio(1)) == 0.0
-
-
-def test_band_recip_estimate_requires_r_below_sqrt_x():
-    # r = 11 > sqrt(100)
-    with pytest.raises(ValueError):
-        band_recip_estimate(100, Ratio(11))
-    # boundary r = sqrt(x) exactly is allowed
-    assert band_recip_estimate(100, Ratio(10)) == pytest.approx(
-        math.log(10.0) / math.log(100.0), rel=1e-15, abs=0
-    )
+def test_recip_sum_over_the_band_tracks_log_r_over_log_x(t10k, t10m):
+    # the paper's key step: sum 1/p over sqrt(x/r) < p <= sqrt(x) is about
+    # log(r)/log(x); the band of x = 1000, r = 2 is (22, 31]
+    band = t10k.primes[t10k.prime_count(22) : t10k.prime_count(31)]
+    assert _recip_sum([band]) == math.fsum([1.0 / 23.0, 1.0 / 29.0, 1.0 / 31.0])
+    band = t10m.primes[t10m.prime_count(707106) : t10m.prime_count(10**6)]
+    want = math.log(2.0) / math.log(1e12)
+    assert _recip_sum([band]) == pytest.approx(want, rel=0.05, abs=0)

@@ -312,6 +312,19 @@ def test_count_without_a_table_sieves_only_base_primes(capsys, monkeypatch):
     assert limits and max(limits) <= math.isqrt(math.isqrt(2 * 10**12)) + 1
 
 
+@pytest.mark.parametrize("argv,want", [
+    ("count --x 1e6 --r 1000000000000 --method brute", ",209867,"),
+    ("verify --max-x 1000 --r 100000000000000", "all checks passed"),
+])
+def test_brute_tables_stop_at_x_for_ratios_above_x(argv, want, capsys, monkeypatch):
+    # sqrt(r*x) would be 10^9 and 3.2*10^8, but no pi argument exceeds x
+    limits = _record_builds(monkeypatch)
+    assert run_cli(*argv.split()) == 0
+    assert want in capsys.readouterr().out
+    x = int(float(argv.split()[2]))
+    assert limits and max(limits) <= x + 64
+
+
 def test_count_identity_never_reads_a_corrupt_cache(tmp_path, capsys, monkeypatch):
     # a well-formed cache to 20000 that lacks the prime 3571: on it the
     # identity and brute both give C_2(1e8) = 453361, not 453998

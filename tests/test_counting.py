@@ -1,3 +1,4 @@
+import decimal
 import math
 import random
 
@@ -17,6 +18,7 @@ from rsad import (
     count_sweep,
     count_sweep_grid,
     grid_reports,
+    rsa_count_estimate,
 )
 from rsad.counting import SWEEP_SEGMENT_BYTES, _required_limit
 
@@ -60,6 +62,17 @@ def test_ratio_numerics():
     assert float(Ratio(3, 2)) == 1.5
     assert Ratio(1).log() == 0.0
     assert Ratio(2).log() == pytest.approx(math.log(2), rel=1e-15, abs=0)
+    assert Ratio(3).log() == math.log(3)  # log1p(2) is 1 ulp off
+
+
+@pytest.mark.parametrize("num,den", [(2**64 - 1, 2**64 - 2), (1000001, 1000000)])
+def test_estimate_for_r_near_one_keeps_its_digits(num, den):
+    # log(num) - log(den) cancels: the first ratio gave an estimate of 0
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        log_r = (decimal.Decimal(num) / decimal.Decimal(den)).ln()
+        want = 2 * 10 * log_r / decimal.Decimal(10).ln() ** 2
+    assert rsa_count_estimate(10, Ratio(num, den)) == pytest.approx(float(want), rel=1e-12, abs=0)
 
 
 def test_ratio_validation():
@@ -153,6 +166,9 @@ def test_required_limit():
     assert _required_limit(10**8, Ratio(2)) == 14142
     assert _required_limit(100, Ratio(3, 2)) == 12
     assert _required_limit(100, Ratio(1)) == 10
+    # no pi argument exceeds x, however large r is
+    assert _required_limit(100, Ratio(101)) == 100
+    assert _required_limit(10**6, Ratio(10**12)) == 10**6
 
 
 # --- table-free sweep ---------------------------------------------------
@@ -194,6 +210,20 @@ def test_count_sweep_ratio_above_x(t10k):
         d = count_sweep(x, r)
         assert d.s2 == 0
         assert d == count_identity(t10k, x, r)
+
+
+def test_count_sweep_s2_is_the_frozen_pi_rp_sum():
+    # s2 at x = 2*10^12, r = 2 is the sum of pi(2p) over p <= 10^6
+    assert count_sweep(2 * 10**12, Ratio(2)).s2 == 5828801128
+
+
+def test_count_sweep_s3_is_the_frozen_band_sum():
+    # band primes for x = 1000, r = 2 are (22, 31]: 23, 29, 31
+    assert count_sweep(1000, Ratio(2)).s3 == 14 + 11 + 11  # pi(43) + pi(34) + pi(32)
+    s3 = count_sweep(10**6, Ratio(2)).s3
+    assert s3 == 8170
+    ratio = s3 / rsa_count_estimate(10**6, Ratio(2))
+    assert ratio == pytest.approx(1.1248651916856824, rel=1e-12, abs=0)
 
 
 def test_count_sweep_reference_value_1e16():

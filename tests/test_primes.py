@@ -97,17 +97,9 @@ def test_pi_sum(t10k):
         t10k.pi_sum(over[::-1])
 
 
-def test_primes_between(t10k):
-    assert t10k.primes_between(10, 20).tolist() == [11, 13, 17, 19]
-    assert t10k.primes_between(7, 7).tolist() == []
-    assert t10k.primes_between(6, 7).tolist() == [7]
-
-
 def test_primes_are_read_only(t10k):
     with pytest.raises(ValueError):
         t10k.primes[0] = 4
-    with pytest.raises(ValueError):
-        t10k.primes_between(10, 20)[0] = 12
 
 
 def test_segment_size_does_not_change_output():
