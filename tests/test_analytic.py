@@ -194,13 +194,3 @@ def test_rsa_count_estimate_unit_ratio_is_zero():
 def test_rsa_count_estimate_validation():
     with pytest.raises(ValueError):
         rsa_count_estimate(1, Ratio(2))
-
-
-def test_recip_sum_over_the_band_tracks_log_r_over_log_x(t10k, t10m):
-    # the paper's key step: sum 1/p over sqrt(x/r) < p <= sqrt(x) is about
-    # log(r)/log(x); the band of x = 1000, r = 2 is (22, 31]
-    band = t10k.primes[t10k.prime_count(22) : t10k.prime_count(31)]
-    assert _recip_sum([band]) == math.fsum([1.0 / 23.0, 1.0 / 29.0, 1.0 / 31.0])
-    band = t10m.primes[t10m.prime_count(707106) : t10m.prime_count(10**6)]
-    want = math.log(2.0) / math.log(1e12)
-    assert _recip_sum([band]) == pytest.approx(want, rel=0.05, abs=0)

@@ -217,15 +217,6 @@ def test_count_sweep_s2_is_the_frozen_pi_rp_sum():
     assert count_sweep(2 * 10**12, Ratio(2)).s2 == 5828801128
 
 
-def test_count_sweep_s3_is_the_frozen_band_sum():
-    # band primes for x = 1000, r = 2 are (22, 31]: 23, 29, 31
-    assert count_sweep(1000, Ratio(2)).s3 == 14 + 11 + 11  # pi(43) + pi(34) + pi(32)
-    s3 = count_sweep(10**6, Ratio(2)).s3
-    assert s3 == 8170
-    ratio = s3 / rsa_count_estimate(10**6, Ratio(2))
-    assert ratio == pytest.approx(1.1248651916856824, rel=1e-12, abs=0)
-
-
 def test_count_sweep_reference_value_1e16():
     assert count_sweep(10**16, Ratio(2)).total == 10818912949586
 

@@ -8,9 +8,13 @@ from rsad import (
     PrimeTable,
     Ratio,
     convergence_table,
+    count_identity,
+    count_sweep,
     rsa_count_estimate,
     sum_pi_p,
 )
+
+from rsad.analytic import _recip_sum
 
 from oracles import prime_list, pi_td
 
@@ -38,6 +42,50 @@ def test_sum_pi_p_detects_corrupt_table():
     bad = PrimeTable(limit=10, primes=np.array([2, 3, 3, 7], dtype=np.uint64))
     with pytest.raises(IdentityViolationError):
         sum_pi_p(bad, 10)
+
+
+def test_probe_pi_rp_hand_values(t10k):
+    # s2 at x = 100, r = 2 sums pi(2p) over p <= sqrt(50): pi(4)+pi(6)+pi(10)+pi(14)
+    assert count_identity(t10k, 100, Ratio(2)).s2 == 15
+    assert count_sweep(100, Ratio(2)).s2 == 15
+
+
+def test_probe_band_pi_hand_values(t10k):
+    # band primes for x=1000, r=2 are (22, 31]: 23, 29, 31
+    want = 14 + 11 + 11  # pi(43) + pi(34) + pi(32)
+    assert count_identity(t10k, 1000, Ratio(2)).s3 == want
+    assert count_sweep(1000, Ratio(2)).s3 == want
+
+
+def test_probe_band_pi_empty_band(t10k):
+    # x=100, r=2: no primes in (7, 10]
+    assert count_identity(t10k, 100, Ratio(2)).s3 == 0
+    assert count_sweep(100, Ratio(2)).s3 == 0
+
+
+def test_probe_band_pi_frozen_golden(t10m):
+    est = rsa_count_estimate(10**6, Ratio(2))
+    for s3 in [count_identity(t10m, 10**6, Ratio(2)).s3, count_sweep(10**6, Ratio(2)).s3]:
+        assert s3 == 8170
+        assert s3 / est == pytest.approx(1.1248651916856824, rel=1e-12, abs=0)
+
+
+def _band(table, lo, hi):
+    return table.primes[table.prime_count(lo) : table.prime_count(hi)]
+
+
+def test_band_recip_sum_hand_values(t10k):
+    # sum of 1/p over the band sqrt(x/r) < p <= sqrt(x) of x = 1000, r = 2
+    got = _recip_sum([_band(t10k, 22, 31)])
+    assert got == math.fsum([1.0 / 23.0, 1.0 / 29.0, 1.0 / 31.0])
+    assert _recip_sum([_band(t10k, 7, 10)]) == 0.0  # x = 100: empty band
+
+
+def test_band_recip_sum_tracks_log_ratio(t10m):
+    # the paper's key step: the band sum of 1/p approaches log(r)/log(x)
+    got = _recip_sum([_band(t10m, 707106, 10**6)])  # x = 10^12, r = 2
+    want = math.log(2.0) / math.log(1e12)
+    assert got == pytest.approx(want, rel=0.05, abs=0)
 
 
 def test_convergence_table_rows(t100k):
