@@ -27,9 +27,11 @@ from .counting import (
     count_sweep,
     count_sweep_grid,
     grid_reports,
+    identity_counts_upto,
 )
 from .diagnostics import (
     IdentityViolationError,
+    check_pi_sums,
     convergence_table,
     sum_pi_p,
 )
@@ -61,6 +63,7 @@ __all__ = [
     "TableLimitError",
     "brute_counts_upto",
     "build_table",
+    "check_pi_sums",
     "convergence_table",
     "count_brute",
     "count_identity",
@@ -69,6 +72,7 @@ __all__ = [
     "count_sweep",
     "count_sweep_grid",
     "grid_reports",
+    "identity_counts_upto",
     "load_table",
     "log_integral",
     "mertens_sum",

@@ -224,6 +224,12 @@ def _cmd_li(args) -> int:
     return 0
 
 
+def _first_difference(a, b, start: int) -> int | None:
+    """The least index i >= start where arrays a and b differ, or None."""
+    differs = a[start:] != b[start:]
+    return start + int(differs.argmax()) if differs.any() else None
+
+
 def _cmd_verify(args) -> int:
     max_x = args.max_x
     ratios = args.r
@@ -237,42 +243,40 @@ def _cmd_verify(args) -> int:
     table = _get_table(args, required)
 
     checks = 0
-    step = max(1, max_x // 5)
     for r in ratios:
         brute = counting.brute_counts_upto(table, max_x, r, budget=args.brute_budget)
-        for x in range(max_x + 1):
-            ident = counting.count_identity(table, x, r).total
-            if ident != int(brute[x]):
-                print(
-                    f"mismatch at x={x}, r={r}: brute={int(brute[x])}, "
-                    f"identity={ident}",
-                    file=sys.stderr,
-                )
-                return 4
-            checks += 1
-            if max_x >= 20000 and x % step == 0 and x:
-                print(f"  r={r}: checked x<={x}", file=sys.stderr)
-        print(f"identity-vs-brute for r={r}: all {max_x + 1} x values agree")
-
-    for z in range(2, sum_check_max + 1):
-        try:
-            diagnostics.sum_pi_p(table, z)
-        except diagnostics.IdentityViolationError as exc:
-            print(f"pi-sum closed form failed at z={z}: {exc}", file=sys.stderr)
-            return 4
-        checks += 1
-    print(f"pi-sum closed form: verified for all z <= {sum_check_max}")
-
-    for x in range(1, pi2_sample_max + 1):
-        full = counting.count_identity(table, x, Ratio(x, 1)).total
-        pi2 = counting.count_pi2(table, x)
-        if full != pi2:
+        ident = counting.identity_counts_upto(table, max_x, r)
+        x = _first_difference(brute, ident, 0)
+        if x is not None:
             print(
-                f"pi2 cross-check failed at x={x}: C_x(x)={full}, pi2={pi2}",
+                f"mismatch at x={x}, r={r}: brute={int(brute[x])}, "
+                f"identity={int(ident[x])}",
                 file=sys.stderr,
             )
             return 4
-        checks += 1
+        checks += max_x + 1
+        print(f"identity-vs-brute for r={r}: all {max_x + 1} x values agree")
+
+    try:
+        checks += diagnostics.check_pi_sums(table, sum_check_max)
+    except diagnostics.IdentityViolationError as exc:
+        print(f"pi-sum closed form failed at z={exc.z}: {exc}", file=sys.stderr)
+        return 4
+    print(f"pi-sum closed form: verified for all z <= {sum_check_max}")
+
+    # C_M(x) = C_x(x) = pi_2(x) for every x <= M: each q <= x/p <= M*p
+    if pi2_sample_max:
+        r_m = Ratio(pi2_sample_max)
+        full = counting.identity_counts_upto(table, pi2_sample_max, r_m)
+        pi2 = counting.brute_counts_upto(table, pi2_sample_max, r_m, budget=args.brute_budget)
+        x = _first_difference(full, pi2, 1)
+        if x is not None:
+            print(
+                f"pi2 cross-check failed at x={x}: C_x(x)={int(full[x])}, pi2={int(pi2[x])}",
+                file=sys.stderr,
+            )
+            return 4
+        checks += pi2_sample_max
     print(f"pi2 cross-check: verified for all x <= {pi2_sample_max}")
 
     print(f"all checks passed ({checks} total)")

@@ -267,6 +267,38 @@ def count_identity(table: PrimeTable, x: int, r: Ratio) -> Decomposition:
     return Decomposition(s1=s1, s2=s2, s3=s3, total=s2 + s3 - s1)
 
 
+def identity_counts_upto(table: PrimeTable, max_x: int, r: Ratio) -> np.ndarray:
+    """count_identity's total at every x at once: counts[x] = C_r(x), 0 <= x <= max_x.
+
+    Each prime p <= sqrt(max_x) enters the sums at fixed x: s1 gains pi(p)
+    from x = p^2 on, and s2 gains pi(floor(r*p)) from b = ceil(p^2*num/den)
+    on, the least x with p <= sqrt(x/r).  Both are steps of one cumsum.  In
+    between, p^2 <= x < b, p lies in x's band and s3 gains pi(floor(x/p)),
+    which runs through the quotients p, p+1, ... p times each, so its pi is
+    answered once per quotient.  Same table requirement as count_identity
+    at max_x; holds one array the size of counts beside it.
+    """
+    _validate_x(max_x)
+    need = _required_limit(max_x, r)
+    if table.limit < need:
+        raise TableLimitError(need, table.limit)
+    counts = np.zeros(max_x + 1, dtype=np.int64)
+    bands = []
+    for k, p in enumerate(table.primes[: table.prime_count(math.isqrt(max_x))].tolist(), 1):
+        lo, b = p * p, -(-p * p * r.num // r.den)
+        counts[lo] -= k
+        if b <= max_x:
+            counts[b] += table.prime_count(r.floor_mul(p))
+        bands.append((p, lo, min(b, max_x + 1)))
+    np.cumsum(counts, out=counts)
+    for p, lo, hi in bands:
+        if lo < hi:
+            quotients = np.arange(p, (hi - 1) // p + 1, dtype=np.uint64)
+            pis = table.primes.searchsorted(quotients, side="right")
+            counts[lo:hi] += np.repeat(pis, p)[: hi - lo]
+    return counts
+
+
 # _POP[byte] counts the set bits of byte; _POP_ABOVE[8*byte + b] those above bit b
 _BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
 _POP = _BITS.sum(axis=1, dtype=np.uint8)

@@ -1,10 +1,13 @@
 """Checks of exact sums against their closed forms, and the convergence table.
 
-sum_pi_p checks the summation identity the identity counter's s1 rests on;
+sum_pi_p checks the summation identity the identity counter's s1 rests on,
+and check_pi_sums checks it at every z up to a bound at once;
 convergence_table pairs exact counts with the estimate along a grid of x.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 # bench/tracing.py wraps convergence_table and this count_identity binding by name
 from .counting import CountReport, Ratio, count_identity, count_report
@@ -12,7 +15,11 @@ from .primes import PrimeTable
 
 
 class IdentityViolationError(Exception):
-    """An exact summation identity failed; the prime table is corrupt."""
+    """An exact summation identity failed at z; the prime table is corrupt."""
+
+    def __init__(self, z: int, total: int, expected: int):
+        super().__init__(f"sum of pi(p) for p <= {z} gave {total}, closed form {expected}")
+        self.z = z
 
 
 def sum_pi_p(table: PrimeTable, z: int) -> int:
@@ -27,10 +34,29 @@ def sum_pi_p(table: PrimeTable, z: int) -> int:
     total = table.pi_sum(table.primes[:k])
     expected = k * (k + 1) // 2
     if total != expected:
-        raise IdentityViolationError(
-            f"sum of pi(p) for p <= {z} gave {total}, closed form {expected}"
-        )
+        raise IdentityViolationError(z, total, expected)
     return total
+
+
+def check_pi_sums(table: PrimeTable, z_max: int) -> int:
+    """sum_pi_p's check at every z in 2..z_max; returns the number of z checked.
+
+    k(z) = pi(z) for every z is one searchsorted, and the sum of pi(p) over
+    the primes up to z is the prefix sum of one array of pi queries at
+    k(z).  The least z whose sum misses k(z)*(k(z)+1)/2 raises
+    IdentityViolationError with sum_pi_p's message.
+    """
+    if z_max < 2:
+        return 0
+    prefix = np.zeros(table.prime_count(z_max) + 1, dtype=np.int64)
+    prefix[1:] = table.primes.searchsorted(table.primes[: prefix.size - 1], side="right").cumsum()
+    ks = table.primes.searchsorted(np.arange(2, z_max + 1, dtype=np.uint64), side="right")
+    totals, expected = prefix[ks], ks * (ks + 1) // 2
+    bad = totals != expected
+    if bad.any():
+        i = int(bad.argmax())
+        raise IdentityViolationError(i + 2, int(totals[i]), int(expected[i]))
+    return z_max - 1
 
 
 def convergence_table(

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rsad.primes
@@ -27,6 +28,7 @@ def exit_code(*argv):
 # Byte-exact stdout of count, table, mertens, pi, li and verify, each frozen
 # from the code before a rewrite of its path; a change here must be deliberate.
 GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+GOLDEN_OUT = {c["argv"]: c["stdout"] for c in GOLDEN}
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=[c["argv"] for c in GOLDEN])
@@ -480,16 +482,63 @@ def test_verify_multiple_ratios(capsys):
 def test_verify_catches_broken_counter(capsys, monkeypatch):
     from rsad import counting
 
-    real = counting.count_identity
-    def broken(table, x, r):
-        d = real(table, x, r)
-        if x == 77:
-            object.__setattr__(d, "total", d.total + 1)
-        return d
+    real = counting.identity_counts_upto
+    def broken(table, max_x, r):
+        counts = real(table, max_x, r)
+        counts[77] += 1
+        return counts
 
-    monkeypatch.setattr(cli.counting, "count_identity", broken)
+    monkeypatch.setattr(cli.counting, "identity_counts_upto", broken)
     assert run_cli("verify", "--max-x", "100", "--r", "2") == 4
-    assert "mismatch at x=77" in capsys.readouterr().err
+    assert capsys.readouterr().err == "mismatch at x=77, r=2: brute=4, identity=5\n"
+
+
+def test_verify_catches_a_table_that_breaks_the_pi_sum(capsys, monkeypatch):
+    # a second 31 lies above every pi argument of the identity check at
+    # x <= 100, r = 2, so only the pi-sum closed form sees it
+    real = cli.build_table
+    def doubled_31(limit, **kw):
+        return PrimeTable(limit, np.insert(real(limit, **kw).primes, 10, np.uint64(31)))
+
+    monkeypatch.setattr(cli, "build_table", doubled_31)
+    assert run_cli("verify", "--max-x", "100", "--r", "2") == 4
+    captured = capsys.readouterr()
+    assert captured.out == "identity-vs-brute for r=2: all 101 x values agree\n"
+    assert captured.err == (
+        "pi-sum closed form failed at z=31: sum of pi(p) for p <= 31 gave 79, closed form 78\n"
+    )
+
+
+def test_verify_catches_a_broken_pi2(capsys, monkeypatch):
+    from rsad import Ratio, counting
+
+    real = counting.brute_counts_upto
+    def broken(table, max_x, r, budget):
+        counts = real(table, max_x, r, budget)
+        if r == Ratio(100):  # the pi2 check's ratio M = max_x
+            counts[77] += 1
+        return counts
+
+    monkeypatch.setattr(cli.counting, "brute_counts_upto", broken)
+    assert run_cli("verify", "--max-x", "100", "--r", "2") == 4
+    captured = capsys.readouterr()
+    assert captured.out.endswith("pi-sum closed form: verified for all z <= 100\n")
+    assert captured.err == "pi2 cross-check failed at x=77: C_x(x)=22, pi2=23\n"
+
+
+def test_verify_makes_no_pointwise_calls(capsys, monkeypatch):
+    def pointwise(*args):
+        raise AssertionError("verify checks whole arrays")
+
+    for module, name in [
+        (cli.counting, "count_identity"),
+        (cli.counting, "count_pi2"),
+        (cli.diagnostics, "count_identity"),
+        (cli.diagnostics, "sum_pi_p"),
+    ]:
+        monkeypatch.setattr(module, name, pointwise)
+    assert run_cli("verify", "--max-x", "300") == 0
+    assert capsys.readouterr().out == GOLDEN_OUT["verify --max-x 300"]
 
 
 # --- cache ---------------------------------------------------------------

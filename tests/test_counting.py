@@ -18,6 +18,7 @@ from rsad import (
     count_sweep,
     count_sweep_grid,
     grid_reports,
+    identity_counts_upto,
     rsa_count_estimate,
 )
 from rsad.counting import SWEEP_SEGMENT_BYTES, _required_limit
@@ -319,6 +320,48 @@ def test_brute_counts_upto_prefix_values(t10k):
 def test_brute_counts_upto_budget(t10k):
     with pytest.raises(BruteBudgetError):
         brute_counts_upto(t10k, 10**4, Ratio(2), budget=10**3)
+
+
+# t100k stops at 10^5 + 64, so r = 10^14 runs on a table that stops at x + 64
+@pytest.mark.parametrize("r", RATIOS + [
+    Ratio(1), Ratio(7, 3), Ratio(2**64 - 1, 2**64 - 2), Ratio(10**14),
+], ids=str)
+def test_identity_counts_upto_matches_brute_counts_upto(t100k, r):
+    counts = identity_counts_upto(t100k, 10**5, r)
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, brute_counts_upto(t100k, 10**5, r))
+
+
+def test_identity_counts_upto_matches_count_identity(t10k):
+    counts = identity_counts_upto(t10k, 2999, Ratio(2))
+    assert counts.tolist() == [count_identity(t10k, x, Ratio(2)).total for x in range(3000)]
+
+
+@pytest.mark.parametrize("max_x", [0, 1, 2, 3])
+def test_identity_counts_upto_tiny(t10k, max_x):
+    for r in RATIOS:
+        assert identity_counts_upto(t10k, max_x, r).tolist() == [0] * (max_x + 1)
+
+
+def test_identity_counts_upto_table_too_small():
+    from rsad import build_table
+
+    with pytest.raises(TableLimitError) as info:
+        identity_counts_upto(build_table(100), 10**4, Ratio(2))
+    assert (info.value.required, info.value.limit) == (math.isqrt(2 * 10**4), 100)
+
+
+def test_identity_counts_upto_memory_is_a_few_result_arrays(t10k):
+    import tracemalloc
+
+    max_x = 10**6
+    tracemalloc.start()
+    try:
+        identity_counts_upto(t10k, max_x, Ratio(10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * (max_x + 1)
 
 
 # --- semiprime counts ----------------------------------------------------

@@ -7,6 +7,7 @@ from rsad import (
     IdentityViolationError,
     PrimeTable,
     Ratio,
+    check_pi_sums,
     convergence_table,
     count_identity,
     count_sweep,
@@ -42,6 +43,30 @@ def test_sum_pi_p_detects_corrupt_table():
     bad = PrimeTable(limit=10, primes=np.array([2, 3, 3, 7], dtype=np.uint64))
     with pytest.raises(IdentityViolationError):
         sum_pi_p(bad, 10)
+
+
+def test_check_pi_sums_checks_every_z(t10k):
+    assert check_pi_sums(t10k, 10**4) == 10**4 - 1
+    assert [check_pi_sums(t10k, z) for z in range(4)] == [0, 0, 1, 2]
+
+
+@pytest.mark.parametrize("where", [0, 1, 5, 100])
+def test_check_pi_sums_fails_where_sum_pi_p_first_fails(t10k, where):
+    primes = t10k.primes[t10k.primes <= 1000]
+    bad = PrimeTable(limit=1000, primes=np.insert(primes, where, primes[where]))
+    first = next(z for z in range(2, 1001) if _violation(bad, z))
+    with pytest.raises(IdentityViolationError) as info:
+        check_pi_sums(bad, 1000)
+    assert info.value.z == first
+    assert str(info.value) == str(_violation(bad, first))
+
+
+def _violation(table, z):
+    try:
+        sum_pi_p(table, z)
+    except IdentityViolationError as exc:
+        return exc
+    return None
 
 
 def test_probe_pi_rp_hand_values(t10k):
