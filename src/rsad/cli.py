@@ -2,9 +2,10 @@
 
 Machine output (CSV or JSON) is deterministic by default so that repeated
 runs are byte-identical; wall-clock timings go into the seconds column
-only with --timing.  Exit codes: 0 ok, 2 bad arguments, 3 table, budget,
-work-bound or cache errors or a file that cannot be written, 4 a cross-check
-failed.
+only with --timing.  Brute count and verify sieve the prime table they
+need in the same run; no subcommand reads or writes a cache.  Exit codes:
+0 ok, 2 bad arguments, 3 table, budget or work-bound errors or a file that
+cannot be written, 4 a cross-check failed.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import argparse
 import decimal
 import json
-import os
 import sys
 
 from . import analytic, counting, diagnostics
@@ -20,17 +20,13 @@ from .counting import BruteBudgetError, Ratio
 from .primes import (
     DEFAULT_MEMORY_BUDGET_BYTES,
     U64_MAX,
-    CacheFormatError,
     MemoryBudgetError,
-    PrimeTable,
     SieveWorkError,
     TableLimitError,
     build_table,
-    load_table,
+    load_table,  # unused here; bench/tracing.py wraps rsad.cli.load_table by name
     prime_pi,
 )
-
-AUTO_SIZE_MARGIN = 64
 
 TABLE_HEADER = "x,r,exact,estimate,abs_err,rel_err,ratio,err_normalized,seconds"
 COUNT_HEADER = "x,r,exact,estimate,abs_err,rel_err,method,seconds"
@@ -91,21 +87,6 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
-def _get_table(args, required: int) -> PrimeTable:
-    """Load --cache if it covers `required`, or build a table and save it there.
-
-    A built table's limit is required plus a small margin.
-    """
-    if args.cache and os.path.exists(args.cache):
-        table = load_table(args.cache)
-        if table.limit >= required:
-            return table
-    table = build_table(required + AUTO_SIZE_MARGIN, memory_budget_bytes=args.memory_budget_bytes)
-    if args.cache:
-        table.save(args.cache)
-    return table
-
-
 def _cell(rep: counting.CountReport, col: str, timing: bool):
     if col == "seconds" and not timing:
         return 0
@@ -137,11 +118,12 @@ def _reports_text(
 def _cmd_count(args) -> int:
     x, r = args.x, args.r
     methods = ["brute", "identity"] if args.method == "both" else [args.method]
+    # only brute reads a table; the identity always sweeps pi in bounded memory
+    table = None
     if "brute" in methods:
         counting._check_brute_budget(x, args.brute_budget)
-    # only brute reads a table; the identity always sweeps pi in bounded
-    # memory, so it never depends on a cache brute could share with it
-    table = _get_table(args, counting._required_limit(x, r)) if "brute" in methods else None
+        limit = counting._required_limit(x, r)
+        table = build_table(limit, memory_budget_bytes=args.memory_budget_bytes)
     rows = [
         counting.count_report(
             table if m == "brute" else None, x, r, method=m, budget=args.brute_budget
@@ -240,7 +222,7 @@ def _cmd_verify(args) -> int:
         [counting._required_limit(max_x, r) for r in ratios]
         + [sum_check_max, pi2_sample_max, 2]
     )
-    table = _get_table(args, required)
+    table = build_table(required, memory_budget_bytes=args.memory_budget_bytes)
 
     checks = 0
     for r in ratios:
@@ -300,7 +282,7 @@ _OPTIONS = {
     "brute-budget": dict(type=_parse_positive, default=counting.DEFAULT_BRUTE_BUDGET),
     "cache": dict(metavar="PATH", default=None),
     "memory-budget-bytes": dict(type=_parse_positive, default=DEFAULT_MEMORY_BUDGET_BYTES),
-    "threads": dict(type=_parse_positive, default=os.cpu_count() or 1),
+    "threads": dict(type=_parse_positive, default=1),
 }
 # li takes a real x and verify a list of ratios
 _OPTION_OVERRIDES = {
@@ -309,8 +291,7 @@ _OPTION_OVERRIDES = {
         type=_parse_ratio_list, default=(Ratio(3, 2), Ratio(2), Ratio(5), Ratio(10))
     ),
 }
-# Nothing reads --threads, table, mertens and pi read no --cache, and count
-# reads it only when brute runs; they are accepted anyway because the
+# Nothing reads --threads or --cache; they are accepted anyway because the
 # benchmark passes them to its ops.
 _SUBCOMMANDS = {
     "count": (_cmd_count, "exact count C_r(x) plus the estimate",
@@ -322,7 +303,7 @@ _SUBCOMMANDS = {
     "pi": (_cmd_pi, "exact prime count pi(x)", "x out cache threads"),
     "li": (_cmd_li, "logarithmic integral Li(x)", "x out threads"),
     "verify": (_cmd_verify, "cross-check both counters and identities",
-               "max-x r brute-budget cache memory-budget-bytes threads"),
+               "max-x r brute-budget memory-budget-bytes threads"),
 }
 
 
@@ -351,7 +332,6 @@ def main(argv=None) -> int:
         MemoryBudgetError,
         SieveWorkError,
         TableLimitError,
-        CacheFormatError,
         MemoryError,
         OSError,
     ) as exc:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import rsa_count_estimate
-from .primes import SWEEP_SEGMENT_BYTES, U64_MAX, PrimeTable, TableLimitError, _OddSieve
+from .primes import SWEEP_SEGMENT_BYTES, U64_MAX, PrimeTable, _OddSieve
 
 DEFAULT_BRUTE_BUDGET = 10**8
 
@@ -201,9 +201,7 @@ def _cofactor_slices(table: PrimeTable, x: int, r: Ratio, budget: int):
     """
     _validate_x(x)
     _check_brute_budget(x, budget)
-    need = _required_limit(x, r)
-    if table.limit < need:
-        raise TableLimitError(need, table.limit)
+    table.check_range(_required_limit(x, r))
     primes = table.primes
     for i in range(table.prime_count(math.isqrt(x))):
         p = int(primes[i])
@@ -254,9 +252,7 @@ def count_identity(table: PrimeTable, x: int, r: Ratio) -> Decomposition:
     table.limit >= min(floor(sqrt(r*x)), x).
     """
     _validate_x(x)
-    need = _required_limit(x, r)
-    if table.limit < need:
-        raise TableLimitError(need, table.limit)
+    table.check_range(_required_limit(x, r))
     # p <= sqrt(x) iff p <= isqrt(x); p <= sqrt(x/r) iff p^2*num <= x*den
     # iff p <= isqrt(x*den // num)
     k1 = table.prime_count(math.isqrt(x))
@@ -279,9 +275,7 @@ def identity_counts_upto(table: PrimeTable, max_x: int, r: Ratio) -> np.ndarray:
     at max_x; holds one array the size of counts beside it.
     """
     _validate_x(max_x)
-    need = _required_limit(max_x, r)
-    if table.limit < need:
-        raise TableLimitError(need, table.limit)
+    table.check_range(_required_limit(max_x, r))
     counts = np.zeros(max_x + 1, dtype=np.int64)
     bands = []
     for k, p in enumerate(table.primes[: table.prime_count(math.isqrt(max_x))].tolist(), 1):
@@ -470,8 +464,8 @@ def count_pi2(table: PrimeTable, x: int) -> int:
     pi(x/2), so the table must reach floor(x/2) once x >= 4.
     """
     _validate_x(x)
-    if x >= 4 and table.limit < x // 2:
-        raise TableLimitError(x // 2, table.limit)
+    if x >= 4:
+        table.check_range(x // 2)
     k = table.prime_count(math.isqrt(x))
     return table.pi_sum(np.uint64(x) // table.primes[:k]) - k * (k + 1) // 2
 

@@ -19,13 +19,11 @@ import numpy as np
 
 U64_MAX = 2**64 - 1
 
-# Segment buffer size in bytes; one byte tracks one odd candidate.
-DEFAULT_SEGMENT_BYTES = 2**19
-
-# The segment of the sieves that hold no table, twice build_table's: at
-# x = 2^64 - 1 it halves count's passes over the ~7700 base primes (42 s
-# against 51 s at 2^19 through the CLI, 2 cores), and pi(1.05e8) takes
-# 0.14 s against 0.16 s.
+# Segment buffer size in bytes of every sieve; one byte tracks one odd
+# candidate.  Against 2^19, at x = 2^64 - 1 it halves count's passes over the
+# ~7700 base primes (42 s against 51 s through the CLI, 2 cores), and
+# pi(1.05e8) takes 0.14 s against 0.16 s.  A table with fewer odd candidates
+# sieves them in one segment of their size.
 SWEEP_SEGMENT_BYTES = 2**20
 
 # Refuse builds whose peak memory estimate (see _peak_estimate_bytes) would
@@ -92,7 +90,12 @@ class PrimeTable:
         """pi(limit): number of primes stored."""
         return int(self.primes.size)
 
-    def _check_range(self, n: int) -> None:
+    def check_range(self, n: int) -> None:
+        """Raise TableLimitError unless the table answers pi(n), i.e. n <= limit.
+
+        Every pi query and every counter that reads the table checks its
+        largest argument here first; a negative n is a ValueError.
+        """
         if n < 0:
             raise ValueError(f"query argument must be nonnegative, got {n}")
         if n > self.limit:
@@ -100,7 +103,7 @@ class PrimeTable:
 
     def prime_count(self, n: int) -> int:
         """pi(n): number of primes <= n.  Requires n <= limit."""
-        self._check_range(n)
+        self.check_range(n)
         return int(self.primes.searchsorted(np.uint64(n), side="right"))
 
     def pi_sum(self, values: np.ndarray) -> int:
@@ -112,7 +115,7 @@ class PrimeTable:
         """
         if values.size == 0:
             return 0
-        self._check_range(max(int(values[0]), int(values[-1])))
+        self.check_range(max(int(values[0]), int(values[-1])))
         return int(self.primes.searchsorted(values, side="right").sum(dtype=np.int64))
 
     def save(self, path) -> None:
@@ -138,7 +141,7 @@ class PrimeTable:
 def build_table(
     limit: int,
     *,
-    segment_bytes: int = DEFAULT_SEGMENT_BYTES,
+    segment_bytes: int = SWEEP_SEGMENT_BYTES,
     memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES,
 ) -> PrimeTable:
     """Sieve all primes <= limit into an immutable PrimeTable.

@@ -69,10 +69,10 @@ def test_every_accepted_option_is_read(argv, tmp_path, capsys):
     args.read_names.clear()  # argparse itself reads while it parses
     assert args.func(args) == 0
     unread = args.set_names - args.read_names - {"command", "func"}
-    # the benchmark passes --threads to every op and --cache to its table,
-    # mertens and pi ops, though nothing reads the one and those the other
+    # the benchmark passes --threads to every op and --cache to its count,
+    # table, mertens and pi ops, though nothing reads either
     unread.discard("threads")
-    if args.command in ("table", "mertens", "pi"):
+    if args.command in ("count", "table", "mertens", "pi"):
         unread.discard("cache")
     assert not unread
 
@@ -327,29 +327,6 @@ def test_brute_tables_stop_at_x_for_ratios_above_x(argv, want, capsys, monkeypat
     assert limits and max(limits) <= x + 64
 
 
-def test_count_identity_never_reads_a_corrupt_cache(tmp_path, capsys, monkeypatch):
-    # a well-formed cache to 20000 that lacks the prime 3571: on it the
-    # identity and brute both give C_2(1e8) = 453361, not 453998
-    good = rsad.primes.build_table(20000)
-    cache = tmp_path / "primes.bin"
-    PrimeTable(limit=good.limit, primes=good.primes[good.primes != 3571]).save(cache)
-    assert run_cli("count", "--x", "1e8", "--r", "2", "--method", "both",
-                   "--cache", str(cache)) == 4
-    captured = capsys.readouterr()
-    assert "method disagreement" in captured.err
-    assert "brute=453361, identity=453998" in captured.err
-
-    def no_load(path):
-        raise AssertionError("the cache was read")
-
-    monkeypatch.setattr(cli, "load_table", no_load)
-    limits = _record_builds(monkeypatch)
-    assert run_cli("count", "--x", "1e8", "--r", "2", "--cache", str(cache)) == 0
-    assert max(limits) <= math.isqrt(math.isqrt(2 * 10**8)) + 1
-    out = capsys.readouterr().out.split("\n")
-    assert [line.split(",")[2] for line in out if line[:1].isdigit()] == ["453998"]
-
-
 def test_method_disagreement_returns_4(capsys, monkeypatch):
     from rsad import counting
 
@@ -550,16 +527,6 @@ def _exact_column(out):
     return [line.split(",")[2] for line in out.strip().split("\n") if line[:1].isdigit()]
 
 
-def test_cache_created_and_reused(tmp_path, capsys):
-    cache = tmp_path / "primes.bin"
-    assert run_cli(*BRUTE, "--cache", str(cache)) == 0
-    assert cache.exists()
-    stamp = cache.stat().st_mtime_ns
-    assert run_cli(*BRUTE, "--cache", str(cache)) == 0
-    assert cache.stat().st_mtime_ns == stamp  # second run loaded, not rebuilt
-    assert _exact_column(capsys.readouterr().out) == ["169", "169"]
-
-
 def test_cache_env_var_is_not_read(tmp_path, capsys, monkeypatch):
     cache = tmp_path / "env.bin"
     monkeypatch.setenv("RSAD_CACHE", str(cache))
@@ -567,26 +534,41 @@ def test_cache_env_var_is_not_read(tmp_path, capsys, monkeypatch):
     assert not cache.exists()
 
 
-def test_cache_too_small_is_rebuilt(tmp_path, capsys):
-    cache = tmp_path / "primes.bin"
-    assert run_cli("count", "--x", "100", "--r", "2", "--method", "brute",
-                   "--cache", str(cache)) == 0
-    assert run_cli(*BRUTE, "--cache", str(cache)) == 0
-    assert _exact_column(capsys.readouterr().out) == ["5", "169"]
+def test_count_and_verify_never_read_or_write_a_cache(tmp_path, capsys, monkeypatch):
+    # two well-formed caches that a reader would trust: one to 1e5 that
+    # lacks the prime 547, and the primes up to 20000 under a limit of 1e9
+    table = rsad.primes.build_table(10**5)
+    bad547, liar = tmp_path / "bad547.bin", tmp_path / "liar.bin"
+    PrimeTable(limit=table.limit, primes=table.primes[table.primes != 547]).save(bad547)
+    PrimeTable(limit=10**9, primes=table.primes[table.primes <= 20000]).save(liar)
+    caches = {path: path.read_bytes() for path in (bad547, liar)}
 
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cache was read or written")
 
-def test_corrupt_cache_returns_3(tmp_path, capsys):
-    cache = tmp_path / "primes.bin"
-    cache.write_bytes(b"garbage")
-    assert run_cli(*BRUTE, "--cache", str(cache)) == 3
+    monkeypatch.setattr(cli, "load_table", refuse)
+    monkeypatch.setattr(PrimeTable, "save", refuse)
+    for argv, exact in [
+        (f"count --x 1e8 --r 2 --method brute --cache {bad547}", "453998"),
+        (f"count --x 1e8 --r 2 --method both --cache {bad547}", "453998"),
+        (f"count --x 1e9 --r 2 --method brute --brute-budget 1e9 --cache {liar}", "3566148"),
+        (f"count --x 1e9 --r 2 --method both --brute-budget 1e9 --cache {liar}", "3566148"),
+    ]:
+        assert run_cli(*argv.split()) == 0, argv
+        rows = _exact_column(capsys.readouterr().out)
+        assert rows == [exact] * (2 if "both" in argv else 1), argv
+    assert exit_code("verify", "--max-x", "1e4", "--cache", str(bad547)) == 2
+    assert {path: path.read_bytes() for path in caches} == caches
+
+    missing = tmp_path / "missing"
+    assert run_cli(*BRUTE, "--cache", str(missing / "c")) == 0
+    assert not missing.exists()
 
 
 @pytest.mark.parametrize("argv", [
     "mertens --z 1e4 --out {missing}/f",
     "count --x 1e6 --r 2 --out {dir}",
-    "count --x 1e6 --r 2 --method brute --cache {missing}/c",
-    "verify --max-x 100 --cache {missing}/c",
-], ids=["out-missing-dir", "out-is-dir", "count-cache-missing-dir", "verify-cache-missing-dir"])
+], ids=["out-missing-dir", "out-is-dir"])
 def test_unwritable_out_or_cache_exits_3(tmp_path, capsys, argv):
     argv = argv.format(dir=tmp_path, missing=tmp_path / "missing" / "d")
     assert run_cli(*argv.split()) == 3

@@ -17,8 +17,8 @@ from rsad import (
 )
 
 from rsad.primes import (
-    DEFAULT_SEGMENT_BYTES,
     SIEVE_WORK_LIMIT,
+    SWEEP_SEGMENT_BYTES,
     _OddSieve,
     _peak_estimate_bytes,
 )
@@ -117,7 +117,7 @@ def test_segment_size_does_not_change_output():
 def test_sieve_ranges_match_trial_division():
     # any [lo, hi], split at any segment offset
     cases = [(0, 3000), (2, 2), (3, 3), (0, 1), (4, 100), (13, 169), (1000, 1500), (2999, 3000), (50, 40)]
-    for size in (1, 4, 97, DEFAULT_SEGMENT_BYTES):
+    for size in (1, 4, 97, SWEEP_SEGMENT_BYTES):
         sieve = _OddSieve(3000, size)
         for lo, hi in cases:
             want = [p for p in prime_list(hi) if p >= lo]
@@ -140,7 +140,7 @@ def test_no_sieve_runs_past_the_work_bound():
     # 2^36 admits sqrt(r*x) for every x < 2^64 with r <= 256
     assert math.isqrt(256 * (2**64 - 1)) <= SIEVE_WORK_LIMIT
     with pytest.raises(SieveWorkError):
-        _OddSieve(SIEVE_WORK_LIMIT + 1, DEFAULT_SEGMENT_BYTES)
+        _OddSieve(SIEVE_WORK_LIMIT + 1, SWEEP_SEGMENT_BYTES)
 
 
 def test_memory_budget_enforced():
@@ -150,7 +150,7 @@ def test_memory_budget_enforced():
     with pytest.raises(MemoryBudgetError, match="peak"):
         build_table(10**6, memory_budget_bytes=8 * 78498 - 1)
     # the peak is the output preallocated at Dusart's bound plus one segment
-    peak = _peak_estimate_bytes(10**6, DEFAULT_SEGMENT_BYTES)
+    peak = _peak_estimate_bytes(10**6, SWEEP_SEGMENT_BYTES)
     assert build_table(10**6, memory_budget_bytes=peak).count == 78498
     with pytest.raises(MemoryBudgetError, match="peak"):
         build_table(10**6, memory_budget_bytes=peak - 1)
