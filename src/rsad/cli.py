@@ -212,12 +212,25 @@ def _first_difference(a, b, start: int) -> int | None:
     return start + int(differs.argmax()) if differs.any() else None
 
 
+# verify's peak beside its table, in bytes per x of [0, max_x]: the brute and
+# identity counts of one ratio and the identity's band temporaries.  Peak RSS
+# at max_x = 4e6 gave 24 at the default ratios and 37 at r = 10^14, whose band
+# of p = 2 spans nearly every x.
+_VERIFY_BYTES_PER_X = 40
+
+
 def _cmd_verify(args) -> int:
     max_x = args.max_x
     ratios = args.r
     sum_check_max = min(max_x, 10**4)
     pi2_sample_max = min(max_x, 1000)
     counting._check_brute_budget(max_x, args.brute_budget)
+    need = _VERIFY_BYTES_PER_X * (max_x + 1)
+    if need > args.memory_budget_bytes:
+        raise MemoryBudgetError(
+            f"verify to {max_x} needs about {need} bytes, "
+            f"over the {args.memory_budget_bytes}-byte budget"
+        )
     required = max(
         [counting._required_limit(max_x, r) for r in ratios]
         + [sum_check_max, pi2_sample_max, 2]
@@ -238,6 +251,7 @@ def _cmd_verify(args) -> int:
             return 4
         checks += max_x + 1
         print(f"identity-vs-brute for r={r}: all {max_x + 1} x values agree")
+        del brute, ident  # the next ratio's arrays are made without them
 
     try:
         checks += diagnostics.check_pi_sums(table, sum_check_max)

@@ -65,12 +65,12 @@ class Ratio:
             raise ValueError(f"ratio denominator must be >= 1, got {self.den}")
         if self.num < self.den:
             raise ValueError(f"ratio must be >= 1, got {self.num}/{self.den}")
-        if self.num > U64_MAX or self.den > U64_MAX:
-            raise ValueError("ratio parts must fit in 64 bits")
         g = math.gcd(self.num, self.den)
         if g > 1:
             object.__setattr__(self, "num", self.num // g)
             object.__setattr__(self, "den", self.den // g)
+        if self.num > U64_MAX:  # and so is den, which is at most num
+            raise ValueError("ratio parts must fit in 64 bits")
 
     @classmethod
     def parse(cls, text: str) -> "Ratio":
@@ -317,24 +317,14 @@ def _segment_pi(args: np.ndarray, i0: int, packed: np.ndarray, upto: np.ndarray)
     return upto[j] - _POP_ABOVE[t]
 
 
-def _max_overlap(lo: np.ndarray, hi: np.ndarray) -> int:
-    """The most intervals [lo[b], hi[b]] that share one point; at least 1."""
-    if lo.size == 0:
-        return 1
-    depth = np.sort(lo).searchsorted(lo, side="right") - np.sort(hi).searchsorted(lo)
-    return int(depth.max())
-
-
 class _Queries:
     """pi arguments in ascending order, computed segment by segment.
 
-    chunks yields prime arrays in the order their arguments ascend; key maps
-    one array to its arguments.
+    chunks yields ascending uint64 arrays, each one above the one before.
     """
 
-    def __init__(self, chunks, key):
+    def __init__(self, chunks):
         self._chunks = chunks
-        self._key = key
         self._pending = np.empty(0, dtype=np.uint64)
 
     def upto(self, last: int) -> np.ndarray:
@@ -349,7 +339,7 @@ class _Queries:
             chunk = next(self._chunks, None)
             if chunk is None:
                 break
-            self._pending = self._key(chunk)
+            self._pending = chunk
         return np.concatenate(parts)
 
 
@@ -370,12 +360,13 @@ def count_sweep_grid(
       * s3: each x has its own band of arguments floor(x/p), ascending as
         p descends through (sqrt(x/r), sqrt(x)].  The arguments in a
         segment (lo, hi] come from the p in (x/(hi+1), x/lo], which x
-        re-sieves when the sweep reaches them.
-      * s1: k1 = pi(floor(sqrt(x))) is one more argument of the sweep.
+        sieves when the sweep reaches that segment and answers at once.
+      * s1: k1 = pi(floor(sqrt(x))) counts the p of both sums: the s2
+        arguments up to floor(r*floor(sqrt(x/r))) and x's band arguments.
 
     Only the base primes up to (r*x_max)^(1/4), the grid's sums, a fixed
-    number of segment buffers and about one segment's worth of pending s3
-    arguments are held, however dense the grid.
+    number of segment buffers and one segment's arguments of one stream are
+    held, however dense the grid.
     """
     for x in xs:
         _validate_x(x)
@@ -389,25 +380,18 @@ def count_sweep_grid(
     cut2 = [r.floor_mul(p) for p in p2]
     k1, s2, s3 = [0] * n, [0] * n, [0] * n
     # no prime p <= sqrt(x) below x = 4, so k1 = s3 = 0 (and s2 = 0, as p2 < 2)
-    live = [j for j in range(n) if p1[j] >= 2]
-    if live:
+    if n and p1[-1] >= 2:
         limit = _required_limit(xs[-1], r)
         sieve = _OddSieve(limit, min(segment_bytes, _MAX_SWEEP_SEGMENT))
-        s2_args = _Queries(sieve.primes(2, p2[-1]), r.floor_mul)
-        # s3's arguments of x run from x // p1 to x // (p2 + 1).  Each x
-        # sieves its p downwards in blocks of at least `block` numbers (so a
-        # lone x sieves whole segments), and a block's arguments wait in
-        # pend[b] for their segment; the x whose bands share an argument
-        # hold about one segment's worth of numbers between them.
-        band = [j for j in live if p2[j] < p1[j]]
+        s2_args = _Queries(map(r.floor_mul, sieve.primes(2, p2[-1])))
+        # s3's arguments of x run from x // p1 up to x // (p2 + 1)
+        band = [j for j in range(n) if p2[j] < p1[j]]
         band_lo = np.array([xs[j] // p1[j] for j in band], dtype=np.uint64)
         band_hi = np.array([xs[j] // (p2[j] + 1) for j in band], dtype=np.uint64)
-        block = 2 * sieve.segment_bytes // _max_overlap(band_lo, band_hi)
-        p_top = [p1[j] for j in band]  # the largest p of each band not yet sieved
-        pend = [np.empty(0, dtype=np.uint64) for _ in band]
+        p_top = [p1[j] for j in band]  # the largest p of each band not yet answered
         below = 1  # primes below the segment, counting 2: the sweep sieves odd n only
-        run2 = 0  # s2's sum over the arguments answered so far
-        next2 = next1 = 0  # the first x whose s2, and the first live x whose k1, is open
+        run2 = seen2 = 0  # s2's sum over, and count of, the arguments answered so far
+        next2 = 0  # the first x whose s2 is open
         for i0, flags in sieve.segments(0, (limit + 1) // 2):
             packed = np.packbits(flags, bitorder="little")
             upto = np.cumsum(_POP.take(packed), dtype=np.int32)
@@ -421,28 +405,23 @@ def count_sweep_grid(
                 end = int(q.searchsorted(np.uint64(cut2[next2]), side="right"))
                 run2 += (end - start) * below + int(pis[start:end].sum(dtype=np.int64))
                 s2[next2], start = run2, end
+                k1[next2] += seen2 + end  # pi(p2): one argument per p <= p2
                 next2 += 1
             run2 += (q.size - start) * below + int(pis[start:].sum(dtype=np.int64))
-
-            while next1 < len(live) and p1[live[next1]] <= hi:
-                j = live[next1]
-                k1[j] = below + int(_segment_pi(np.array([p1[j]], np.uint64), i0, packed, upto)[0])
-                next1 += 1
+            seen2 += q.size
+            del q, pis  # freed before the band arguments are made
 
             for b in np.flatnonzero((band_lo <= np.uint64(hi)) & (band_hi >= np.uint64(lo))):
                 j = band[b]
-                x = xs[j]
-                need = max(p2[j], x // (hi + 1)) + 1  # the least p with x // p <= hi
-                if p_top[b] >= need:
-                    p_lo = max(p2[j] + 1, min(need, p_top[b] - block + 1))
-                    chunks = [np.uint64(x) // p[::-1] for p in sieve.primes(p_lo, p_top[b])]
-                    pend[b] = np.concatenate([pend[b], *chunks[::-1]])
+                p_lo = max(p2[j], xs[j] // (hi + 1)) + 1  # the least p with x // p <= hi
+                if p_lo <= p_top[b]:
+                    for p in sieve.primes(p_lo, p_top[b]):
+                        k1[j] += p.size
+                        # p becomes x // p in place: this chunk of x's arguments
+                        np.floor_divide(np.uint64(xs[j]), p, out=p)
+                        pis = _segment_pi(p, i0, packed, upto)
+                        s3[j] += p.size * below + int(pis.sum(dtype=np.int64))
                     p_top[b] = p_lo - 1
-                args = pend[b]
-                k = int(args.searchsorted(np.uint64(hi), side="right"))
-                # an empty view would keep the answered arguments alive
-                pend[b] = args[k:] if k < args.size else np.empty(0, np.uint64)
-                s3[j] += k * below + int(_segment_pi(args[:k], i0, packed, upto).sum(dtype=np.int64))
             below += int(upto[-1])
     return [
         Decomposition(s1=k * (k + 1) // 2, s2=a, s3=b, total=a + b - k * (k + 1) // 2)

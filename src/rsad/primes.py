@@ -251,15 +251,14 @@ class _OddSieve:
     def primes(self, lo: int, hi: int):
         """Yield the primes in [lo, hi] as ascending uint64 arrays, one per segment.
 
-        hi must not exceed the sieve's limit.
+        hi must not exceed the sieve's limit.  The generator keeps no
+        reference to an array it has yielded, so the caller may overwrite it
+        and its memory goes when the caller drops it.
         """
         if lo <= 2 <= hi:
             yield np.array([2], dtype=np.uint64)
         for i0, flags in self.segments(lo // 2, (hi + 1) // 2):
-            p = np.flatnonzero(flags).view(np.uint64)
-            p *= 2
-            p += 2 * i0 + 1
-            yield p
+            yield 2 * np.flatnonzero(flags).view(np.uint64) + (2 * i0 + 1)
 
 
 def prime_chunks(n: int):

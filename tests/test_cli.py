@@ -238,6 +238,16 @@ def test_brute_budget_checked_before_any_table(capsys, monkeypatch, argv):
     assert "exceeds brute-force budget" in capsys.readouterr().err
 
 
+def test_verify_arrays_checked_against_the_memory_budget(capsys, monkeypatch):
+    # the int64 count arrays over [0, max_x] dwarf the table at this size
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(cli, "build_table", no_table)
+    assert run_cli("verify", "--max-x", "1e6", "--memory-budget-bytes", "1e6") == 3
+    assert "over the 1000000-byte budget" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     "pi --x 1e19",
     "mertens --z 1e19",

@@ -21,6 +21,7 @@ from rsad import (
     identity_counts_upto,
     rsa_count_estimate,
 )
+from rsad import counting
 from rsad.counting import SWEEP_SEGMENT_BYTES, _required_limit
 
 from oracles import rsa_count_pairs, semiprime_count
@@ -37,6 +38,8 @@ def test_ratio_parse_forms():
     assert Ratio.parse("2.50") == Ratio(5, 2)
     assert Ratio.parse(" 10 ") == Ratio(10)
     assert Ratio.parse("6/4") == Ratio(3, 2)
+    # 5/2 once reduced, though 250000000000000000000/10^20 does not fit 64 bits
+    assert Ratio.parse("2.50000000000000000000") == Ratio(5, 2)
 
 
 @pytest.mark.parametrize("bad", ["0.5", "-1", "abc", "3/0", "1/2", "", "2/3/4"])
@@ -50,6 +53,7 @@ def test_ratio_reduction_and_equality():
     assert Ratio(4, 2) == Ratio(2)
     assert str(Ratio(6, 4)) == "3/2"
     assert str(Ratio(4, 2)) == "2"
+    assert Ratio(10**20, 10**20) == Ratio(1)
 
 
 def test_ratio_floor_mul():
@@ -83,6 +87,8 @@ def test_ratio_validation():
         Ratio(3, 0)
     with pytest.raises(ValueError):
         Ratio(1.5)  # floats must go through parse
+    with pytest.raises(ValueError):
+        Ratio(2**64, 1)
 
 
 # --- brute versus oracle -------------------------------------------------
@@ -230,6 +236,45 @@ def test_count_sweep_reference_value_1e16():
 ])
 def test_count_sweep_reference_values_large(x, expected):
     assert count_sweep(x, Ratio(2)).total == expected
+
+
+@pytest.mark.parametrize("segment_bytes", [1, 97, SWEEP_SEGMENT_BYTES])
+def test_count_sweep_sieves_each_band_prime_once(monkeypatch, segment_bytes):
+    # besides the s2 stream's one range [2, p2], the sweep sieves x's band
+    # (p2, p1] once over, each p when the segment that holds x // p comes up
+    calls = []
+    numbers = 2 * segment_bytes  # a segment answers the arguments in (k*numbers, (k+1)*numbers]
+
+    class RecordingSieve(counting._OddSieve):
+        def primes(self, lo, hi):
+            calls.append((lo, hi))
+            return super().primes(lo, hi)
+
+    monkeypatch.setattr(counting, "_OddSieve", RecordingSieve)
+    for x, r in [(10**6, Ratio(2)), (10**7 + 19, Ratio(3, 2)), (5 * 10**6, Ratio(10)),
+                 (3000, Ratio(1))]:
+        calls.clear()
+        count_sweep(x, r, segment_bytes=segment_bytes)
+        p1, p2 = math.isqrt(x), math.isqrt(x * r.den // r.num)
+        assert calls[0] == (2, p2)
+        tiles = sorted(p for lo, hi in calls[1:] for p in range(lo, hi + 1))
+        assert tiles == list(range(p2 + 1, p1 + 1)), (x, str(r))
+        for lo, hi in calls[1:]:
+            assert (x // hi - 1) // numbers == (x // lo - 1) // numbers, (x, str(r), lo, hi)
+
+
+def test_count_sweep_memory_holds_no_pending_band_arguments():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        count_sweep(10**16, Ratio(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # about 9.5 MB; sieving each band ahead in blocks and keeping the
+    # arguments until their segment came up peaked at 11.9 MB
+    assert peak < 10 * 2**20
 
 
 def test_count_sweep_validation():
