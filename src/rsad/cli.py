@@ -213,10 +213,10 @@ def _first_difference(a, b, start: int) -> int | None:
 
 
 # verify's peak beside its table, in bytes per x of [0, max_x]: the brute and
-# identity counts of one ratio and the identity's band temporaries.  Peak RSS
-# at max_x = 4e6 gave 24 at the default ratios and 37 at r = 10^14, whose band
-# of p = 2 spans nearly every x.
-_VERIFY_BYTES_PER_X = 40
+# identity counts of one ratio, and brute's products.  Peak RSS above the
+# interpreter's, at max_x = 1e6, 4e6 and 8e6, gave 17.1-17.5 at the default
+# ratios and at most 19.7 at r >= 10^6, where nearly every semiprime counts.
+_VERIFY_BYTES_PER_X = 24
 
 
 def _cmd_verify(args) -> int:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import rsa_count_estimate
-from .primes import SWEEP_SEGMENT_BYTES, U64_MAX, PrimeTable, _OddSieve
+from .primes import U64_MAX, PrimeTable, _OddSieve
 
 DEFAULT_BRUTE_BUDGET = 10**8
 
@@ -123,16 +123,15 @@ class Ratio:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """The three partial sums of the identity counter and their total."""
+    """The three partial sums of the identity counter; their total s2 + s3 - s1 is C_r(x)."""
 
     s1: int  # sum of pi(p) over p <= sqrt(x)
     s2: int  # sum of pi(floor(r*p)) over p <= sqrt(x/r)
     s3: int  # sum of pi(floor(x/p)) over sqrt(x/r) < p <= sqrt(x)
-    total: int
 
-    def __post_init__(self):
-        if self.total != self.s2 + self.s3 - self.s1:
-            raise ValueError("decomposition total does not match s2 + s3 - s1")
+    @property
+    def total(self) -> int:
+        return self.s2 + self.s3 - self.s1
 
 
 @dataclass(frozen=True)
@@ -260,7 +259,11 @@ def count_identity(table: PrimeTable, x: int, r: Ratio) -> Decomposition:
     s1 = k1 * (k1 + 1) // 2
     s2 = table.pi_sum(r.floor_mul(table.primes[:k2]))
     s3 = table.pi_sum(np.uint64(x) // table.primes[k2:k1])
-    return Decomposition(s1=s1, s2=s2, s3=s3, total=s2 + s3 - s1)
+    return Decomposition(s1=s1, s2=s2, s3=s3)
+
+
+# quotients per slice of an s3 band in identity_counts_upto: 1 MiB of temporaries
+_BAND_SLICE = 2**16
 
 
 def identity_counts_upto(table: PrimeTable, max_x: int, r: Ratio) -> np.ndarray:
@@ -270,26 +273,30 @@ def identity_counts_upto(table: PrimeTable, max_x: int, r: Ratio) -> np.ndarray:
     from x = p^2 on, and s2 gains pi(floor(r*p)) from b = ceil(p^2*num/den)
     on, the least x with p <= sqrt(x/r).  Both are steps of one cumsum.  In
     between, p^2 <= x < b, p lies in x's band and s3 gains pi(floor(x/p)),
-    which runs through the quotients p, p+1, ... p times each, so its pi is
-    answered once per quotient.  Same table requirement as count_identity
-    at max_x; holds one array the size of counts beside it.
+    which runs through the quotients p, p+1, ... p times each: each pi is
+    answered once and added in place to p counts, _BAND_SLICE quotients at a
+    time.  Same table requirement as count_identity at max_x.
     """
     _validate_x(max_x)
     table.check_range(_required_limit(max_x, r))
     counts = np.zeros(max_x + 1, dtype=np.int64)
     bands = []
     for k, p in enumerate(table.primes[: table.prime_count(math.isqrt(max_x))].tolist(), 1):
-        lo, b = p * p, -(-p * p * r.num // r.den)
-        counts[lo] -= k
+        b = -(-p * p * r.num // r.den)
+        counts[p * p] -= k
         if b <= max_x:
             counts[b] += table.prime_count(r.floor_mul(p))
-        bands.append((p, lo, min(b, max_x + 1)))
+        bands.append((p, min(b, max_x + 1)))
     np.cumsum(counts, out=counts)
-    for p, lo, hi in bands:
-        if lo < hi:
-            quotients = np.arange(p, (hi - 1) // p + 1, dtype=np.uint64)
-            pis = table.primes.searchsorted(quotients, side="right")
-            counts[lo:hi] += np.repeat(pis, p)[: hi - lo]
+    for p, hi in bands:
+        # x in [q*p, q*p + p) gains pi(q): whole rows up to hi // p, then the rest
+        top = hi // p
+        for q0 in range(p, top, _BAND_SLICE):
+            q = np.arange(q0, min(q0 + _BAND_SLICE, top), dtype=np.uint64)
+            rows = counts[q0 * p : (q0 + q.size) * p].reshape(q.size, p)
+            rows += table.primes.searchsorted(q, side="right")[:, None]
+        if top * p < hi:
+            counts[top * p : hi] += table.prime_count(top)
     return counts
 
 
@@ -297,9 +304,6 @@ def identity_counts_upto(table: PrimeTable, max_x: int, r: Ratio) -> np.ndarray:
 _BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
 _POP = _BITS.sum(axis=1, dtype=np.uint8)
 _POP_ABOVE = (_POP[:, None] - _BITS.cumsum(axis=1, dtype=np.uint8)).ravel()
-
-# a segment's running prime count is int32, so a segment holds fewer flags
-_MAX_SWEEP_SEGMENT = 2**31 - 1
 
 
 def _segment_pi(args: np.ndarray, i0: int, packed: np.ndarray, upto: np.ndarray) -> np.ndarray:
@@ -343,9 +347,7 @@ class _Queries:
         return np.concatenate(parts)
 
 
-def count_sweep_grid(
-    xs: list[int], r: Ratio, *, segment_bytes: int = SWEEP_SEGMENT_BYTES
-) -> list[Decomposition]:
+def count_sweep_grid(xs: list[int], r: Ratio) -> list[Decomposition]:
     """count_identity's decomposition at every x of an ascending grid, without a table.
 
     One ascending sweep over [0, min(sqrt(r*x_max), x_max)], which holds
@@ -372,8 +374,6 @@ def count_sweep_grid(
         _validate_x(x)
     if any(a > b for a, b in zip(xs, xs[1:])):
         raise ValueError("grid must be ascending")
-    if segment_bytes < 1:
-        raise ValueError("segment_bytes must be positive")
     n = len(xs)
     p1 = [math.isqrt(x) for x in xs]
     p2 = [math.isqrt(x * r.den // r.num) for x in xs]
@@ -382,7 +382,7 @@ def count_sweep_grid(
     # no prime p <= sqrt(x) below x = 4, so k1 = s3 = 0 (and s2 = 0, as p2 < 2)
     if n and p1[-1] >= 2:
         limit = _required_limit(xs[-1], r)
-        sieve = _OddSieve(limit, min(segment_bytes, _MAX_SWEEP_SEGMENT))
+        sieve = _OddSieve(limit)
         s2_args = _Queries(map(r.floor_mul, sieve.primes(2, p2[-1])))
         # s3's arguments of x run from x // p1 up to x // (p2 + 1)
         band = [j for j in range(n) if p2[j] < p1[j]]
@@ -423,17 +423,12 @@ def count_sweep_grid(
                         s3[j] += p.size * below + int(pis.sum(dtype=np.int64))
                     p_top[b] = p_lo - 1
             below += int(upto[-1])
-    return [
-        Decomposition(s1=k * (k + 1) // 2, s2=a, s3=b, total=a + b - k * (k + 1) // 2)
-        for k, a, b in zip(k1, s2, s3)
-    ]
+    return [Decomposition(s1=k * (k + 1) // 2, s2=a, s3=b) for k, a, b in zip(k1, s2, s3)]
 
 
-def count_sweep(
-    x: int, r: Ratio, *, segment_bytes: int = SWEEP_SEGMENT_BYTES
-) -> Decomposition:
+def count_sweep(x: int, r: Ratio) -> Decomposition:
     """count_identity's decomposition without a prime table: count_sweep_grid at x alone."""
-    return count_sweep_grid([x], r, segment_bytes=segment_bytes)[0]
+    return count_sweep_grid([x], r)[0]
 
 
 def count_pi2(table: PrimeTable, x: int) -> int:

@@ -23,7 +23,8 @@ U64_MAX = 2**64 - 1
 # candidate.  Against 2^19, at x = 2^64 - 1 it halves count's passes over the
 # ~7700 base primes (42 s against 51 s through the CLI, 2 cores), and
 # pi(1.05e8) takes 0.14 s against 0.16 s.  A table with fewer odd candidates
-# sieves them in one segment of their size.
+# sieves them in one segment of their size.  It must stay below 2^31: the
+# sweep keeps a segment's running prime count `upto` in int32.
 SWEEP_SEGMENT_BYTES = 2**20
 
 # Refuse builds whose peak memory estimate (see _peak_estimate_bytes) would
@@ -66,16 +67,16 @@ def _prime_count_bound(limit: int) -> int:
     return int(limit / log * (1 + 1.2762 / log)) + 1
 
 
-def _peak_estimate_bytes(limit: int, segment_bytes: int) -> int:
+def _peak_estimate_bytes(limit: int) -> int:
     """Bytes build_table holds at its peak: the output and the sieve's buffers.
 
     8 bytes per prime at _prime_count_bound(limit), plus a segment buffer and
-    the wheel pattern, each the smaller of segment_bytes and the number of
-    odd candidates, the pattern 15015 bytes longer.
+    the wheel pattern, each the smaller of SWEEP_SEGMENT_BYTES and the number
+    of odd candidates, the pattern 15015 bytes longer.
     """
     if limit < 2:
         return 0
-    return 8 * _prime_count_bound(limit) + 2 * min(segment_bytes, (limit + 1) // 2) + _WHEEL
+    return 8 * _prime_count_bound(limit) + 2 * min(SWEEP_SEGMENT_BYTES, (limit + 1) // 2) + _WHEEL
 
 
 @dataclass(frozen=True)
@@ -139,16 +140,13 @@ class PrimeTable:
 
 
 def build_table(
-    limit: int,
-    *,
-    segment_bytes: int = SWEEP_SEGMENT_BYTES,
-    memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES,
+    limit: int, *, memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES
 ) -> PrimeTable:
     """Sieve all primes <= limit into an immutable PrimeTable.
 
     The output is allocated once, at Dusart's bound on pi(limit), before the
     base primes up to sqrt(limit) are built by this function.  Odd candidates
-    are sieved in one reused buffer of segment_bytes, and each segment's
+    are sieved in one reused buffer of SWEEP_SEGMENT_BYTES, and each segment's
     primes are written in order into the output, so two builds with the same
     limit produce identical tables.  Raises MemoryBudgetError if the peak (see
     _peak_estimate_bytes) would not fit the budget, and MemoryError if the
@@ -158,12 +156,10 @@ def build_table(
         raise ValueError(f"limit must be an integer, got {limit!r}")
     if limit < 0 or limit > U64_MAX:
         raise ValueError(f"limit must be in [0, 2^64), got {limit}")
-    if segment_bytes < 1:
-        raise ValueError("segment_bytes must be positive")
     if memory_budget_bytes < 1:
         raise ValueError("memory_budget_bytes must be positive")
 
-    estimate = _peak_estimate_bytes(limit, segment_bytes)
+    estimate = _peak_estimate_bytes(limit)
     if estimate > memory_budget_bytes:
         raise MemoryBudgetError(
             f"limit {limit} needs up to {estimate} bytes at peak, "
@@ -179,7 +175,7 @@ def build_table(
     # Allocated first, so a table too large for memory fails before any sieving.
     out = np.empty(_prime_count_bound(limit), dtype=np.uint64)
     n = 0
-    for chunk in _OddSieve(limit, segment_bytes).primes(2, limit):
+    for chunk in _OddSieve(limit).primes(2, limit):
         out[n : n + chunk.size] = chunk
         n += chunk.size
 
@@ -202,12 +198,12 @@ class _OddSieve:
     """Segmented sieve of the odd candidates n = 2i + 1 <= limit, by index i.
 
     Holds the base primes up to sqrt(limit), built by build_table, and the
-    wheel pattern; every segment of every range is sieved by segments().
-    Raises SieveWorkError, before any sieving, if limit exceeds
-    SIEVE_WORK_LIMIT.
+    wheel pattern; segments() sieves in segments of SWEEP_SEGMENT_BYTES as
+    read at construction, or of all odd candidates if fewer.  Raises
+    SieveWorkError, before any sieving, if limit exceeds SIEVE_WORK_LIMIT.
     """
 
-    def __init__(self, limit: int, segment_bytes: int):
+    def __init__(self, limit: int):
         if limit > SIEVE_WORK_LIMIT:
             raise SieveWorkError(
                 f"sieving to {limit} exceeds the work bound of {SIEVE_WORK_LIMIT} numbers"
@@ -220,8 +216,8 @@ class _OddSieve:
         self.base = base[base > _WHEEL_PRIMES[-1]].astype(np.int64)
         self.base_idx = self.base // 2
         self.square_idx = self.base_idx * (self.base + 1)
-        self.segment_bytes = min(segment_bytes, (limit + 1) // 2)
-        self.pattern = np.ones(_WHEEL + self.segment_bytes, dtype=bool)
+        self.segment_size = min(SWEEP_SEGMENT_BYTES, (limit + 1) // 2)
+        self.pattern = np.ones(_WHEEL + self.segment_size, dtype=bool)
         for p in _WHEEL_PRIMES:
             self.pattern[p // 2 :: p] = False
 
@@ -232,7 +228,7 @@ class _OddSieve:
         ascending order and share one buffer, so each flags is overwritten
         by the next.
         """
-        size = self.segment_bytes
+        size = self.segment_size
         buf = np.empty(min(size, max(i_hi - i_lo, 0)), dtype=bool)
         for i0 in range(i_lo, i_hi, size):
             i1 = min(i0 + size, i_hi)
@@ -265,14 +261,14 @@ def prime_chunks(n: int):
     """Yield the primes up to n as ascending uint64 arrays, one per segment of
     one sieve to n, with no table held."""
     if n >= 2:
-        yield from _OddSieve(n, SWEEP_SEGMENT_BYTES).primes(2, n)
+        yield from _OddSieve(n).primes(2, n)
 
 
 def prime_pi(n: int) -> int:
     """pi(n) with no table: a running count of the primes over the sieve's segments."""
     if n < 2:
         return 0
-    segments = _OddSieve(n, SWEEP_SEGMENT_BYTES).segments(0, (n + 1) // 2)
+    segments = _OddSieve(n).segments(0, (n + 1) // 2)
     return 1 + sum(int(np.count_nonzero(flags)) for _, flags in segments)
 
 

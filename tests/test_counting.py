@@ -21,8 +21,10 @@ from rsad import (
     identity_counts_upto,
     rsa_count_estimate,
 )
+import rsad.primes
 from rsad import counting
-from rsad.counting import SWEEP_SEGMENT_BYTES, _required_limit
+from rsad.counting import _required_limit
+from rsad.primes import SWEEP_SEGMENT_BYTES
 
 from oracles import rsa_count_pairs, semiprime_count
 
@@ -164,11 +166,6 @@ def test_count_identity_table_too_small(t10k):
     assert info.value.required == math.isqrt(2 * 10**8)
 
 
-def test_decomposition_consistency_enforced():
-    with pytest.raises(ValueError):
-        Decomposition(s1=1, s2=2, s3=3, total=99)
-
-
 def test_required_limit():
     assert _required_limit(10**8, Ratio(2)) == 14142
     assert _required_limit(100, Ratio(3, 2)) == 12
@@ -190,23 +187,25 @@ def test_count_sweep_matches_identity_below_3000(t10k, r):
 
 
 @pytest.mark.parametrize("segment_bytes", [1, 4, 97])
-def test_count_sweep_segment_size_does_not_change_output(t10k, segment_bytes):
+def test_count_sweep_segment_size_does_not_change_output(monkeypatch, t10k, segment_bytes):
     # segment edges fall between the arguments of one segment, and of one
     # prime stream, at every offset
+    monkeypatch.setattr(rsad.primes, "SWEEP_SEGMENT_BYTES", segment_bytes)
     for r in SWEEP_RATIOS:
         for x in range(0, 3000, 23):
-            got = count_sweep(x, r, segment_bytes=segment_bytes)
+            got = count_sweep(x, r)
             assert got == count_identity(t10k, x, r), (x, r)
 
 
 @pytest.mark.parametrize("segment_bytes,x_max", [
     (1, 10**6), (4, 10**6), (97, 10**9), (SWEEP_SEGMENT_BYTES, 10**9),
 ])
-def test_count_sweep_matches_identity_random(t100k, segment_bytes, x_max):
+def test_count_sweep_matches_identity_random(monkeypatch, t100k, segment_bytes, x_max):
     rng = random.Random(20261018 + segment_bytes)
+    monkeypatch.setattr(rsad.primes, "SWEEP_SEGMENT_BYTES", segment_bytes)
     for r in SWEEP_RATIOS:
         for x in [rng.randrange(x_max) for _ in range(10)]:
-            got = count_sweep(x, r, segment_bytes=segment_bytes)
+            got = count_sweep(x, r)
             assert got == count_identity(t100k, x, r), (x, r)
 
 
@@ -251,10 +250,11 @@ def test_count_sweep_sieves_each_band_prime_once(monkeypatch, segment_bytes):
             return super().primes(lo, hi)
 
     monkeypatch.setattr(counting, "_OddSieve", RecordingSieve)
+    monkeypatch.setattr(rsad.primes, "SWEEP_SEGMENT_BYTES", segment_bytes)
     for x, r in [(10**6, Ratio(2)), (10**7 + 19, Ratio(3, 2)), (5 * 10**6, Ratio(10)),
                  (3000, Ratio(1))]:
         calls.clear()
-        count_sweep(x, r, segment_bytes=segment_bytes)
+        count_sweep(x, r)
         p1, p2 = math.isqrt(x), math.isqrt(x * r.den // r.num)
         assert calls[0] == (2, p2)
         tiles = sorted(p for lo, hi in calls[1:] for p in range(lo, hi + 1))
@@ -282,8 +282,6 @@ def test_count_sweep_validation():
         count_sweep(-1, Ratio(2))
     with pytest.raises(ValueError):
         count_sweep(2**64, Ratio(2))
-    with pytest.raises(ValueError):
-        count_sweep(100, Ratio(2), segment_bytes=0)
 
 
 @pytest.mark.parametrize("segment_bytes,x_maxes", [
@@ -292,15 +290,16 @@ def test_count_sweep_validation():
     (97, (3000, 10**6, 10**9)),
     (SWEEP_SEGMENT_BYTES, (3000, 10**6, 10**9, 10**12)),
 ])
-def test_count_sweep_grid_matches_count_sweep_at_every_point(segment_bytes, x_maxes):
+def test_count_sweep_grid_matches_count_sweep_at_every_point(monkeypatch, segment_bytes, x_maxes):
     rng = random.Random(20261019 + segment_bytes)
+    monkeypatch.setattr(rsad.primes, "SWEEP_SEGMENT_BYTES", segment_bytes)
     for r in SWEEP_RATIOS:
         for x_max in x_maxes:
             # dense and sparse grids, repeats and the x < 4 with no prime p <= sqrt(x)
             grid = sorted(rng.randrange(x_max) for _ in range(rng.choice((3, 12, 40))))
             grid = sorted([0, 1, 3] + grid + grid[-2:])
-            got = count_sweep_grid(grid, r, segment_bytes=segment_bytes)
-            want = [count_sweep(x, r, segment_bytes=segment_bytes) for x in grid]
+            got = count_sweep_grid(grid, r)
+            want = [count_sweep(x, r) for x in grid]
             assert got == want, (str(r), grid)
 
 
@@ -330,7 +329,7 @@ def test_count_sweep_grid_memory_does_not_grow_with_density():
 
 def test_count_sweep_grid_shapes_and_validation():
     assert count_sweep_grid([], Ratio(2)) == []
-    assert count_sweep_grid([2, 3], Ratio(2)) == [Decomposition(0, 0, 0, 0)] * 2
+    assert count_sweep_grid([2, 3], Ratio(2)) == [Decomposition(0, 0, 0)] * 2
     with pytest.raises(ValueError):
         count_sweep_grid([100, 99], Ratio(2))
     with pytest.raises(ValueError):
@@ -407,6 +406,24 @@ def test_identity_counts_upto_memory_is_a_few_result_arrays(t10k):
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 8 * (max_x + 1)
+
+
+def test_identity_counts_upto_band_temporaries_do_not_grow_with_the_band():
+    import tracemalloc
+
+    from rsad import build_table
+
+    # at r = 10^14 the band of p = 2 spans nearly every x: adding it through
+    # np.repeat held about 15 MiB beside the 7.6 MiB result, slices about 1 MiB
+    max_x = 10**6
+    table = build_table(max_x)
+    tracemalloc.start()
+    try:
+        counts = identity_counts_upto(table, max_x, Ratio(10**14))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - counts.nbytes < 2 * 2**20
 
 
 # --- semiprime counts ----------------------------------------------------

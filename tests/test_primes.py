@@ -8,14 +8,17 @@ from rsad import (
     CacheFormatError,
     MemoryBudgetError,
     PrimeTable,
+    Ratio,
     SieveWorkError,
     TableLimitError,
     build_table,
+    count_sweep,
     load_table,
     prime_chunks,
     prime_pi,
 )
 
+import rsad.primes
 from rsad.primes import (
     SIEVE_WORK_LIMIT,
     SWEEP_SEGMENT_BYTES,
@@ -102,7 +105,7 @@ def test_primes_are_read_only(t10k):
         t10k.primes[0] = 4
 
 
-def test_segment_size_does_not_change_output():
+def test_segment_size_does_not_change_output(monkeypatch):
     # segment edges fall on and between the start offsets of every base prime
     cases = [(10**4 + 1, 1229, [1, 2, 3, 64, 97]), (10**6, 78498, [97, 2**19])]
     for limit, pi, sizes in cases:
@@ -111,14 +114,48 @@ def test_segment_size_does_not_change_output():
         assert not base.primes.flags.writeable
         assert base.primes.size == base.count == pi
         for size in sizes:
-            assert np.array_equal(build_table(limit, segment_bytes=size).primes, base.primes)
+            monkeypatch.setattr(rsad.primes, "SWEEP_SEGMENT_BYTES", size)
+            assert np.array_equal(build_table(limit).primes, base.primes)
+        monkeypatch.undo()
 
 
-def test_sieve_ranges_match_trial_division():
+def test_patched_segment_size_reaches_every_sieve(monkeypatch):
+    # a size captured at import, in a default argument or in a module-level
+    # copy would sieve each range below in one segment, and every test that
+    # varies the size would silently run on one segment
+    calls = []
+    segments = _OddSieve.segments
+
+    def recording_segments(self, i_lo, i_hi):
+        call = [i_lo, i_hi, 0]
+        calls.append(call)
+        for seg in segments(self, i_lo, i_hi):
+            call[2] += 1
+            yield seg
+
+    monkeypatch.setattr(_OddSieve, "segments", recording_segments)
+    monkeypatch.setattr(rsad.primes, "SWEEP_SEGMENT_BYTES", 97)
+    # the base tables to 3, 10 and 100 fit one segment each; the 4999 odd
+    # indices [1, 5000) take ceil(4999 / 97) = 52
+    build_table(10**4)
+    assert calls == [[1, 2, 1], [1, 5, 1], [1, 50, 1], [1, 5000, 52]]
+    calls.clear()
+    prime_pi(10**4)
+    assert calls == [[1, 2, 1], [1, 5, 1], [1, 50, 1], [0, 5000, 52]]
+    calls.clear()
+    # the sweep to isqrt(2 * 10^6) = 1414 over its 707 odd indices takes 8,
+    # and its s2 stream of the p <= 707, indices [1, 354), takes 4
+    count_sweep(10**6, Ratio(2))
+    runs = {(lo, hi): n for lo, hi, n in calls}
+    assert (runs[0, 707], runs[1, 354]) == (8, 4)
+
+
+def test_sieve_ranges_match_trial_division(monkeypatch):
     # any [lo, hi], split at any segment offset
     cases = [(0, 3000), (2, 2), (3, 3), (0, 1), (4, 100), (13, 169), (1000, 1500), (2999, 3000), (50, 40)]
     for size in (1, 4, 97, SWEEP_SEGMENT_BYTES):
-        sieve = _OddSieve(3000, size)
+        monkeypatch.setattr(rsad.primes, "SWEEP_SEGMENT_BYTES", size)
+        sieve = _OddSieve(3000)
         for lo, hi in cases:
             want = [p for p in prime_list(hi) if p >= lo]
             up = np.concatenate([np.empty(0, np.uint64), *sieve.primes(lo, hi)])
@@ -140,7 +177,7 @@ def test_no_sieve_runs_past_the_work_bound():
     # 2^36 admits sqrt(r*x) for every x < 2^64 with r <= 256
     assert math.isqrt(256 * (2**64 - 1)) <= SIEVE_WORK_LIMIT
     with pytest.raises(SieveWorkError):
-        _OddSieve(SIEVE_WORK_LIMIT + 1, SWEEP_SEGMENT_BYTES)
+        _OddSieve(SIEVE_WORK_LIMIT + 1)
 
 
 def test_memory_budget_enforced():
@@ -150,7 +187,7 @@ def test_memory_budget_enforced():
     with pytest.raises(MemoryBudgetError, match="peak"):
         build_table(10**6, memory_budget_bytes=8 * 78498 - 1)
     # the peak is the output preallocated at Dusart's bound plus one segment
-    peak = _peak_estimate_bytes(10**6, SWEEP_SEGMENT_BYTES)
+    peak = _peak_estimate_bytes(10**6)
     assert build_table(10**6, memory_budget_bytes=peak).count == 78498
     with pytest.raises(MemoryBudgetError, match="peak"):
         build_table(10**6, memory_budget_bytes=peak - 1)
