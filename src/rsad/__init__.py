@@ -15,7 +15,6 @@ from .analytic import (
     rsa_count_estimate,
 )
 from .counting import (
-    BruteBudgetError,
     CountReport,
     Decomposition,
     Ratio,
@@ -37,7 +36,6 @@ from .diagnostics import (
 )
 from .primes import (
     CacheFormatError,
-    MemoryBudgetError,
     PrimeTable,
     SieveWorkError,
     TableLimitError,
@@ -50,12 +48,10 @@ from .primes import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BruteBudgetError",
     "CacheFormatError",
     "CountReport",
     "Decomposition",
     "IdentityViolationError",
-    "MemoryBudgetError",
     "MertensResult",
     "PrimeTable",
     "Ratio",

@@ -16,13 +16,12 @@ import json
 import sys
 
 from . import analytic, counting, diagnostics
-from .counting import BruteBudgetError, Ratio
+from .counting import Ratio
 from .primes import (
-    DEFAULT_MEMORY_BUDGET_BYTES,
     U64_MAX,
-    MemoryBudgetError,
     SieveWorkError,
     TableLimitError,
+    _peak_estimate_bytes,
     build_table,
     load_table,  # unused here; bench/tracing.py wraps rsad.cli.load_table by name
     prime_pi,
@@ -115,20 +114,42 @@ def _reports_text(
     return "\n".join(lines) + "\n"
 
 
+class BruteBudgetError(Exception):
+    """x exceeds --brute-budget."""
+
+
+class MemoryBudgetError(Exception):
+    """A prime table and the arrays beside it would exceed --memory-budget-bytes."""
+
+
+def _admit(args, max_x: int, limit: int, bytes_per_x: int = 0) -> None:
+    """Refuse a run that reads a prime table, before the table is built.
+
+    Raises BruteBudgetError when max_x exceeds --brute-budget, and
+    MemoryBudgetError when the table's peak to limit plus bytes_per_x for
+    each x in [0, max_x] exceeds --memory-budget-bytes.
+    """
+    if max_x > args.brute_budget:
+        raise BruteBudgetError(f"x={max_x} exceeds brute-force budget {args.brute_budget}")
+    need = _peak_estimate_bytes(limit) + bytes_per_x * (max_x + 1)
+    if need > args.memory_budget_bytes:
+        raise MemoryBudgetError(
+            f"x={max_x} with a prime table to {limit} needs up to {need} bytes "
+            f"at peak, over the {args.memory_budget_bytes}-byte budget"
+        )
+
+
 def _cmd_count(args) -> int:
     x, r = args.x, args.r
     methods = ["brute", "identity"] if args.method == "both" else [args.method]
     # only brute reads a table; the identity always sweeps pi in bounded memory
     table = None
     if "brute" in methods:
-        counting._check_brute_budget(x, args.brute_budget)
         limit = counting._required_limit(x, r)
-        table = build_table(limit, memory_budget_bytes=args.memory_budget_bytes)
+        _admit(args, x, limit)
+        table = build_table(limit)
     rows = [
-        counting.count_report(
-            table if m == "brute" else None, x, r, method=m, budget=args.brute_budget
-        )
-        for m in methods
+        counting.count_report(table if m == "brute" else None, x, r, method=m) for m in methods
     ]
     _emit(_reports_text(rows, COUNT_HEADER, args.format, args.timing), args.out)
     if len(rows) == 2 and rows[0].exact != rows[1].exact:
@@ -212,10 +233,10 @@ def _first_difference(a, b, start: int) -> int | None:
     return start + int(differs.argmax()) if differs.any() else None
 
 
-# verify's peak beside its table, in bytes per x of [0, max_x]: the brute and
-# identity counts of one ratio, and brute's products.  Peak RSS above the
-# interpreter's, at max_x = 1e6, 4e6 and 8e6, gave 17.1-17.5 at the default
-# ratios and at most 19.7 at r >= 10^6, where nearly every semiprime counts.
+# verify's arrays, admitted with its table's peak, in bytes per x of [0, max_x]:
+# the brute and identity counts of one ratio, and brute's products.  Peak RSS
+# above the interpreter's, at max_x = 1e6, 4e6 and 8e6, gave 17.2-18.5 at the
+# default ratios and at most 19.1 at r >= 10^6, where nearly every semiprime counts.
 _VERIFY_BYTES_PER_X = 24
 
 
@@ -224,22 +245,16 @@ def _cmd_verify(args) -> int:
     ratios = args.r
     sum_check_max = min(max_x, 10**4)
     pi2_sample_max = min(max_x, 1000)
-    counting._check_brute_budget(max_x, args.brute_budget)
-    need = _VERIFY_BYTES_PER_X * (max_x + 1)
-    if need > args.memory_budget_bytes:
-        raise MemoryBudgetError(
-            f"verify to {max_x} needs about {need} bytes, "
-            f"over the {args.memory_budget_bytes}-byte budget"
-        )
     required = max(
         [counting._required_limit(max_x, r) for r in ratios]
         + [sum_check_max, pi2_sample_max, 2]
     )
-    table = build_table(required, memory_budget_bytes=args.memory_budget_bytes)
+    _admit(args, max_x, required, _VERIFY_BYTES_PER_X)
+    table = build_table(required)
 
     checks = 0
     for r in ratios:
-        brute = counting.brute_counts_upto(table, max_x, r, budget=args.brute_budget)
+        brute = counting.brute_counts_upto(table, max_x, r)
         ident = counting.identity_counts_upto(table, max_x, r)
         x = _first_difference(brute, ident, 0)
         if x is not None:
@@ -264,7 +279,7 @@ def _cmd_verify(args) -> int:
     if pi2_sample_max:
         r_m = Ratio(pi2_sample_max)
         full = counting.identity_counts_upto(table, pi2_sample_max, r_m)
-        pi2 = counting.brute_counts_upto(table, pi2_sample_max, r_m, budget=args.brute_budget)
+        pi2 = counting.brute_counts_upto(table, pi2_sample_max, r_m)
         x = _first_difference(full, pi2, 1)
         if x is not None:
             print(
@@ -278,6 +293,10 @@ def _cmd_verify(args) -> int:
     print(f"all checks passed ({checks} total)")
     return 0
 
+
+DEFAULT_BRUTE_BUDGET = 10**8
+# Refuse a run whose table and arrays (see _admit) would need more than this.
+DEFAULT_MEMORY_BUDGET_BYTES = 8 * 2**30
 
 # Every option, defined once.  Each subcommand lists the options its _cmd_*
 # reads, and accepts no other.
@@ -293,7 +312,7 @@ _OPTIONS = {
     "format": dict(choices=["csv", "json"], default="csv"),
     "out": dict(metavar="PATH", default=None),
     "timing": dict(action="store_true", help="emit measured wall time in the seconds column"),
-    "brute-budget": dict(type=_parse_positive, default=counting.DEFAULT_BRUTE_BUDGET),
+    "brute-budget": dict(type=_parse_positive, default=DEFAULT_BRUTE_BUDGET),
     "cache": dict(metavar="PATH", default=None),
     "memory-budget-bytes": dict(type=_parse_positive, default=DEFAULT_MEMORY_BUDGET_BYTES),
     "threads": dict(type=_parse_positive, default=1),

@@ -37,14 +37,8 @@ import numpy as np
 from .analytic import rsa_count_estimate
 from .primes import U64_MAX, PrimeTable, _OddSieve
 
-DEFAULT_BRUTE_BUDGET = 10**8
-
 # floor_mul scales a prime array in uint64 only while num * p stays below this
 _NP_SAFE = 2**62
-
-
-class BruteBudgetError(Exception):
-    """x exceeds the configured brute-force budget."""
 
 
 @dataclass(frozen=True)
@@ -187,19 +181,14 @@ def _required_limit(x: int, r: Ratio) -> int:
     return min(math.isqrt(r.num * x // r.den), x)
 
 
-def _check_brute_budget(x: int, budget: int) -> None:
-    if x > budget:
-        raise BruteBudgetError(f"x={x} exceeds brute-force budget {budget}")
-
-
-def _cofactor_slices(table: PrimeTable, x: int, r: Ratio, budget: int):
+def _cofactor_slices(table: PrimeTable, x: int, r: Ratio):
     """Yield (p, qs) for each prime p <= sqrt(x), qs the primes in (p, min(r*p, x/p)].
 
     Both bounds are exact: q <= floor(r*p) iff q*den <= num*p, and
-    q <= floor(x/p) iff p*q <= x.  qs is a view into the table.
+    q <= floor(x/p) iff p*q <= x.  qs is a view into the table.  The work
+    grows with x and is not bounded here: the CLI admits x first.
     """
     _validate_x(x)
-    _check_brute_budget(x, budget)
     table.check_range(_required_limit(x, r))
     primes = table.primes
     for i in range(table.prime_count(math.isqrt(x))):
@@ -207,27 +196,17 @@ def _cofactor_slices(table: PrimeTable, x: int, r: Ratio, budget: int):
         yield p, primes[i + 1 : table.prime_count(min(r.floor_mul(p), x // p))]
 
 
-def count_brute(
-    x: int,
-    r: Ratio,
-    table: PrimeTable,
-    budget: int = DEFAULT_BRUTE_BUDGET,
-) -> int:
+def count_brute(x: int, r: Ratio, table: PrimeTable) -> int:
     """C_r(x) by direct pair enumeration over the prime table.
 
     Counts the admissible cofactors of every prime p <= sqrt(x).  Never
     touches the identity's partial sums, so it serves as the independent
     oracle for count_identity.
     """
-    return sum(qs.size for _, qs in _cofactor_slices(table, x, r, budget))
+    return sum(qs.size for _, qs in _cofactor_slices(table, x, r))
 
 
-def brute_counts_upto(
-    table: PrimeTable,
-    max_x: int,
-    r: Ratio,
-    budget: int = DEFAULT_BRUTE_BUDGET,
-) -> np.ndarray:
+def brute_counts_upto(table: PrimeTable, max_x: int, r: Ratio) -> np.ndarray:
     """Incremental-sweep form of the brute counter.
 
     Materializes every product p*q <= max_x with p < q <= r*p, tallies
@@ -236,9 +215,10 @@ def brute_counts_upto(
     """
     products = np.concatenate(
         [np.empty(0, dtype=np.uint64)]
-        + [qs * np.uint64(p) for p, qs in _cofactor_slices(table, max_x, r, budget)]
+        + [qs * np.uint64(p) for p, qs in _cofactor_slices(table, max_x, r)]
     )
-    return np.bincount(products.astype(np.int64), minlength=max_x + 1).cumsum()
+    counts = np.bincount(products.astype(np.int64), minlength=max_x + 1)
+    return np.cumsum(counts, out=counts)
 
 
 def count_identity(table: PrimeTable, x: int, r: Ratio) -> Decomposition:
@@ -445,23 +425,20 @@ def count_pi2(table: PrimeTable, x: int) -> int:
 
 
 def count_report(
-    table: PrimeTable | None,
-    x: int,
-    r: Ratio,
-    method: str = "identity",
-    budget: int = DEFAULT_BRUTE_BUDGET,
+    table: PrimeTable | None, x: int, r: Ratio, method: str = "identity"
 ) -> CountReport:
     """Run one counter, time it, and attach the estimate and error scale.
 
     With method "identity", count_sweep runs when table is None (the
     CLI's count) and count_identity on the table otherwise; "brute" runs
-    count_brute and needs a table.
+    count_brute and needs a table.  Nothing here bounds brute's work or
+    memory: the CLI admits x and the table before any count.
     """
     t0 = time.perf_counter()
     if method == "identity":
         exact = (count_sweep(x, r) if table is None else count_identity(table, x, r)).total
     elif method == "brute":
-        exact = count_brute(x, r, table, budget=budget)
+        exact = count_brute(x, r, table)
     else:
         raise ValueError(f"unknown method {method!r}")
     return _report(x, r, exact, method, time.perf_counter() - t0)

@@ -27,10 +27,6 @@ U64_MAX = 2**64 - 1
 # sweep keeps a segment's running prime count `upto` in int32.
 SWEEP_SEGMENT_BYTES = 2**20
 
-# Refuse builds whose peak memory estimate (see _peak_estimate_bytes) would
-# exceed this.
-DEFAULT_MEMORY_BUDGET_BYTES = 8 * 2**30
-
 # No sieve runs past this many numbers.  It admits sqrt(r*x) for every
 # x < 2^64 with r <= 256 (count's sweep at 2^64 - 1, r = 2, sieves to 6.07e9
 # in about 40 s); a sweep to 1e12 would take hours.
@@ -38,10 +34,6 @@ SIEVE_WORK_LIMIT = 2**36
 
 CACHE_MAGIC = b"RSAD1"
 _CACHE_HEADER = struct.Struct("<5sQQ")
-
-
-class MemoryBudgetError(Exception):
-    """Requested sieve limit would blow the configured memory budget."""
 
 
 class SieveWorkError(Exception):
@@ -139,34 +131,21 @@ class PrimeTable:
             raise
 
 
-def build_table(
-    limit: int, *, memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES
-) -> PrimeTable:
+def build_table(limit: int) -> PrimeTable:
     """Sieve all primes <= limit into an immutable PrimeTable.
 
     The output is allocated once, at Dusart's bound on pi(limit), before the
     base primes up to sqrt(limit) are built by this function.  Odd candidates
     are sieved in one reused buffer of SWEEP_SEGMENT_BYTES, and each segment's
     primes are written in order into the output, so two builds with the same
-    limit produce identical tables.  Raises MemoryBudgetError if the peak (see
-    _peak_estimate_bytes) would not fit the budget, and MemoryError if the
-    output cannot be allocated.
+    limit produce identical tables.  Its peak is _peak_estimate_bytes(limit),
+    which a caller admits before building; raises MemoryError if the output
+    cannot be allocated.
     """
     if not isinstance(limit, int) or isinstance(limit, bool):
         raise ValueError(f"limit must be an integer, got {limit!r}")
     if limit < 0 or limit > U64_MAX:
         raise ValueError(f"limit must be in [0, 2^64), got {limit}")
-    if memory_budget_bytes < 1:
-        raise ValueError("memory_budget_bytes must be positive")
-
-    estimate = _peak_estimate_bytes(limit)
-    if estimate > memory_budget_bytes:
-        raise MemoryBudgetError(
-            f"limit {limit} needs up to {estimate} bytes at peak, "
-            f"over the {memory_budget_bytes}-byte budget; raise "
-            f"memory_budget_bytes to override"
-        )
-
     if limit < 2:
         empty = np.empty(0, dtype=np.uint64)
         empty.setflags(write=False)

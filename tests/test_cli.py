@@ -248,6 +248,22 @@ def test_verify_arrays_checked_against_the_memory_budget(capsys, monkeypatch):
     assert "over the 1000000-byte budget" in capsys.readouterr().err
 
 
+def test_verify_admitted_on_its_table_and_arrays_together(capsys, monkeypatch):
+    # the default max-x 1e5 and ratios read a table to 1e4 (34911 bytes at
+    # peak) beside 24 bytes per x of arrays
+    need = rsad.primes._peak_estimate_bytes(10**4) + cli._VERIFY_BYTES_PER_X * (10**5 + 1)
+    real = cli.build_table
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(cli, "build_table", no_table)
+    assert run_cli("verify", "--memory-budget-bytes", str(need - 1)) == 3
+    assert "at peak" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "build_table", real)
+    assert run_cli("verify", "--memory-budget-bytes", str(need)) == 0
+
+
 @pytest.mark.parametrize("argv", [
     "pi --x 1e19",
     "mertens --z 1e19",
@@ -342,7 +358,7 @@ def test_method_disagreement_returns_4(capsys, monkeypatch):
 
     real = counting.count_brute
     monkeypatch.setattr(
-        counting, "count_brute", lambda x, r, table, budget=0: real(x, r, table) + 1
+        counting, "count_brute", lambda x, r, table: real(x, r, table) + 1
     )
     code = run_cli("count", "--x", "100", "--r", "2", "--method", "both")
     assert code == 4
@@ -500,8 +516,8 @@ def test_verify_catches_a_broken_pi2(capsys, monkeypatch):
     from rsad import Ratio, counting
 
     real = counting.brute_counts_upto
-    def broken(table, max_x, r, budget):
-        counts = real(table, max_x, r, budget)
+    def broken(table, max_x, r):
+        counts = real(table, max_x, r)
         if r == Ratio(100):  # the pi2 check's ratio M = max_x
             counts[77] += 1
         return counts

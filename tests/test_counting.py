@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from rsad import (
-    BruteBudgetError,
     Decomposition,
     Ratio,
     TableLimitError,
@@ -109,11 +108,6 @@ def test_count_brute_known_small_values(t10k):
     assert count_brute(15, Ratio(2), t10k) == 2
     assert count_brute(100, Ratio(2), t10k) == 5
     assert count_brute(200, Ratio(2), t10k) == 7
-
-
-def test_count_brute_budget(t10k):
-    with pytest.raises(BruteBudgetError):
-        count_brute(10**4, Ratio(2), t10k, budget=10**3)
 
 
 def test_count_brute_table_too_small():
@@ -361,9 +355,24 @@ def test_brute_counts_upto_prefix_values(t10k):
     assert counts[15:21].tolist() == [2] * 6
 
 
-def test_brute_counts_upto_budget(t10k):
-    with pytest.raises(BruteBudgetError):
-        brute_counts_upto(t10k, 10**4, Ratio(2), budget=10**3)
+@pytest.mark.parametrize("r", [Ratio(2), Ratio(10**14)], ids=str)
+def test_brute_counts_upto_sums_its_tally_in_place(r):
+    import tracemalloc
+
+    from rsad import build_table
+
+    # the 8-byte counts beside the products and their int64 copy, fewer than
+    # max_x each: 8.1 and 11.4 bytes per x; a cumsum into a second array of
+    # counts peaked at 16.1 and 17.7
+    max_x = 10**6
+    table = build_table(max_x)
+    tracemalloc.start()
+    try:
+        brute_counts_upto(table, max_x, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * (max_x + 1)
 
 
 # t100k stops at 10^5 + 64, so r = 10^14 runs on a table that stops at x + 64

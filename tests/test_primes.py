@@ -6,7 +6,6 @@ import pytest
 
 from rsad import (
     CacheFormatError,
-    MemoryBudgetError,
     PrimeTable,
     Ratio,
     SieveWorkError,
@@ -180,17 +179,31 @@ def test_no_sieve_runs_past_the_work_bound():
         _OddSieve(SIEVE_WORK_LIMIT + 1)
 
 
-def test_memory_budget_enforced():
-    with pytest.raises(MemoryBudgetError):
-        build_table(10**9, memory_budget_bytes=1000)
-    # one byte below the finished table's 78498 u64 primes
-    with pytest.raises(MemoryBudgetError, match="peak"):
-        build_table(10**6, memory_budget_bytes=8 * 78498 - 1)
+def test_memory_budget_enforced(capsys, monkeypatch):
+    # the CLI admits a brute count on its table's peak before building it;
+    # at r = x the table runs to x
+    from rsad import cli
+
+    built = []
+
+    def recording_build_table(limit):
+        built.append(build_table(limit))
+        return built[-1]
+
+    def count_brute(x, budget):
+        return cli.main(["count", "--x", str(x), "--r", str(x), "--method", "brute",
+                         "--brute-budget", str(x), "--memory-budget-bytes", str(budget)])
+
+    monkeypatch.setattr(cli, "build_table", recording_build_table)
     # the peak is the output preallocated at Dusart's bound plus one segment
     peak = _peak_estimate_bytes(10**6)
-    assert build_table(10**6, memory_budget_bytes=peak).count == 78498
-    with pytest.raises(MemoryBudgetError, match="peak"):
-        build_table(10**6, memory_budget_bytes=peak - 1)
+    # 8 * 78498 - 1 is one byte below the finished table's 78498 u64 primes
+    for x, budget in [(10**9, 1000), (10**6, 8 * 78498 - 1), (10**6, peak - 1)]:
+        assert count_brute(x, budget) == 3
+        assert "at peak" in capsys.readouterr().err
+    assert built == []
+    assert count_brute(10**6, peak) == 0
+    assert [table.count for table in built] == [78498]
 
 
 def test_limit_validation():
