@@ -13,12 +13,14 @@ from __future__ import annotations
 import argparse
 import decimal
 import json
+import math
 import sys
 
 from . import analytic, counting, diagnostics
 from .counting import Ratio
 from .primes import (
     U64_MAX,
+    PrimeTable,
     SieveWorkError,
     TableLimitError,
     _peak_estimate_bytes,
@@ -29,8 +31,6 @@ from .primes import (
 
 TABLE_HEADER = "x,r,exact,estimate,abs_err,rel_err,ratio,err_normalized,seconds"
 COUNT_HEADER = "x,r,exact,estimate,abs_err,rel_err,method,seconds"
-# CountReport attributes behind the columns not named after one
-_COLUMN_ATTR = {"abs_err": "abs_error", "rel_err": "rel_error"}
 
 
 def _parse_scale(text: str) -> int:
@@ -89,7 +89,7 @@ def _emit(text: str, out_path: str | None) -> None:
 def _cell(rep: counting.CountReport, col: str, timing: bool):
     if col == "seconds" and not timing:
         return 0
-    value = getattr(rep, _COLUMN_ATTR.get(col, col))
+    value = getattr(rep, col)
     return str(value) if isinstance(value, Ratio) else value
 
 
@@ -122,12 +122,13 @@ class MemoryBudgetError(Exception):
     """A prime table and the arrays beside it would exceed --memory-budget-bytes."""
 
 
-def _admit(args, max_x: int, limit: int, bytes_per_x: int = 0) -> None:
-    """Refuse a run that reads a prime table, before the table is built.
+def _admitted_table(args, max_x: int, limit: int, bytes_per_x: int = 0) -> PrimeTable:
+    """The prime table to limit, built only once the run is admitted.
 
     Raises BruteBudgetError when max_x exceeds --brute-budget, and
     MemoryBudgetError when the table's peak to limit plus bytes_per_x for
-    each x in [0, max_x] exceeds --memory-budget-bytes.
+    each x in [0, max_x] exceeds --memory-budget-bytes; either is raised
+    before any sieving.
     """
     if max_x > args.brute_budget:
         raise BruteBudgetError(f"x={max_x} exceeds brute-force budget {args.brute_budget}")
@@ -137,6 +138,7 @@ def _admit(args, max_x: int, limit: int, bytes_per_x: int = 0) -> None:
             f"x={max_x} with a prime table to {limit} needs up to {need} bytes "
             f"at peak, over the {args.memory_budget_bytes}-byte budget"
         )
+    return build_table(limit)
 
 
 def _cmd_count(args) -> int:
@@ -145,9 +147,7 @@ def _cmd_count(args) -> int:
     # only brute reads a table; the identity always sweeps pi in bounded memory
     table = None
     if "brute" in methods:
-        limit = counting._required_limit(x, r)
-        _admit(args, x, limit)
-        table = build_table(limit)
+        table = _admitted_table(args, x, counting._required_limit(x, r))
     rows = [
         counting.count_report(table if m == "brute" else None, x, r, method=m) for m in methods
     ]
@@ -162,14 +162,26 @@ def _cmd_count(args) -> int:
     return 0
 
 
+class GridSizeError(Exception):
+    """A table grid could hold more than _MAX_GRID_ROWS rows."""
+
+
+# 10^6 rows take about 3 minutes and 1 GB: 600001 rows over 1e6..1e12 took 99 s and 661 MB.
+_MAX_GRID_ROWS = 10**6
+
+
 def _geometric_grid(x_min: int, x_max: int, points_per_decade: int) -> list[int]:
     """Ascending grid from x_min to x_max, points_per_decade per decade.
 
     The points are round(x_min * 10^(k/points_per_decade)) for k = 0, 1, ...
     that exceed the point before, up to the first at or above x_max, which
     becomes x_max.  A galloping search finds each next k, so the work grows
-    with the points kept, not with k.
+    with the points kept, not with k.  Raises GridSizeError first when the
+    grid could hold more than _MAX_GRID_ROWS rows, one per integer or per k.
     """
+    rows = 1 + min(x_max - x_min, math.ceil(points_per_decade * math.log10(x_max / x_min)))
+    if rows > _MAX_GRID_ROWS:
+        raise GridSizeError(f"the grid could hold {rows} rows, over the bound of {_MAX_GRID_ROWS}")
 
     def point(k: int) -> int:
         return int(round(x_min * 10 ** (k / points_per_decade)))
@@ -249,8 +261,7 @@ def _cmd_verify(args) -> int:
         [counting._required_limit(max_x, r) for r in ratios]
         + [sum_check_max, pi2_sample_max, 2]
     )
-    _admit(args, max_x, required, _VERIFY_BYTES_PER_X)
-    table = build_table(required)
+    table = _admitted_table(args, max_x, required, _VERIFY_BYTES_PER_X)
 
     checks = 0
     for r in ratios:
@@ -295,7 +306,7 @@ def _cmd_verify(args) -> int:
 
 
 DEFAULT_BRUTE_BUDGET = 10**8
-# Refuse a run whose table and arrays (see _admit) would need more than this.
+# Refuse a run whose table and arrays (see _admitted_table) would need more than this.
 DEFAULT_MEMORY_BUDGET_BYTES = 8 * 2**30
 
 # Every option, defined once.  Each subcommand lists the options its _cmd_*
@@ -363,6 +374,7 @@ def main(argv=None) -> int:
     except (
         BruteBudgetError,
         MemoryBudgetError,
+        GridSizeError,
         SieveWorkError,
         TableLimitError,
         MemoryError,

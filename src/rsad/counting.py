@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import rsa_count_estimate
-from .primes import U64_MAX, PrimeTable, _OddSieve
+from .primes import U64_MAX, PrimeTable, _check_u64, _OddSieve
 
 # floor_mul scales a prime array in uint64 only while num * p stays below this
 _NP_SAFE = 2**62
@@ -132,26 +132,37 @@ class Decomposition:
 class CountReport:
     """One exact count at x against its main term.
 
-    err_scale is the expected size of the error term, so err_normalized
-    is the deviation in those units; a bounded err_normalized across a
-    grid is the empirical signature that the error term has that shape.
+    Stores what was counted; the properties, named after the CLI columns,
+    derive the rest.  err_scale, r*log(e*r)*x/log(x)^3, is the expected size
+    of the error term, so err_normalized is the deviation in those units; a
+    bounded err_normalized across a grid is the empirical signature that the
+    error term has that shape.  Below x = 2, estimate and err_scale are 0 and inf.
     """
 
     x: int
     r: Ratio
     exact: int
-    estimate: float
-    err_scale: float
     method: str  # "brute" or "identity"
     seconds: float  # wall time of the exact computation
 
     @property
-    def abs_error(self) -> float:
+    def estimate(self) -> float:
+        return rsa_count_estimate(self.x, self.r) if self.x >= 2 else 0.0
+
+    @property
+    def err_scale(self) -> float:
+        if self.x < 2:
+            return math.inf
+        xf = float(self.x)
+        return float(self.r) * (1.0 + self.r.log()) * xf / math.log(xf) ** 3
+
+    @property
+    def abs_err(self) -> float:
         return abs(self.exact - self.estimate)
 
     @property
-    def rel_error(self) -> float:
-        return self.abs_error / max(self.exact, 1)
+    def rel_err(self) -> float:
+        return self.abs_err / max(self.exact, 1)
 
     @property
     def ratio(self) -> float:
@@ -162,14 +173,7 @@ class CountReport:
 
     @property
     def err_normalized(self) -> float:
-        return self.abs_error / self.err_scale
-
-
-def _validate_x(x: int) -> None:
-    if not isinstance(x, int) or isinstance(x, bool):
-        raise ValueError(f"x must be an integer, got {x!r}")
-    if x < 0 or x > U64_MAX:
-        raise ValueError(f"x must be in [0, 2^64), got {x}")
+        return self.abs_err / self.err_scale
 
 
 def _required_limit(x: int, r: Ratio) -> int:
@@ -188,7 +192,7 @@ def _cofactor_slices(table: PrimeTable, x: int, r: Ratio):
     q <= floor(x/p) iff p*q <= x.  qs is a view into the table.  The work
     grows with x and is not bounded here: the CLI admits x first.
     """
-    _validate_x(x)
+    _check_u64(x, "x")
     table.check_range(_required_limit(x, r))
     primes = table.primes
     for i in range(table.prime_count(math.isqrt(x))):
@@ -217,7 +221,9 @@ def brute_counts_upto(table: PrimeTable, max_x: int, r: Ratio) -> np.ndarray:
         [np.empty(0, dtype=np.uint64)]
         + [qs * np.uint64(p) for p, qs in _cofactor_slices(table, max_x, r)]
     )
-    counts = np.bincount(products.astype(np.int64), minlength=max_x + 1)
+    # products <= max_x < 2^63 (the CLI admits 24*(max_x + 1) bytes under a
+    # budget below 2^64), so reading them as int64 in place is exact
+    counts = np.bincount(products.view(np.int64), minlength=max_x + 1)
     return np.cumsum(counts, out=counts)
 
 
@@ -230,15 +236,15 @@ def count_identity(table: PrimeTable, x: int, r: Ratio) -> Decomposition:
     queries at floor(r*p) and floor(x/p).  Requires
     table.limit >= min(floor(sqrt(r*x)), x).
     """
-    _validate_x(x)
+    _check_u64(x, "x")
     table.check_range(_required_limit(x, r))
     # p <= sqrt(x) iff p <= isqrt(x); p <= sqrt(x/r) iff p^2*num <= x*den
     # iff p <= isqrt(x*den // num)
     k1 = table.prime_count(math.isqrt(x))
     k2 = table.prime_count(math.isqrt(x * r.den // r.num))
     s1 = k1 * (k1 + 1) // 2
-    s2 = table.pi_sum(r.floor_mul(table.primes[:k2]))
-    s3 = table.pi_sum(np.uint64(x) // table.primes[k2:k1])
+    s2 = int(table.pi(r.floor_mul(table.primes[:k2])).sum())
+    s3 = int(table.pi(np.uint64(x) // table.primes[k2:k1]).sum())
     return Decomposition(s1=s1, s2=s2, s3=s3)
 
 
@@ -257,7 +263,7 @@ def identity_counts_upto(table: PrimeTable, max_x: int, r: Ratio) -> np.ndarray:
     answered once and added in place to p counts, _BAND_SLICE quotients at a
     time.  Same table requirement as count_identity at max_x.
     """
-    _validate_x(max_x)
+    _check_u64(max_x, "x")
     table.check_range(_required_limit(max_x, r))
     counts = np.zeros(max_x + 1, dtype=np.int64)
     bands = []
@@ -274,7 +280,7 @@ def identity_counts_upto(table: PrimeTable, max_x: int, r: Ratio) -> np.ndarray:
         for q0 in range(p, top, _BAND_SLICE):
             q = np.arange(q0, min(q0 + _BAND_SLICE, top), dtype=np.uint64)
             rows = counts[q0 * p : (q0 + q.size) * p].reshape(q.size, p)
-            rows += table.primes.searchsorted(q, side="right")[:, None]
+            rows += table.pi(q)[:, None]
         if top * p < hi:
             counts[top * p : hi] += table.prime_count(top)
     return counts
@@ -351,7 +357,7 @@ def count_sweep_grid(xs: list[int], r: Ratio) -> list[Decomposition]:
     held, however dense the grid.
     """
     for x in xs:
-        _validate_x(x)
+        _check_u64(x, "x")
     if any(a > b for a, b in zip(xs, xs[1:])):
         raise ValueError("grid must be ascending")
     n = len(xs)
@@ -364,11 +370,7 @@ def count_sweep_grid(xs: list[int], r: Ratio) -> list[Decomposition]:
         limit = _required_limit(xs[-1], r)
         sieve = _OddSieve(limit)
         s2_args = _Queries(map(r.floor_mul, sieve.primes(2, p2[-1])))
-        # s3's arguments of x run from x // p1 up to x // (p2 + 1)
-        band = [j for j in range(n) if p2[j] < p1[j]]
-        band_lo = np.array([xs[j] // p1[j] for j in band], dtype=np.uint64)
-        band_hi = np.array([xs[j] // (p2[j] + 1) for j in band], dtype=np.uint64)
-        p_top = [p1[j] for j in band]  # the largest p of each band not yet answered
+        p_top = p1[:]  # the largest p of each x's band (p2, p1] not yet answered
         below = 1  # primes below the segment, counting 2: the sweep sieves odd n only
         run2 = seen2 = 0  # s2's sum over, and count of, the arguments answered so far
         next2 = 0  # the first x whose s2 is open
@@ -376,7 +378,7 @@ def count_sweep_grid(xs: list[int], r: Ratio) -> list[Decomposition]:
             packed = np.packbits(flags, bitorder="little")
             upto = np.cumsum(_POP.take(packed), dtype=np.int32)
             # this segment answers the arguments in (2*i0, 2*i1]
-            lo, hi = 2 * i0 + 1, min(2 * (i0 + flags.size), U64_MAX)
+            hi = min(2 * (i0 + flags.size), U64_MAX)
 
             q = s2_args.upto(hi)
             pis = _segment_pi(q, i0, packed, upto)
@@ -391,17 +393,18 @@ def count_sweep_grid(xs: list[int], r: Ratio) -> list[Decomposition]:
             seen2 += q.size
             del q, pis  # freed before the band arguments are made
 
-            for b in np.flatnonzero((band_lo <= np.uint64(hi)) & (band_hi >= np.uint64(lo))):
-                j = band[b]
-                p_lo = max(p2[j], xs[j] // (hi + 1)) + 1  # the least p with x // p <= hi
-                if p_lo <= p_top[b]:
-                    for p in sieve.primes(p_lo, p_top[b]):
+            for j, x in enumerate(xs):
+                # the least p with x // p <= hi; above p_top in a band that is
+                # empty, answered, or whose arguments all lie above hi
+                p_lo = max(p2[j], x // (hi + 1)) + 1
+                if p_lo <= p_top[j]:
+                    for p in sieve.primes(p_lo, p_top[j]):
                         k1[j] += p.size
                         # p becomes x // p in place: this chunk of x's arguments
-                        np.floor_divide(np.uint64(xs[j]), p, out=p)
+                        np.floor_divide(np.uint64(x), p, out=p)
                         pis = _segment_pi(p, i0, packed, upto)
                         s3[j] += p.size * below + int(pis.sum(dtype=np.int64))
-                    p_top[b] = p_lo - 1
+                    p_top[j] = p_lo - 1
             below += int(upto[-1])
     return [Decomposition(s1=k * (k + 1) // 2, s2=a, s3=b) for k, a, b in zip(k1, s2, s3)]
 
@@ -417,17 +420,17 @@ def count_pi2(table: PrimeTable, x: int) -> int:
     Evaluates sum_{p<=sqrt(x)} (pi(x/p) - pi(p)); the largest query is
     pi(x/2), so the table must reach floor(x/2) once x >= 4.
     """
-    _validate_x(x)
+    _check_u64(x, "x")
     if x >= 4:
         table.check_range(x // 2)
     k = table.prime_count(math.isqrt(x))
-    return table.pi_sum(np.uint64(x) // table.primes[:k]) - k * (k + 1) // 2
+    return int(table.pi(np.uint64(x) // table.primes[:k]).sum()) - k * (k + 1) // 2
 
 
 def count_report(
     table: PrimeTable | None, x: int, r: Ratio, method: str = "identity"
 ) -> CountReport:
-    """Run one counter, time it, and attach the estimate and error scale.
+    """Run one counter and time it: the record of what was counted.
 
     With method "identity", count_sweep runs when table is None (the
     CLI's count) and count_identity on the table otherwise; "brute" runs
@@ -441,7 +444,7 @@ def count_report(
         exact = count_brute(x, r, table)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return _report(x, r, exact, method, time.perf_counter() - t0)
+    return CountReport(x, r, exact, method, time.perf_counter() - t0)
 
 
 def grid_reports(xs: list[int], r: Ratio) -> list[CountReport]:
@@ -452,27 +455,4 @@ def grid_reports(xs: list[int], r: Ratio) -> list[CountReport]:
     t0 = time.perf_counter()
     sums = count_sweep_grid(xs, r)
     seconds = time.perf_counter() - t0
-    return [_report(x, r, d.total, "identity", seconds) for x, d in zip(xs, sums)]
-
-
-def _report(x: int, r: Ratio, exact: int, method: str, seconds: float) -> CountReport:
-    """The report of exact at x, with the estimate 2*x*log(r)/log(x)^2.
-
-    The error scale is r*log(e*r)*x/log(x)^3; below x = 2 the estimate and
-    the scale are 0 and inf.
-    """
-    if x >= 2:
-        xf = float(x)
-        estimate = rsa_count_estimate(x, r)
-        err_scale = float(r) * (1.0 + r.log()) * xf / math.log(xf) ** 3
-    else:
-        estimate, err_scale = 0.0, math.inf
-    return CountReport(
-        x=x,
-        r=r,
-        exact=exact,
-        estimate=estimate,
-        err_scale=err_scale,
-        method=method,
-        seconds=seconds,
-    )
+    return [CountReport(x, r, d.total, "identity", seconds) for x, d in zip(xs, sums)]

@@ -31,7 +31,7 @@ def sum_pi_p(table: PrimeTable, z: int) -> int:
     and raises IdentityViolationError.
     """
     k = table.prime_count(z)
-    total = table.pi_sum(table.primes[:k])
+    total = int(table.pi(table.primes[:k]).sum())
     expected = k * (k + 1) // 2
     if total != expected:
         raise IdentityViolationError(z, total, expected)
@@ -41,16 +41,16 @@ def sum_pi_p(table: PrimeTable, z: int) -> int:
 def check_pi_sums(table: PrimeTable, z_max: int) -> int:
     """sum_pi_p's check at every z in 2..z_max; returns the number of z checked.
 
-    k(z) = pi(z) for every z is one searchsorted, and the sum of pi(p) over
-    the primes up to z is the prefix sum of one array of pi queries at
-    k(z).  The least z whose sum misses k(z)*(k(z)+1)/2 raises
+    k(z) = pi(z) for every z is one array of pi queries, and the sum of
+    pi(p) over the primes up to z is the prefix sum of another at k(z).
+    The least z whose sum misses k(z)*(k(z)+1)/2 raises
     IdentityViolationError with sum_pi_p's message.
     """
     if z_max < 2:
         return 0
     prefix = np.zeros(table.prime_count(z_max) + 1, dtype=np.int64)
-    prefix[1:] = table.primes.searchsorted(table.primes[: prefix.size - 1], side="right").cumsum()
-    ks = table.primes.searchsorted(np.arange(2, z_max + 1, dtype=np.uint64), side="right")
+    prefix[1:] = table.pi(table.primes[: prefix.size - 1]).cumsum()
+    ks = table.pi(np.arange(2, z_max + 1, dtype=np.uint64))
     totals, expected = prefix[ks], ks * (ks + 1) // 2
     bad = totals != expected
     if bad.any():

@@ -1,7 +1,7 @@
 """Segmented sieve of Eratosthenes and exact prime-counting queries.
 
 A built PrimeTable holds every prime up to its limit as a sorted uint64
-array: prime_count and pi_sum answer pi queries on it by binary search,
+array: prime_count and pi answer pi queries on it by binary search,
 so a table sized to min(sqrt(r*x), x) is enough to drive the table-based
 semiprime counters.  Tables are immutable once built and safe
 to share between threads.  prime_pi and prime_chunks count and stream the
@@ -53,6 +53,14 @@ class CacheFormatError(Exception):
     """Prime cache file is missing, truncated, or inconsistent."""
 
 
+def _check_u64(value, name: str) -> None:
+    """Raise ValueError, naming the argument, unless value is an int (not a bool) in [0, 2^64)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 0 or value > U64_MAX:
+        raise ValueError(f"{name} must be in [0, 2^64), got {value}")
+
+
 def _prime_count_bound(limit: int) -> int:
     """An upper bound on pi(limit): L/ln L * (1 + 1.2762/ln L) (Dusart), for L > 1."""
     log = math.log(limit)
@@ -99,17 +107,16 @@ class PrimeTable:
         self.check_range(n)
         return int(self.primes.searchsorted(np.uint64(n), side="right"))
 
-    def pi_sum(self, values: np.ndarray) -> int:
-        """Sum of pi(v) over a monotone uint64 array of queries.
+    def pi(self, values: np.ndarray) -> np.ndarray:
+        """pi(v) at each v of a monotone uint64 array of queries, as an intp array.
 
         Only the two ends are range-checked, so the array must be sorted,
         ascending or descending; raises TableLimitError when either end
         exceeds the limit.
         """
-        if values.size == 0:
-            return 0
-        self.check_range(max(int(values[0]), int(values[-1])))
-        return int(self.primes.searchsorted(values, side="right").sum(dtype=np.int64))
+        if values.size:
+            self.check_range(max(int(values[0]), int(values[-1])))
+        return self.primes.searchsorted(values, side="right")
 
     def save(self, path) -> None:
         """Write the binary cache: magic, limit, count, then u64 primes.
@@ -142,10 +149,7 @@ def build_table(limit: int) -> PrimeTable:
     which a caller admits before building; raises MemoryError if the output
     cannot be allocated.
     """
-    if not isinstance(limit, int) or isinstance(limit, bool):
-        raise ValueError(f"limit must be an integer, got {limit!r}")
-    if limit < 0 or limit > U64_MAX:
-        raise ValueError(f"limit must be in [0, 2^64), got {limit}")
+    _check_u64(limit, "limit")
     if limit < 2:
         empty = np.empty(0, dtype=np.uint64)
         empty.setflags(write=False)

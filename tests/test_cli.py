@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -129,6 +130,30 @@ def test_geometric_grid_dense_request_is_bounded(capsys):
     ) == 0
     rows = capsys.readouterr().out.strip().split("\n")[1:]
     assert [int(row.split(",")[0]) for row in rows] == list(range(100, 1001))
+
+
+def test_geometric_grid_over_the_row_bound_exits_3(capsys, monkeypatch):
+    # about 1.8e13 rows: refused before any point is made or any sieving
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the grid was swept")
+
+    monkeypatch.setattr(cli.counting, "count_sweep_grid", no_sweep)
+    t0 = time.perf_counter()
+    assert run_cli(
+        "table", "--x-min", "2", "--x-max", "1e18", "--r", "2",
+        "--points-per-decade", "1e12",
+    ) == 3
+    assert time.perf_counter() - t0 < 5
+    assert "over the bound of 1000000" in capsys.readouterr().err
+
+
+def test_geometric_grid_refuses_a_grid_over_the_row_bound(monkeypatch):
+    # every integer from 100 to 1000 is 901 rows
+    monkeypatch.setattr(cli, "_MAX_GRID_ROWS", 901)
+    assert len(_geometric_grid(100, 1000, 10**12)) == 901
+    monkeypatch.setattr(cli, "_MAX_GRID_ROWS", 900)
+    with pytest.raises(cli.GridSizeError):
+        _geometric_grid(100, 1000, 10**12)
 
 
 # --- count ---------------------------------------------------------------

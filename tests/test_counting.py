@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rsad import (
+    CountReport,
     Decomposition,
     Ratio,
     TableLimitError,
@@ -231,6 +232,17 @@ def test_count_sweep_reference_values_large(x, expected):
     assert count_sweep(x, Ratio(2)).total == expected
 
 
+# Each sweep's pi(limit), pi(p1) and pi(p2) stream counts matched an
+# independent Lucy_Hedgehog pi before these were frozen.
+@pytest.mark.slow
+@pytest.mark.parametrize("r,expected", [
+    (Ratio(3, 2), 7969707623915191),
+    (Ratio(10), 45300254716288457),
+], ids=str)
+def test_count_sweep_full_width_across_ratios(r, expected):
+    assert count_sweep(2**64 - 1, r).total == expected
+
+
 @pytest.mark.parametrize("segment_bytes", [1, 97, SWEEP_SEGMENT_BYTES])
 def test_count_sweep_sieves_each_band_prime_once(monkeypatch, segment_bytes):
     # besides the s2 stream's one range [2, p2], the sweep sieves x's band
@@ -298,7 +310,9 @@ def test_count_sweep_grid_matches_count_sweep_at_every_point(monkeypatch, segmen
 
 
 def test_count_sweep_grid_every_x_below_3000(t10k):
-    for r in SWEEP_RATIOS:
+    # r = 1 leaves every band empty; r = 10^12 leaves s2 empty, and each
+    # band spans every p <= sqrt(x)
+    for r in SWEEP_RATIOS + [Ratio(1), Ratio(10**12)]:
         grid = list(range(3000))
         assert count_sweep_grid(grid, r) == [count_identity(t10k, x, r) for x in grid]
 
@@ -361,9 +375,9 @@ def test_brute_counts_upto_sums_its_tally_in_place(r):
 
     from rsad import build_table
 
-    # the 8-byte counts beside the products and their int64 copy, fewer than
-    # max_x each: 8.1 and 11.4 bytes per x; a cumsum into a second array of
-    # counts peaked at 16.1 and 17.7
+    # the 8-byte counts beside the products, read as int64 in place: 8.07 and
+    # 9.68 bytes per x; an int64 copy of the products peaked at 8.13 and 11.36,
+    # and a cumsum into a second array of counts at 16.1 and 17.7
     max_x = 10**6
     table = build_table(max_x)
     tracemalloc.start()
@@ -372,7 +386,7 @@ def test_brute_counts_upto_sums_its_tally_in_place(r):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12 * (max_x + 1)
+    assert peak < 10.5 * (max_x + 1)
 
 
 # t100k stops at 10^5 + 64, so r = 10^14 runs on a table that stops at x + 64
@@ -471,8 +485,8 @@ def test_count_report_fields(t10k):
     assert rep.exact == 169
     assert rep.method == "identity"
     assert rep.estimate == pytest.approx(163.4195825, rel=1e-8, abs=0)
-    assert rep.abs_error == pytest.approx(abs(169 - rep.estimate), rel=1e-15, abs=0)
-    assert rep.rel_error == pytest.approx(rep.abs_error / 169, rel=1e-15, abs=0)
+    assert rep.abs_err == pytest.approx(abs(169 - rep.estimate), rel=1e-15, abs=0)
+    assert rep.rel_err == pytest.approx(rep.abs_err / 169, rel=1e-15, abs=0)
     assert rep.seconds >= 0.0
 
 
@@ -486,7 +500,16 @@ def test_count_report_degenerate_x(t10k):
     rep = count_report(t10k, 0, Ratio(2))
     assert rep.exact == 0
     assert rep.estimate == 0.0
-    assert rep.rel_error == 0.0
+    assert rep.rel_err == 0.0
+
+
+def test_count_report_derives_estimate_and_err_scale():
+    rep = CountReport(10**4, Ratio(2), 169, "identity", 0.0)
+    assert rep.estimate == rsa_count_estimate(10**4, Ratio(2))
+    assert rep.err_scale == 2.0 * (1.0 + math.log(2)) * 1e4 / math.log(1e4) ** 3
+    assert rep.err_normalized == abs(169 - rep.estimate) / rep.err_scale
+    below = CountReport(1, Ratio(2), 0, "identity", 0.0)
+    assert (below.estimate, below.err_scale) == (0.0, math.inf)
 
 
 def test_count_report_unknown_method(t10k):
