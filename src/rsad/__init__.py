@@ -25,7 +25,6 @@ from .counting import (
     count_report,
     count_sweep,
     count_sweep_grid,
-    grid_reports,
     identity_counts_upto,
 )
 from .diagnostics import (
@@ -67,7 +66,6 @@ __all__ = [
     "count_report",
     "count_sweep",
     "count_sweep_grid",
-    "grid_reports",
     "identity_counts_upto",
     "load_table",
     "log_integral",

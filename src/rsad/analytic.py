@@ -1,8 +1,9 @@
 """Analytic companions to the exact counters.
 
 Holds the logarithmic integral Li(x) = integral from 2 to x of dt/log t,
-the prime reciprocal sum  sum_{p<=z} 1/p  with its log log z residual, and
-the estimate 2*x*log(r)/log(x)^2 that exact counts are compared against.
+the prime reciprocal sum  sum_{p<=z} 1/p  with its log log z residual,
+streamed from one sieve to z with no prime table, and the estimate
+2*x*log(r)/log(x)^2 that exact counts are compared against.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .primes import SWEEP_SEGMENT_BYTES, PrimeTable, prime_chunks
+from .primes import prime_chunks
 
 if TYPE_CHECKING:
     from .counting import Ratio
@@ -60,9 +61,6 @@ def log_integral(x: float) -> float:
 # then hold it exactly.
 _RECIP_P_BOUND = 2**38
 _LIMB_SCALE = 2.0**30
-# At most this many reciprocals at a time: a sweep segment's bytes of
-# float64, so each limb sum stays below 2^17 * 2^30.
-_RECIP_PIECE = SWEEP_SEGMENT_BYTES // 8
 
 
 def _recip_sum(chunks) -> float:
@@ -73,38 +71,37 @@ def _recip_sum(chunks) -> float:
     int64, and the one integer N they make is divided by 2^90 with Python's
     correctly rounded int division, the single rounding math.fsum makes.
     chunks is an iterable of arrays of positive integers; a p >= 2^38 lies
-    outside the argument and raises ValueError.
+    outside the argument and raises ValueError.  Every limb is below 2^30,
+    so a chunk's limb sum is exact in int64 for any chunk under 2^33
+    entries.  A chunk of prime_chunks, one sieve segment's primes, holds at
+    most one per odd candidate, 2^20 (155610 in the first segment), so its
+    limb sums stay below 2^50.
     """
     limbs = [0, 0, 0]
     for chunk in chunks:
         if chunk.size and int(chunk.max()) >= _RECIP_P_BOUND:
             raise ValueError(f"1/p is exact in 90 bits only for p < 2^38, got {int(chunk.max())}")
-        for i in range(0, chunk.size, _RECIP_PIECE):
-            frac = np.divide(1.0, chunk[i : i + _RECIP_PIECE], dtype=np.float64)
-            for k in range(3):
-                frac *= _LIMB_SCALE
-                whole = np.floor(frac)
-                frac -= whole
-                limbs[k] += int(whole.astype(np.int64).sum())
+        frac = np.divide(1.0, chunk, dtype=np.float64)
+        for k in range(3):
+            frac *= _LIMB_SCALE
+            whole = np.floor(frac)
+            frac -= whole
+            limbs[k] += int(whole.astype(np.int64).sum())
     return ((limbs[0] << 60) + (limbs[1] << 30) + limbs[2]) / 2**90
 
 
-def mertens_sum(table: PrimeTable | None, z: int) -> MertensResult:
+def mertens_sum(z: int) -> MertensResult:
     """sum_{p<=z} 1/p, the float nearest the exact sum of the reciprocals.
 
-    The reciprocals come from the table or, with table None, from one sieve
-    to z, chunk by chunk, with no table held.  Each 1/p is a whole multiple
-    of 2^-90, so _recip_sum adds them exactly as integers and rounds once:
-    both paths give the float math.fsum gives, bit for bit.  Requires
-    z >= 2, and z <= table.limit on a table.
+    The reciprocals come from one sieve to z, one segment's primes at a
+    time: it holds the sieve's buffers and base primes up to sqrt(z), never
+    the primes up to z.  Each 1/p is a whole multiple of 2^-90, so
+    _recip_sum adds them exactly as integers and rounds once: the sum is
+    the float math.fsum gives, bit for bit.  Requires z >= 2.
     """
     if z < 2:
         raise ValueError(f"mertens_sum requires z >= 2, got {z}")
-    if table is None:
-        chunks = prime_chunks(z)
-    else:
-        chunks = [table.primes[: table.prime_count(z)]]
-    total = _recip_sum(chunks)
+    total = _recip_sum(prime_chunks(z))
     loglog = math.log(math.log(z))
     return MertensResult(z=z, sum=total, loglog_z=loglog, residual=total - loglog)
 

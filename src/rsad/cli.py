@@ -148,9 +148,7 @@ def _cmd_count(args) -> int:
     table = None
     if "brute" in methods:
         table = _admitted_table(args, x, counting._required_limit(x, r))
-    rows = [
-        counting.count_report(table if m == "brute" else None, x, r, method=m) for m in methods
-    ]
+    rows = [counting.count_report(table, x, r, method=m) for m in methods]
     _emit(_reports_text(rows, COUNT_HEADER, args.format, args.timing), args.out)
     if len(rows) == 2 and rows[0].exact != rows[1].exact:
         print(
@@ -209,7 +207,7 @@ def _cmd_table(args) -> int:
     if args.x_min > args.x_max:
         raise ValueError("--x-min must not exceed --x-max")
     grid = _geometric_grid(args.x_min, args.x_max, args.points_per_decade)
-    rows = counting.grid_reports(grid, r)
+    rows = diagnostics.convergence_table(grid, r)
     _emit(_reports_text(rows, TABLE_HEADER, args.format, args.timing), args.out)
     return 0
 
@@ -217,7 +215,7 @@ def _cmd_table(args) -> int:
 def _cmd_mertens(args) -> int:
     if args.z < 2:
         raise ValueError(f"--z must be >= 2, got {args.z}")
-    res = analytic.mertens_sum(None, args.z)
+    res = analytic.mertens_sum(args.z)
     fields = {"sum": res.sum, "loglog_z": res.loglog_z, "residual": res.residual}
     if args.format == "json":
         doc = {"z": res.z, **{name: _jnum(v) for name, v in fields.items()}}

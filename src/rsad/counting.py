@@ -76,6 +76,9 @@ class Ratio:
                 return cls(int(a), int(b))
             if "." in s:
                 whole, frac = s.split(".")
+                # int() would take a sign or an underscore here and shift the value
+                if frac.strip("0123456789"):
+                    raise ValueError("only the digits 0-9 may follow the point")
                 scale = 10 ** len(frac)
                 return cls(int(whole or "0") * scale + int(frac or "0"), scale)
             return cls(int(s))
@@ -432,27 +435,16 @@ def count_report(
 ) -> CountReport:
     """Run one counter and time it: the record of what was counted.
 
-    With method "identity", count_sweep runs when table is None (the
-    CLI's count) and count_identity on the table otherwise; "brute" runs
-    count_brute and needs a table.  Nothing here bounds brute's work or
-    memory: the CLI admits x and the table before any count.
+    Method "identity" runs count_sweep, which needs no table, and reads no
+    table it is given; "brute" runs count_brute on the table.  Nothing here
+    bounds brute's work or memory: the CLI admits x and the table before
+    any count.
     """
     t0 = time.perf_counter()
     if method == "identity":
-        exact = (count_sweep(x, r) if table is None else count_identity(table, x, r)).total
+        exact = count_sweep(x, r).total
     elif method == "brute":
         exact = count_brute(x, r, table)
     else:
         raise ValueError(f"unknown method {method!r}")
     return CountReport(x, r, exact, method, time.perf_counter() - t0)
-
-
-def grid_reports(xs: list[int], r: Ratio) -> list[CountReport]:
-    """One identity report per x of an ascending grid, all from one count_sweep_grid.
-
-    Every report carries the one sweep's wall time as its seconds.
-    """
-    t0 = time.perf_counter()
-    sums = count_sweep_grid(xs, r)
-    seconds = time.perf_counter() - t0
-    return [CountReport(x, r, d.total, "identity", seconds) for x, d in zip(xs, sums)]

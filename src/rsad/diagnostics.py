@@ -1,16 +1,21 @@
 """Checks of exact sums against their closed forms, and the convergence table.
 
 sum_pi_p checks the summation identity the identity counter's s1 rests on,
-and check_pi_sums checks it at every z up to a bound at once;
-convergence_table pairs exact counts with the estimate along a grid of x.
+and check_pi_sums checks it at every z up to a bound at once, both on a
+prime table; convergence_table pairs exact counts with the estimate along
+a grid of x, from one table-free sweep.
 """
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
+from . import counting
+
 # bench/tracing.py wraps convergence_table and this count_identity binding by name
-from .counting import CountReport, Ratio, count_identity, count_report
+from .counting import CountReport, Ratio, count_identity
 from .primes import PrimeTable
 
 
@@ -59,15 +64,18 @@ def check_pi_sums(table: PrimeTable, z_max: int) -> int:
     return z_max - 1
 
 
-def convergence_table(
-    table: PrimeTable, x_values: list[int], r: Ratio
-) -> list[CountReport]:
-    """One identity count_report per x: exact C_r(x) against the estimate.
+def convergence_table(x_values: list[int], r: Ratio) -> list[CountReport]:
+    """One identity report per x of an ascending grid: exact C_r(x) against the estimate.
 
-    The ratio column approaching 1 along a growing grid is the convergence
-    the estimate 2*x*log(r)/log(x)^2 asserts.
+    All counts come from one counting.count_sweep_grid, and every report
+    carries that sweep's wall time as its seconds.  The ratio column
+    approaching 1 along a growing grid is the convergence the estimate
+    2*x*log(r)/log(x)^2 asserts.  Requires every x >= 2.
     """
     for x in x_values:
         if x < 2:
             raise ValueError(f"convergence_table requires x >= 2, got {x}")
-    return [count_report(table, x, r) for x in x_values]
+    t0 = time.perf_counter()
+    sums = counting.count_sweep_grid(x_values, r)
+    seconds = time.perf_counter() - t0
+    return [CountReport(x, r, d.total, "identity", seconds) for x, d in zip(x_values, sums)]

@@ -156,9 +156,9 @@ def test_criterion_06_normalized_error_within_factor_10(t100k):
     assert max(errs) / min(errs) <= 10.0, (min(errs), max(errs))
 
 
-def test_criterion_07_prime_reciprocal_residual(t100m):
-    r7 = mertens_sum(t100m, 10**7).residual
-    r8 = mertens_sum(t100m, 10**8).residual
+def test_criterion_07_prime_reciprocal_residual():
+    r7 = mertens_sum(10**7).residual
+    r8 = mertens_sum(10**8).residual
     assert abs(r8 - r7) <= 5e-3
     assert 0.25 <= r8 <= 0.28
     print(f"criterion 7: PASS - residual(1e8) = {r8:.9f} in [0.25, 0.28], "

@@ -83,50 +83,41 @@ def test_log_integral_finite_at_largest_float():
     assert value == pytest.approx(2.536315701167842e305, rel=1e-13, abs=0)
 
 
-def test_mertens_small_exact(t10k):
+def test_mertens_small_exact():
     # 1/2 + 1/3 + 1/5 + 1/7 = 247/210
-    res = mertens_sum(t10k, 10)
+    res = mertens_sum(10)
     assert res.z == 10
     assert res.sum == pytest.approx(247.0 / 210.0, rel=1e-15, abs=0)
     assert res.residual == pytest.approx(res.sum - math.log(math.log(10.0)), abs=1e-15)
 
 
-def test_mertens_matches_direct_fsum(t10k):
-    res = mertens_sum(t10k, 5000)
+def test_mertens_matches_direct_fsum():
+    res = mertens_sum(5000)
     direct = math.fsum(1.0 / p for p in prime_list(5000))
     assert res.sum == direct
 
 
-def test_mertens_residual_near_constant(t10m):
+def test_mertens_residual_near_constant():
     # the residual tends to the Meissel-Mertens constant 0.26149721...
-    res = mertens_sum(t10m, 10**6)
+    res = mertens_sum(10**6)
     assert res.residual == pytest.approx(0.2614972128, abs=1e-4)
     assert res.residual == pytest.approx(0.261536185092, abs=1e-9)
 
 
-def test_mertens_validation(t10k):
+def test_mertens_validation():
     with pytest.raises(ValueError):
-        mertens_sum(t10k, 1)
-    with pytest.raises(ValueError):
-        mertens_sum(None, 1)
-
-
-def test_mertens_without_a_table_is_bit_identical(t10k, t10m):
-    # the same exact sum, rounded once, from the table or from the sieve
-    for z in range(2, 3001):
-        assert mertens_sum(None, z) == mertens_sum(t10k, z), z
-    assert mertens_sum(None, 10**6) == mertens_sum(t10m, 10**6)
+        mertens_sum(1)
 
 
 def _fsum_recips(primes) -> float:
     return math.fsum([1.0 / int(p) for p in primes])
 
 
-def test_recip_sum_is_fsum_for_every_z_below_3000(t10k):
+def test_recip_sum_is_fsum_for_every_z_below_3000():
     primes = prime_list(3000)
     for z in range(2, 3000):
         k = bisect.bisect_right(primes, z)
-        assert mertens_sum(t10k, z).sum == _fsum_recips(primes[:k]), z
+        assert mertens_sum(z).sum == _fsum_recips(primes[:k]), z
 
 
 def test_recip_sum_is_fsum_at_random_z_below_1e7(t10m):
@@ -135,7 +126,7 @@ def test_recip_sum_is_fsum_at_random_z_below_1e7(t10m):
     rng = random.Random(20081)
     for _ in range(200):
         z = min(int(10 ** rng.uniform(math.log10(2), 7)), 10**7 - 1)
-        assert mertens_sum(t10m, z).sum == math.fsum(recips[: t10m.prime_count(z)]), z
+        assert mertens_sum(z).sum == math.fsum(recips[: t10m.prime_count(z)]), z
 
 
 @pytest.mark.parametrize("chunks", [
@@ -167,15 +158,18 @@ def test_recip_sum_rejects_p_outside_its_exactness_bound():
         _recip_sum([np.array([2], dtype=np.uint64), np.array([2**38], dtype=np.uint64)])
 
 
-def test_mertens_on_a_table_holds_no_whole_slice_of_floats(t10m):
-    # 664579 primes: one float64 array over the whole slice alone is 5.3 MB
-    tracemalloc.start()
-    try:
-        mertens_sum(t10m, 10**7)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20
+def test_mertens_peak_does_not_grow_with_z():
+    # a stream of one segment's primes at a time: z = 1e8 holds 5761455
+    # primes, 46 MB as uint64, yet peaks within 1 MiB of z = 1e7
+    peaks = []
+    for z in (10**7, 10**8):
+        tracemalloc.start()
+        try:
+            mertens_sum(z)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 2**20, peaks
 
 
 def test_rsa_count_estimate_formula():

@@ -113,8 +113,8 @@ def test_band_recip_sum_tracks_log_ratio(t10m):
     assert got == pytest.approx(want, rel=0.05, abs=0)
 
 
-def test_convergence_table_rows(t100k):
-    rows = convergence_table(t100k, [10**4, 10**5], Ratio(2))
+def test_convergence_table_rows():
+    rows = convergence_table([10**4, 10**5], Ratio(2))
     assert [row.x for row in rows] == [10**4, 10**5]
     first = rows[0]
     assert first.exact == 169
@@ -124,6 +124,13 @@ def test_convergence_table_rows(t100k):
     assert first.err_normalized == pytest.approx(abs(169 - est) / scale, rel=1e-12, abs=0)
 
 
-def test_convergence_table_validation(t10k):
+def test_convergence_table_shares_the_sweep_time():
+    reps = convergence_table([100, 1000, 10**4], Ratio(2))
+    assert [rep.exact for rep in reps] == [5, 25, 169]
+    assert len({rep.seconds for rep in reps}) == 1
+    assert all(rep.method == "identity" for rep in reps)
+
+
+def test_convergence_table_validation():
     with pytest.raises(ValueError):
-        convergence_table(t10k, [1], Ratio(2))
+        convergence_table([1], Ratio(2))
