@@ -4,8 +4,8 @@ Machine output (CSV or JSON) is deterministic by default so that repeated
 runs are byte-identical; wall-clock timings go into the seconds column
 only with --timing.  Brute count and verify sieve the prime table they
 need in the same run; no subcommand reads or writes a cache.  Exit codes:
-0 ok, 2 bad arguments, 3 table, budget or work-bound errors or a file that
-cannot be written, 4 a cross-check failed.
+0 ok, 2 bad arguments, 3 table, budget or work-bound errors, a file that
+cannot be written or a sweep worker that died, 4 a cross-check failed.
 """
 
 from __future__ import annotations
@@ -168,25 +168,36 @@ class GridSizeError(Exception):
 _MAX_GRID_ROWS = 10**6
 
 
+def _grid_point(x_min: int, points_per_decade: int, k: int) -> int:
+    """round(x_min * 10^(k/points_per_decade)), the grid's k-th candidate point."""
+    return int(round(x_min * 10 ** (k / points_per_decade)))
+
+
 def _geometric_grid(x_min: int, x_max: int, points_per_decade: int) -> list[int]:
     """Ascending grid from x_min to x_max, points_per_decade per decade.
 
-    The points are round(x_min * 10^(k/points_per_decade)) for k = 0, 1, ...
-    that exceed the point before, up to the first at or above x_max, which
-    becomes x_max.  A galloping search finds each next k, so the work grows
-    with the points kept, not with k.  Raises GridSizeError first when the
-    grid could hold more than _MAX_GRID_ROWS rows, one per integer or per k.
+    The points are _grid_point(k) for k = 0, 1, ... that exceed the point
+    before, up to the first at or above x_max, which becomes x_max.  Each
+    next k is searched from the closed-form last k of the point before, so
+    the work grows with the points kept, not with k.  Raises GridSizeError
+    first when the grid could hold more than _MAX_GRID_ROWS rows, one per
+    integer or per k.
     """
     rows = 1 + min(x_max - x_min, math.ceil(points_per_decade * math.log10(x_max / x_min)))
     if rows > _MAX_GRID_ROWS:
         raise GridSizeError(f"the grid could hold {rows} rows, over the bound of {_MAX_GRID_ROWS}")
 
     def point(k: int) -> int:
-        return int(round(x_min * 10 ** (k / points_per_decade)))
+        return _grid_point(x_min, points_per_decade, k)
 
     out = [x_min]
     k = 0
     while out[-1] < x_max:
+        # the last k with point(k) <= out[-1], up to rounding: start there
+        # when it holds, so a search takes a few steps, not log(k) of them
+        guess = math.floor(points_per_decade * math.log10((out[-1] + 0.5) / x_min))
+        if guess > k and point(guess) <= out[-1]:
+            k = guess
         # the first k with point(k) > out[-1]: gallop from k, then bisect
         step = 1
         while point(k + step) <= out[-1]:
@@ -324,7 +335,8 @@ _OPTIONS = {
     "brute-budget": dict(type=_parse_positive, default=DEFAULT_BRUTE_BUDGET),
     "cache": dict(metavar="PATH", default=None),
     "memory-budget-bytes": dict(type=_parse_positive, default=DEFAULT_MEMORY_BUDGET_BYTES),
-    "threads": dict(type=_parse_positive, default=1),
+    "threads": dict(type=_parse_positive, default=1,
+                    help="ignored: sweeps use every CPU in the process's affinity mask"),
 }
 # li takes a real x and verify a list of ratios
 _OPTION_OVERRIDES = {
@@ -334,7 +346,8 @@ _OPTION_OVERRIDES = {
     ),
 }
 # Nothing reads --threads or --cache; they are accepted anyway because the
-# benchmark passes them to its ops.
+# benchmark passes them to its ops.  The sweeps take their worker count from
+# the affinity mask instead (counting._usable_cpus).
 _SUBCOMMANDS = {
     "count": (_cmd_count, "exact count C_r(x) plus the estimate",
               "x r method format out timing brute-budget cache memory-budget-bytes threads"),

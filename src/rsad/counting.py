@@ -16,7 +16,8 @@ two of them independent:
     answered on the prime table.
   * count_sweep_grid: the same decomposition with no table, at every x of
     a grid, its pi arguments answered in order by one segmented sieve over
-    [0, sqrt(r*x_max)]; count_sweep is its one-point case.
+    [0, sqrt(r*x_max)], cut into ranges that run in forked workers on every
+    usable CPU; count_sweep is its one-point case.
 
 All boundary tests are integer-exact: r is an exact rational num/den, the
 range split p <= sqrt(x/r) is decided as p^2*num <= x*den, and pi(r*p),
@@ -28,14 +29,16 @@ matters when r*p lands exactly on an integer.
 
 from __future__ import annotations
 
+import bisect
 import math
+import os
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analytic import rsa_count_estimate
-from .primes import U64_MAX, PrimeTable, _check_u64, _OddSieve
+from .primes import U64_MAX, PrimeTable, _check_u64, _OddSieve, _segment_size
 
 # floor_mul scales a prime array in uint64 only while num * p stays below this
 _NP_SAFE = 2**62
@@ -355,61 +358,248 @@ def count_sweep_grid(xs: list[int], r: Ratio) -> list[Decomposition]:
       * s1: k1 = pi(floor(sqrt(x))) counts the p of both sums: the s2
         arguments up to floor(r*floor(sqrt(x/r))) and x's band arguments.
 
-    Only the base primes up to (r*x_max)^(1/4), the grid's sums, a fixed
-    number of segment buffers and one segment's arguments of one stream are
-    held, however dense the grid.
+    The sweep is cut into ranges of whole segments (_range_cuts), run by
+    _sweep_range in forked workers, one per usable CPU; a sweep too small
+    to repay the fork, or a process with one CPU, runs as one range in
+    this process.  Either way the sums are the same integers.  A sweep
+    holds only the base primes up to (r*x_max)^(1/4), the grid's sums, a
+    fixed number of segment buffers and one segment's arguments of one
+    stream, however dense the grid.
     """
     for x in xs:
         _check_u64(x, "x")
     if any(a > b for a, b in zip(xs, xs[1:])):
         raise ValueError("grid must be ascending")
+    # no prime p <= sqrt(x) below x = 4, so k1 = s3 = 0 (and s2 = 0, as p2 < 2)
+    if not xs or xs[-1] < 4:
+        return [Decomposition(0, 0, 0)] * len(xs)
+    cuts = _range_cuts(xs, r)
+    return _sweep_in_ranges(xs, r, cuts, min(len(cuts) - 1, _usable_cpus()))
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask (a cgroup CPU quota is not seen)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+# A sweep sieving fewer numbers (main sweep, s2 stream and s3 bands) runs in
+# one range in process.  On 2 cores, forked against in process, count took
+# 0.98-1.17 times as long at 2.2e7-4.2e7 numbers (x = 1e14, 3e14) and
+# 0.63-0.72 times at 7e7-1.3e8 (x = 1e15).
+_FORK_MIN_NUMBERS = 5 * 10**7
+
+# Ranges per worker, handed to whichever worker is free.  The estimate counts
+# a band number like a main one, so equal estimates are not equal times: cut
+# in two, count at 1e16, r = 2 took 0.21 and 0.31 s a half.
+_RANGES_PER_CPU = 2
+
+
+def _range_cuts(xs: list[int], r: Ratio) -> list[int]:
+    """Cuts 0 = c_0 < ... < c_k of the sweep's odd indices, on segment boundaries.
+
+    Each range [c_i, c_{i+1}) gets about the same number of numbers to
+    sieve: its own, the s2 stream's p with floor(r*p) in it and the band
+    p whose floor(x/p) lies in it.  A sweep of fewer than
+    _FORK_MIN_NUMBERS, or a process on one CPU, is one range.  Raises
+    SieveWorkError, before any sieving, past the sieve's work bound.
+    """
+    limit = _required_limit(xs[-1], r)
+    size, end = _segment_size(limit), (limit + 1) // 2
+    p1 = np.array([math.isqrt(x) for x in xs], dtype=float)
+    p2 = np.array([math.isqrt(x * r.den // r.num) for x in xs], dtype=float)
+    x_f, r_f = np.array(xs, dtype=float), float(r)
+
+    def work(i: int) -> float:
+        """Numbers sieved to answer the arguments up to 2*i."""
+        h = 2.0 * min(i, end)
+        bands = np.maximum(p1 - np.maximum(p2, x_f / (h + 1)), 0.0).sum()
+        return h + min(h / r_f, p2[-1]) + float(bands)
+
+    cpus, total = _usable_cpus(), work(end)
+    if cpus == 1 or total < _FORK_MIN_NUMBERS:
+        return [0, end]
+    ranges = _RANGES_PER_CPU * cpus
+    cuts = [0]
+    for k in range(1, ranges):
+        # the least segment boundary m*size by which the share k/ranges is sieved
+        lo, hi = cuts[-1] // size, -(-end // size)
+        while lo < hi:
+            m = (lo + hi) // 2
+            if work(m * size) < total * k / ranges:
+                lo = m + 1
+            else:
+                hi = m
+        if cuts[-1] < lo * size < end:
+            cuts.append(lo * size)
+    return cuts + [end]
+
+
+def _sweep_in_ranges(xs: list[int], r: Ratio, cuts: list[int], workers: int = 1):
+    """count_sweep_grid's decompositions from _sweep_range over each [c_i, c_{i+1}).
+
+    The ranges run here, or in `workers` forked processes when more than
+    one; each range's sums, counted from the start of the range, are
+    shifted by the primes below it here, in Python integers.
+    """
+    ranges = list(zip(cuts, cuts[1:]))
+    if workers > 1:
+        results = _forked_ranges(xs, r, ranges, workers)
+    else:
+        results = (_sweep_range(xs, r, lo, hi) for lo, hi in ranges)
+    n = len(xs)
+    k1, s2, s3 = [0] * n, [0] * n, [0] * n
+    below = 1  # primes below the range, counting 2: the sweep sieves odd n only
+    for sums, count in results:
+        n2, t2, n3, t3 = (a.tolist() for a in sums)
+        for j in range(n):
+            k1[j] += n2[j] + n3[j]
+            s2[j] += n2[j] * below + t2[j]
+            s3[j] += n3[j] * below + t3[j]
+        below += count
+    return [Decomposition(s1=k * (k + 1) // 2, s2=a, s3=b) for k, a, b in zip(k1, s2, s3)]
+
+
+def _forked_ranges(xs: list[int], r: Ratio, ranges: list[tuple[int, int]], workers: int):
+    """_sweep_range's results over the ranges, in order, from `workers` forked processes.
+
+    Each worker inherits xs and r through the fork and is sent the next
+    range whenever it returns one, so no worker idles while ranges are left.
+    An exception in a worker is raised here; a worker that dies (the OOM
+    killer, say) raises ChildProcessError.  On every way out each worker
+    is terminated and joined.
+    """
+    # imported here: 10 ms that a sweep run in process does not pay
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    context = multiprocessing.get_context("fork")
+    results, todo, busy, started = [None] * len(ranges), list(enumerate(ranges)), {}, []
+
+    def send_next(conn):
+        if todo:
+            busy[conn], task = todo.pop(0)
+            conn.send(task)
+
+    try:
+        for _ in range(workers):
+            conn, child_end = context.Pipe()
+            proc = context.Process(target=_range_worker, args=(child_end, os.getpid(), xs, r))
+            proc.start()
+            started.append((proc, conn))
+            child_end.close()  # so the worker's death reads as EOF here
+            send_next(conn)
+        while busy:
+            for conn in wait(list(busy)):
+                try:
+                    ok, value = conn.recv()
+                except EOFError:
+                    raise ChildProcessError("a sweep worker died") from None
+                if not ok:
+                    raise value
+                results[busy.pop(conn)] = value
+                send_next(conn)
+        return results
+    finally:
+        for proc, conn in started:
+            proc.terminate()
+            proc.join()
+            conn.close()
+
+
+def _range_worker(conn, parent: int, xs: list[int], r: Ratio) -> None:
+    """A forked worker: _sweep_range over each range received, its result or
+    exception sent back, until terminated or its parent is gone.
+
+    Interrupts are left to the parent, which terminates its workers.  A
+    killed parent cannot, and a worker deep in a range would sieve on for
+    seconds, so a thread polls the parent's pid.  The worker leaves by
+    os._exit, never flushing the stdout buffer it inherited.
+    """
+    import signal
+    import threading
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(0.2)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+    try:
+        while True:
+            lo, hi = conn.recv()
+            try:
+                reply = True, _sweep_range(xs, r, lo, hi)
+            except Exception as exc:  # raised again in the parent
+                reply = False, exc
+            conn.send(reply)
+    finally:  # recv or send found the parent gone
+        os._exit(1)
+
+
+def _sweep_range(xs: list[int], r: Ratio, i_lo: int, i_hi: int):
+    """count_sweep_grid's sweep over the odd indices [i_lo, i_hi).
+
+    The range answers the pi arguments from 2*i_lo + 1 to 2*i_hi.  Returns
+    ((n2, t2, n3, t3), count): for each x, how many of its s2 and of its s3
+    arguments lie in the range, and the sums of their pi counted from the
+    start of the range, as int64 arrays, which a worker sends back in 8
+    bytes an x each; and count, the primes in the range.  The s2 stream
+    sieves only the p with floor(r*p) in the range, and each band only its
+    p with floor(x/p) in it.  Every sum fits int64: no range holds more
+    than pi(2^32) arguments of one x, each counting at most pi(2^36).
+    """
     n = len(xs)
     p1 = [math.isqrt(x) for x in xs]
     p2 = [math.isqrt(x * r.den // r.num) for x in xs]
     cut2 = [r.floor_mul(p) for p in p2]
-    k1, s2, s3 = [0] * n, [0] * n, [0] * n
-    # no prime p <= sqrt(x) below x = 4, so k1 = s3 = 0 (and s2 = 0, as p2 < 2)
-    if n and p1[-1] >= 2:
-        limit = _required_limit(xs[-1], r)
-        sieve = _OddSieve(limit)
-        s2_args = _Queries(map(r.floor_mul, sieve.primes(2, p2[-1])))
-        p_top = p1[:]  # the largest p of each x's band (p2, p1] not yet answered
-        below = 1  # primes below the segment, counting 2: the sweep sieves odd n only
-        run2 = seen2 = 0  # s2's sum over, and count of, the arguments answered so far
-        next2 = 0  # the first x whose s2 is open
-        for i0, flags in sieve.segments(0, (limit + 1) // 2):
-            packed = np.packbits(flags, bitorder="little")
-            upto = np.cumsum(_POP.take(packed), dtype=np.int32)
-            # this segment answers the arguments in (2*i0, 2*i1]
-            hi = min(2 * (i0 + flags.size), U64_MAX)
+    first, last = 2 * i_lo + 1, 2 * i_hi
+    sieve = _OddSieve(_required_limit(xs[-1], r))
+    # floor(r*p) >= first iff p*num >= first*den; floor(r*p) <= last iff
+    # p*num < (last + 1)*den
+    p_first = max(2, (first * r.den - 1) // r.num + 1)
+    p_last = min(p2[-1], ((last + 1) * r.den - 1) // r.num)
+    s2_args = _Queries(map(r.floor_mul, sieve.primes(p_first, p_last)))
+    p_top = [min(p, x // first) for p, x in zip(p1, xs)]  # each band's largest p not yet answered
+    n2, t2, n3, t3 = [0] * n, [0] * n, [0] * n, [0] * n
+    below = 0  # primes in the range below the segment
+    run2 = seen2 = 0  # s2's sum over, and count of, the range's arguments answered so far
+    next2 = bisect.bisect_left(cut2, first)  # the first x whose s2 is open
+    for i0, flags in sieve.segments(i_lo, i_hi):
+        packed = np.packbits(flags, bitorder="little")
+        upto = np.cumsum(_POP.take(packed), dtype=np.int32)
+        # this segment answers the arguments in [2*i0 + 1, 2*i1]
+        hi = min(2 * (i0 + flags.size), U64_MAX)
 
-            q = s2_args.upto(hi)
-            pis = _segment_pi(q, i0, packed, upto)
-            start = 0
-            while next2 < n and cut2[next2] <= hi:
-                end = int(q.searchsorted(np.uint64(cut2[next2]), side="right"))
-                run2 += (end - start) * below + int(pis[start:end].sum(dtype=np.int64))
-                s2[next2], start = run2, end
-                k1[next2] += seen2 + end  # pi(p2): one argument per p <= p2
-                next2 += 1
-            run2 += (q.size - start) * below + int(pis[start:].sum(dtype=np.int64))
-            seen2 += q.size
-            del q, pis  # freed before the band arguments are made
+        q = s2_args.upto(hi)
+        pis = _segment_pi(q, i0, packed, upto)
+        start = 0
+        while next2 < n and cut2[next2] <= hi:
+            end = int(q.searchsorted(np.uint64(cut2[next2]), side="right"))
+            run2 += (end - start) * below + int(pis[start:end].sum(dtype=np.int64))
+            n2[next2], t2[next2], start = seen2 + end, run2, end
+            next2 += 1
+        run2 += (q.size - start) * below + int(pis[start:].sum(dtype=np.int64))
+        seen2 += q.size
+        del q, pis  # freed before the band arguments are made
 
-            for j, x in enumerate(xs):
-                # the least p with x // p <= hi; above p_top in a band that is
-                # empty, answered, or whose arguments all lie above hi
-                p_lo = max(p2[j], x // (hi + 1)) + 1
-                if p_lo <= p_top[j]:
-                    for p in sieve.primes(p_lo, p_top[j]):
-                        k1[j] += p.size
-                        # p becomes x // p in place: this chunk of x's arguments
-                        np.floor_divide(np.uint64(x), p, out=p)
-                        pis = _segment_pi(p, i0, packed, upto)
-                        s3[j] += p.size * below + int(pis.sum(dtype=np.int64))
-                    p_top[j] = p_lo - 1
-            below += int(upto[-1])
-    return [Decomposition(s1=k * (k + 1) // 2, s2=a, s3=b) for k, a, b in zip(k1, s2, s3)]
+        for j, x in enumerate(xs):
+            # the least p with x // p <= hi; above p_top in a band that is
+            # empty, answered, or whose arguments all lie above hi
+            p_lo = max(p2[j], x // (hi + 1)) + 1
+            if p_lo <= p_top[j]:
+                for p in sieve.primes(p_lo, p_top[j]):
+                    n3[j] += p.size
+                    # p becomes x // p in place: this chunk of x's arguments
+                    np.floor_divide(np.uint64(x), p, out=p)
+                    pis = _segment_pi(p, i0, packed, upto)
+                    t3[j] += p.size * below + int(pis.sum(dtype=np.int64))
+                p_top[j] = p_lo - 1
+        below += int(upto[-1])
+    for j in range(next2, n):  # s2 open past the range: all its arguments here count
+        n2[j], t2[j] = seen2, run2
+    return [np.array(v, dtype=np.int64) for v in (n2, t2, n3, t3)], below
 
 
 def count_sweep(x: int, r: Ratio) -> Decomposition:

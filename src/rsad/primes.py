@@ -177,20 +177,31 @@ _WHEEL = 15015
 _SMALL_ODD_IS_PRIME = (False, True, True, True, False, True, True)
 
 
+def _segment_size(limit: int) -> int:
+    """Odd candidates per segment of a sieve to limit: SWEEP_SEGMENT_BYTES as
+    read now, or all odd candidates if fewer.
+
+    Raises SieveWorkError if limit exceeds SIEVE_WORK_LIMIT, so a caller that
+    plans a sieve's segments meets the bound before any sieving.
+    """
+    if limit > SIEVE_WORK_LIMIT:
+        raise SieveWorkError(
+            f"sieving to {limit} exceeds the work bound of {SIEVE_WORK_LIMIT} numbers"
+        )
+    return min(SWEEP_SEGMENT_BYTES, (limit + 1) // 2)
+
+
 class _OddSieve:
     """Segmented sieve of the odd candidates n = 2i + 1 <= limit, by index i.
 
     Holds the base primes up to sqrt(limit), built by build_table, and the
-    wheel pattern; segments() sieves in segments of SWEEP_SEGMENT_BYTES as
-    read at construction, or of all odd candidates if fewer.  Raises
-    SieveWorkError, before any sieving, if limit exceeds SIEVE_WORK_LIMIT.
+    wheel pattern; segments() sieves in segments of _segment_size(limit).
+    Raises SieveWorkError, before any sieving, if limit exceeds
+    SIEVE_WORK_LIMIT.
     """
 
     def __init__(self, limit: int):
-        if limit > SIEVE_WORK_LIMIT:
-            raise SieveWorkError(
-                f"sieving to {limit} exceeds the work bound of {SIEVE_WORK_LIMIT} numbers"
-            )
+        self.segment_size = _segment_size(limit)
         base = build_table(math.isqrt(limit)).primes
         # Odd n = 2i + 1 lives at index i.  The odd multiples of p are the
         # indices = (p - 1)/2 mod p, crossed off from p^2's index
@@ -199,7 +210,6 @@ class _OddSieve:
         self.base = base[base > _WHEEL_PRIMES[-1]].astype(np.int64)
         self.base_idx = self.base // 2
         self.square_idx = self.base_idx * (self.base + 1)
-        self.segment_size = min(SWEEP_SEGMENT_BYTES, (limit + 1) // 2)
         self.pattern = np.ones(_WHEEL + self.segment_size, dtype=bool)
         for p in _WHEEL_PRIMES:
             self.pattern[p // 2 :: p] = False

@@ -185,7 +185,7 @@ def test_criterion_09_prime_counter_against_trial_division(t10k):
           "division for every n <= 1e4")
 
 
-def test_criterion_10_cli_byte_determinism(tmp_path):
+def test_criterion_10_cli_byte_determinism(tmp_path, child_env):
     args = [
         sys.executable, "-m", "rsad", "table",
         "--x-min", "100", "--x-max", "1e6", "--points-per-decade", "3",
@@ -193,9 +193,9 @@ def test_criterion_10_cli_byte_determinism(tmp_path):
     ]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     ra = subprocess.run(args + ["--threads", "1", "--out", str(a)],
-                        capture_output=True)
+                        capture_output=True, env=child_env)
     rb = subprocess.run(args + ["--threads", "6", "--out", str(b)],
-                        capture_output=True)
+                        capture_output=True, env=child_env)
     assert ra.returncode == 0 and rb.returncode == 0
     assert a.read_bytes() == b.read_bytes()
     print("criterion 10: PASS - table output byte-identical across "

@@ -122,6 +122,21 @@ def test_geometric_grid_matches_stepping_every_k(x_min, x_max):
         assert _geometric_grid(x_min, x_max, ppd) == _grid_stepping_every_k(x_min, x_max, ppd)
 
 
+def test_geometric_grid_of_consecutive_integers_makes_o_rows_points(monkeypatch):
+    # a gallop from step 1 at every point made about 60 evaluations a row here
+    calls = []
+    point = cli._grid_point
+
+    def recording_point(*args):
+        calls.append(args)
+        return point(*args)
+
+    monkeypatch.setattr(cli, "_grid_point", recording_point)
+    grid = _geometric_grid(2, 20001, 10**12)
+    assert grid == list(range(2, 20002))
+    assert len(calls) <= 4 * len(grid)
+
+
 def test_geometric_grid_dense_request_is_bounded(capsys):
     # 1e12 points per decade: every integer from 100 to 1000 once
     assert run_cli(
@@ -630,32 +645,32 @@ def test_unwritable_out_or_cache_exits_3(tmp_path, capsys, argv):
 
 # --- process-level entry -------------------------------------------------
 
-def test_unallocatable_table_exits_3():
+def test_unallocatable_table_exits_3(child_env):
     # admitted by both budgets, but the 1.6 EiB table to sqrt(r*x) = 1e19
     # cannot be allocated; the allocation comes before any sieving, so this
     # fails at once
     proc = subprocess.run(
         [sys.executable, "-m", "rsad", "count", "--x", "1e19", "--r", "10000000000000000000",
          "--method", "brute", "--brute-budget", "1e19", "--memory-budget-bytes", "1e19"],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60, env=child_env,
     )
     assert proc.returncode == 3
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
 
 
-def test_module_invocation_subprocess():
+def test_module_invocation_subprocess(child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "rsad", "count", "--x", "100", "--r", "2"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env,
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1].startswith("100,2,5,")
 
 
-def test_subprocess_exit_code_2():
+def test_subprocess_exit_code_2(child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "rsad", "count", "--x", "100", "--r", "zebra"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env,
     )
     assert proc.returncode == 2

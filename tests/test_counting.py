@@ -1,6 +1,11 @@
 import decimal
 import math
+import os
 import random
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +14,7 @@ from rsad import (
     CountReport,
     Decomposition,
     Ratio,
+    SieveWorkError,
     TableLimitError,
     brute_counts_upto,
     count_brute,
@@ -25,7 +31,7 @@ from rsad import counting
 from rsad.counting import _required_limit
 from rsad.primes import SWEEP_SEGMENT_BYTES
 
-from oracles import rsa_count_pairs, semiprime_count
+from oracles import prime_list, rsa_count_pairs, semiprime_count
 
 RATIOS = [Ratio(3, 2), Ratio(2), Ratio(5), Ratio(10)]
 
@@ -270,9 +276,11 @@ def test_count_sweep_sieves_each_band_prime_once(monkeypatch, segment_bytes):
             assert (x // hi - 1) // numbers == (x // lo - 1) // numbers, (x, str(r), lo, hi)
 
 
-def test_count_sweep_memory_holds_no_pending_band_arguments():
+def test_count_sweep_memory_holds_no_pending_band_arguments(monkeypatch):
     import tracemalloc
 
+    # tracemalloc sees this process only, so the whole sweep runs here
+    monkeypatch.setattr(counting, "_FORK_MIN_NUMBERS", math.inf)
     tracemalloc.start()
     try:
         count_sweep(10**16, Ratio(2))
@@ -318,11 +326,13 @@ def test_count_sweep_grid_every_x_below_3000(t10k):
         assert count_sweep_grid(grid, r) == [count_identity(t10k, x, r) for x in grid]
 
 
-def test_count_sweep_grid_memory_does_not_grow_with_density():
+def test_count_sweep_grid_memory_does_not_grow_with_density(monkeypatch):
     import tracemalloc
 
     from rsad.cli import _geometric_grid
 
+    # tracemalloc sees this process only, so the whole sweep runs here
+    monkeypatch.setattr(counting, "_FORK_MIN_NUMBERS", math.inf)
     peaks = []
     for points_per_decade in (4, 100):
         grid = _geometric_grid(10**12, 10**13, points_per_decade)
@@ -343,6 +353,197 @@ def test_count_sweep_grid_shapes_and_validation():
         count_sweep_grid([100, 99], Ratio(2))
     with pytest.raises(ValueError):
         count_sweep_grid([100, 2**64], Ratio(2))
+
+
+# --- the sweep in ranges -------------------------------------------------
+
+CUT_COUNTS = (1, 2, 3, 7)
+
+
+def _sweep_end(xs, r):
+    return (_required_limit(xs[-1], r) + 1) // 2
+
+
+def _boundary_cuts(x, r, end, k, rng):
+    """Up to k cuts in (0, end), each putting a pi argument of x on the first
+    or last number of a range, s2 arguments floor(r*p) and band arguments
+    floor(x/p) in turn.
+
+    The range from cut c answers the arguments from 2c + 1 and the range up
+    to c those up to 2c, so c = v // 2 puts an odd v first in a range and an
+    even v last.
+    """
+    p1, p2 = math.isqrt(x), math.isqrt(x * r.den // r.num)
+    kinds = [
+        {v // 2 for v in args if 0 < v // 2 < end}
+        for args in ([r.floor_mul(p) for p in prime_list(p2)],
+                     [x // p for p in prime_list(p1) if p > p2])
+    ]
+    rng.shuffle(kinds)
+    cuts = set()
+    for i in range(k):
+        spots = sorted(kinds[i % 2] - cuts) or sorted(kinds[(i + 1) % 2] - cuts)
+        if spots:
+            cuts.add(rng.choice(spots))
+    return sorted(cuts)
+
+
+def _check_ranges(xs, r, x, rng, ks):
+    end = _sweep_end(xs, r)
+    want = counting._sweep_in_ranges(xs, r, [0, end])
+    for k in ks:
+        cuts = _boundary_cuts(x, r, end, k, rng)
+        assert len(cuts) == k, (str(r), x, k)
+        got = counting._sweep_in_ranges(xs, r, [0] + cuts + [end])
+        assert got == want, (str(r), cuts)
+
+
+@pytest.mark.parametrize("segment_bytes", [4, 97])
+def test_sweep_ranges_match_one_range_at_every_x_below_3000(monkeypatch, segment_bytes):
+    # each ratio takes one cut count, and each segment size the next one, so
+    # every count meets both segment sizes (1-byte segments take 9 s here;
+    # the random grids cover them)
+    monkeypatch.setattr(rsad.primes, "SWEEP_SEGMENT_BYTES", segment_bytes)
+    rng = random.Random(20261021 + segment_bytes)
+    grid = list(range(3000))
+    for i, r in enumerate(SWEEP_RATIOS):
+        k = CUT_COUNTS[(i + segment_bytes) % len(CUT_COUNTS)]
+        _check_ranges(grid, r, rng.randrange(1000, 3000), rng, [k])
+
+
+@pytest.mark.parametrize("segment_bytes,x_max", [(1, 10**6), (4, 10**6), (97, 10**9)])
+def test_sweep_ranges_match_one_range_on_random_grids(monkeypatch, segment_bytes, x_max):
+    monkeypatch.setattr(rsad.primes, "SWEEP_SEGMENT_BYTES", segment_bytes)
+    rng = random.Random(20261022 + segment_bytes)
+    for r in SWEEP_RATIOS:
+        grid = sorted([0, 1, 3] + [rng.randrange(x_max) for _ in range(rng.choice((3, 12)))])
+        _check_ranges(grid, r, rng.choice(grid[3:]), rng, CUT_COUNTS)
+
+
+def test_range_cuts_fall_on_segment_boundaries(monkeypatch):
+    monkeypatch.setattr(counting, "_usable_cpus", lambda: 3)
+    for xs, r in [([10**16], Ratio(2)), ([10**15], Ratio(10)), ([10**14, 10**16], Ratio(3, 2))]:
+        limit = _required_limit(xs[-1], r)
+        size, end = rsad.primes._segment_size(limit), _sweep_end(xs, r)
+        cuts = counting._range_cuts(xs, r)
+        assert cuts[0] == 0 and cuts[-1] == end
+        assert 2 < len(cuts) <= 7 and all(a < b for a, b in zip(cuts, cuts[1:]))
+        assert all(c % size == 0 for c in cuts[:-1])
+    monkeypatch.setattr(counting, "_usable_cpus", lambda: 1)
+    assert counting._range_cuts([10**16], Ratio(2)) == [0, _sweep_end([10**16], Ratio(2))]
+
+
+def test_forked_sweep_gives_the_frozen_count_and_leaves_no_worker(monkeypatch):
+    import multiprocessing
+
+    forks = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(counting, "_usable_cpus", lambda: 2)
+    assert count_sweep(10**16, Ratio(2)).total == 10818912949586
+    assert len(forks) == 2
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("fault,raised", [("raise", ZeroDivisionError), ("exit", ChildProcessError)])
+def test_a_failing_worker_fails_the_sweep(monkeypatch, fault, raised):
+    # a worker that dies, as under the OOM killer, fails the sweep: no waiting on it
+    import multiprocessing
+
+    sweep_range = counting._sweep_range
+
+    def failing_range(xs, r, lo, hi):
+        if lo == 0:
+            return sweep_range(xs, r, lo, hi)
+        if fault == "exit":
+            os._exit(9)
+        return 1 // 0
+
+    def hung(signum, frame):
+        raise TimeoutError("the sweep kept waiting for a failed worker")
+
+    monkeypatch.setattr(counting, "_sweep_range", failing_range)
+    monkeypatch.setattr(counting, "_usable_cpus", lambda: 2)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(raised):
+            count_sweep(10**16, Ratio(2))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []
+
+
+def test_sweep_errors_are_raised_before_any_fork(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(counting, "_usable_cpus", lambda: 2)
+    with pytest.raises(SieveWorkError):
+        count_sweep(2**64 - 1, Ratio(2**10))  # sqrt(r*x) is just below 2^37
+    with pytest.raises(ValueError):
+        count_sweep_grid([10**16, 10**15], Ratio(2))
+    with pytest.raises(ValueError):
+        count_sweep_grid([10**16, 2**64], Ratio(2))
+
+
+def _live_children(pid):
+    """Pids of pid's children that have not exited, from /proc."""
+    found = []
+    for name in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{name}/stat") as fh:
+                state, ppid = fh.read().rsplit(")", 1)[1].split()[:2]
+        except (OSError, ValueError):
+            continue
+        if int(ppid) == pid and state != "Z":
+            found.append(int(name))
+    return found
+
+
+def _alive(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self") or len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2,
+    reason="needs /proc and two usable CPUs",
+)
+def test_killed_count_leaves_no_worker(child_env):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rsad", "count", "--x", "1e17", "--r", "2"],
+        env=child_env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    workers = []
+    try:
+        deadline = time.monotonic() + 30
+        while not workers and proc.poll() is None and time.monotonic() < deadline:
+            workers = _live_children(proc.pid)
+            time.sleep(0.01)
+        assert workers, "the count forked no worker"
+        proc.kill()
+        proc.wait(timeout=10)
+        deadline = time.monotonic() + 5
+        while any(map(_alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_alive, workers))
+    finally:
+        proc.kill()
+        proc.wait()
+        for pid in filter(_alive, workers):
+            os.kill(pid, signal.SIGKILL)
 
 
 # --- sweep form ----------------------------------------------------------
