@@ -113,7 +113,5 @@ def rsa_count_estimate(x: int, r: Ratio) -> float:
     """
     if x < 2:
         raise ValueError(f"estimate requires x >= 2, got {x}")
-    if r.num == r.den:
-        return 0.0
     return 2.0 * float(x) * r.log() / math.log(x) ** 2
 

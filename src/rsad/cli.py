@@ -5,7 +5,8 @@ runs are byte-identical; wall-clock timings go into the seconds column
 only with --timing.  Brute count and verify sieve the prime table they
 need in the same run; no subcommand reads or writes a cache.  Exit codes:
 0 ok, 2 bad arguments, 3 table, budget or work-bound errors, a file that
-cannot be written or a sweep worker that died, 4 a cross-check failed.
+cannot be written or a sweep worker that died, 4 a cross-check failed,
+130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -114,27 +115,22 @@ def _reports_text(
     return "\n".join(lines) + "\n"
 
 
-class BruteBudgetError(Exception):
-    """x exceeds --brute-budget."""
-
-
-class MemoryBudgetError(Exception):
-    """A prime table and the arrays beside it would exceed --memory-budget-bytes."""
+class Refused(Exception):
+    """A run over a budget or the grid's row bound, refused before any work: exit 3."""
 
 
 def _admitted_table(args, max_x: int, limit: int, bytes_per_x: int = 0) -> PrimeTable:
     """The prime table to limit, built only once the run is admitted.
 
-    Raises BruteBudgetError when max_x exceeds --brute-budget, and
-    MemoryBudgetError when the table's peak to limit plus bytes_per_x for
-    each x in [0, max_x] exceeds --memory-budget-bytes; either is raised
-    before any sieving.
+    Raises Refused, before any sieving, when max_x exceeds --brute-budget
+    or when the table's peak to limit plus bytes_per_x for each x in
+    [0, max_x] exceeds --memory-budget-bytes.
     """
     if max_x > args.brute_budget:
-        raise BruteBudgetError(f"x={max_x} exceeds brute-force budget {args.brute_budget}")
+        raise Refused(f"x={max_x} exceeds brute-force budget {args.brute_budget}")
     need = _peak_estimate_bytes(limit) + bytes_per_x * (max_x + 1)
     if need > args.memory_budget_bytes:
-        raise MemoryBudgetError(
+        raise Refused(
             f"x={max_x} with a prime table to {limit} needs up to {need} bytes "
             f"at peak, over the {args.memory_budget_bytes}-byte budget"
         )
@@ -160,10 +156,6 @@ def _cmd_count(args) -> int:
     return 0
 
 
-class GridSizeError(Exception):
-    """A table grid could hold more than _MAX_GRID_ROWS rows."""
-
-
 # 10^6 rows take about 3 minutes and 1 GB: 600001 rows over 1e6..1e12 took 99 s and 661 MB.
 _MAX_GRID_ROWS = 10**6
 
@@ -179,13 +171,13 @@ def _geometric_grid(x_min: int, x_max: int, points_per_decade: int) -> list[int]
     The points are _grid_point(k) for k = 0, 1, ... that exceed the point
     before, up to the first at or above x_max, which becomes x_max.  Each
     next k is searched from the closed-form last k of the point before, so
-    the work grows with the points kept, not with k.  Raises GridSizeError
+    the work grows with the points kept, not with k.  Raises Refused
     first when the grid could hold more than _MAX_GRID_ROWS rows, one per
     integer or per k.
     """
     rows = 1 + min(x_max - x_min, math.ceil(points_per_decade * math.log10(x_max / x_min)))
     if rows > _MAX_GRID_ROWS:
-        raise GridSizeError(f"the grid could hold {rows} rows, over the bound of {_MAX_GRID_ROWS}")
+        raise Refused(f"the grid could hold {rows} rows, over the bound of {_MAX_GRID_ROWS}")
 
     def point(k: int) -> int:
         return _grid_point(x_min, points_per_decade, k)
@@ -248,10 +240,13 @@ def _cmd_li(args) -> int:
     return 0
 
 
-def _first_difference(a, b, start: int) -> int | None:
-    """The least index i >= start where arrays a and b differ, or None."""
-    differs = a[start:] != b[start:]
-    return start + int(differs.argmax()) if differs.any() else None
+def _first_mismatch(table: PrimeTable, max_x: int, r: Ratio) -> tuple[int, int, int] | None:
+    """The least x <= max_x where brute_counts_upto and identity_counts_upto
+    differ, as (x, brute, identity), or None."""
+    brute = counting.brute_counts_upto(table, max_x, r)
+    ident = counting.identity_counts_upto(table, max_x, r)
+    x = int((brute != ident).argmax())  # 0 when none differs
+    return (x, int(brute[x]), int(ident[x])) if brute[x] != ident[x] else None
 
 
 # verify's arrays, admitted with its table's peak, in bytes per x of [0, max_x]:
@@ -266,27 +261,19 @@ def _cmd_verify(args) -> int:
     ratios = args.r
     sum_check_max = min(max_x, 10**4)
     pi2_sample_max = min(max_x, 1000)
-    required = max(
-        [counting._required_limit(max_x, r) for r in ratios]
-        + [sum_check_max, pi2_sample_max, 2]
-    )
+    # sum_check_max >= pi2_sample_max, the pi2 check's largest pi argument
+    required = max([counting._required_limit(max_x, r) for r in ratios] + [sum_check_max, 2])
     table = _admitted_table(args, max_x, required, _VERIFY_BYTES_PER_X)
 
     checks = 0
     for r in ratios:
-        brute = counting.brute_counts_upto(table, max_x, r)
-        ident = counting.identity_counts_upto(table, max_x, r)
-        x = _first_difference(brute, ident, 0)
-        if x is not None:
-            print(
-                f"mismatch at x={x}, r={r}: brute={int(brute[x])}, "
-                f"identity={int(ident[x])}",
-                file=sys.stderr,
-            )
+        mismatch = _first_mismatch(table, max_x, r)
+        if mismatch:
+            x, brute, ident = mismatch
+            print(f"mismatch at x={x}, r={r}: brute={brute}, identity={ident}", file=sys.stderr)
             return 4
         checks += max_x + 1
         print(f"identity-vs-brute for r={r}: all {max_x + 1} x values agree")
-        del brute, ident  # the next ratio's arrays are made without them
 
     try:
         checks += diagnostics.check_pi_sums(table, sum_check_max)
@@ -295,19 +282,14 @@ def _cmd_verify(args) -> int:
         return 4
     print(f"pi-sum closed form: verified for all z <= {sum_check_max}")
 
-    # C_M(x) = C_x(x) = pi_2(x) for every x <= M: each q <= x/p <= M*p
-    if pi2_sample_max:
-        r_m = Ratio(pi2_sample_max)
-        full = counting.identity_counts_upto(table, pi2_sample_max, r_m)
-        pi2 = counting.brute_counts_upto(table, pi2_sample_max, r_m)
-        x = _first_difference(full, pi2, 1)
-        if x is not None:
-            print(
-                f"pi2 cross-check failed at x={x}: C_x(x)={int(full[x])}, pi2={int(pi2[x])}",
-                file=sys.stderr,
-            )
-            return 4
-        checks += pi2_sample_max
+    # C_M(x) = C_x(x) = pi_2(x) for every x <= M: each q <= x/p <= M*p, so
+    # brute at r = M enumerates pi_2; both are 0 at x = 0
+    mismatch = pi2_sample_max and _first_mismatch(table, pi2_sample_max, Ratio(pi2_sample_max))
+    if mismatch:
+        x, pi2, full = mismatch
+        print(f"pi2 cross-check failed at x={x}: C_x(x)={full}, pi2={pi2}", file=sys.stderr)
+        return 4
+    checks += pi2_sample_max
     print(f"pi2 cross-check: verified for all x <= {pi2_sample_max}")
 
     print(f"all checks passed ({checks} total)")
@@ -383,9 +365,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (
-        BruteBudgetError,
-        MemoryBudgetError,
-        GridSizeError,
+        Refused,
         SieveWorkError,
         TableLimitError,
         MemoryError,
@@ -399,7 +379,12 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """The console script: main's exit code, or 130 after Ctrl-C."""
+    try:
+        sys.exit(main())
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        sys.exit(130)
 
 
 if __name__ == "__main__":

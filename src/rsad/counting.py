@@ -438,25 +438,26 @@ def _sweep_in_ranges(xs: list[int], r: Ratio, cuts: list[int], workers: int = 1)
     """count_sweep_grid's decompositions from _sweep_range over each [c_i, c_{i+1}).
 
     The ranges run here, or in `workers` forked processes when more than
-    one; each range's sums, counted from the start of the range, are
-    shifted by the primes below it here, in Python integers.
+    one; each range's int64 columns, counted from the start of the range,
+    are shifted by the primes below it and added here with numpy.  That is
+    exact: no x has more than pi(2^32) arguments, as its p <= sqrt(x) <
+    2^32, and none counts more than pi(2^36) primes, the sieve's work
+    bound, so every sum stays below pi(2^32)*pi(2^36) < 2^60.
     """
     ranges = list(zip(cuts, cuts[1:]))
     if workers > 1:
         results = _forked_ranges(xs, r, ranges, workers)
     else:
         results = (_sweep_range(xs, r, lo, hi) for lo, hi in ranges)
-    n = len(xs)
-    k1, s2, s3 = [0] * n, [0] * n, [0] * n
+    k1, s2, s3 = (np.zeros(len(xs), dtype=np.int64) for _ in range(3))
     below = 1  # primes below the range, counting 2: the sweep sieves odd n only
-    for sums, count in results:
-        n2, t2, n3, t3 = (a.tolist() for a in sums)
-        for j in range(n):
-            k1[j] += n2[j] + n3[j]
-            s2[j] += n2[j] * below + t2[j]
-            s3[j] += n3[j] * below + t3[j]
+    for (n2, t2, n3, t3), count in results:
+        k1 += n2 + n3
+        s2 += n2 * below + t2
+        s3 += n3 * below + t3
         below += count
-    return [Decomposition(s1=k * (k + 1) // 2, s2=a, s3=b) for k, a, b in zip(k1, s2, s3)]
+    sums = zip(k1.tolist(), s2.tolist(), s3.tolist())
+    return [Decomposition(s1=k * (k + 1) // 2, s2=a, s3=b) for k, a, b in sums]
 
 
 def _forked_ranges(xs: list[int], r: Ratio, ranges: list[tuple[int, int]], workers: int):
@@ -547,8 +548,7 @@ def _sweep_range(xs: list[int], r: Ratio, i_lo: int, i_hi: int):
     start of the range, as int64 arrays, which a worker sends back in 8
     bytes an x each; and count, the primes in the range.  The s2 stream
     sieves only the p with floor(r*p) in the range, and each band only its
-    p with floor(x/p) in it.  Every sum fits int64: no range holds more
-    than pi(2^32) arguments of one x, each counting at most pi(2^36).
+    p with floor(x/p) in the segment at hand.
     """
     n = len(xs)
     p1 = [math.isqrt(x) for x in xs]
@@ -561,16 +561,15 @@ def _sweep_range(xs: list[int], r: Ratio, i_lo: int, i_hi: int):
     p_first = max(2, (first * r.den - 1) // r.num + 1)
     p_last = min(p2[-1], ((last + 1) * r.den - 1) // r.num)
     s2_args = _Queries(map(r.floor_mul, sieve.primes(p_first, p_last)))
-    p_top = [min(p, x // first) for p, x in zip(p1, xs)]  # each band's largest p not yet answered
-    n2, t2, n3, t3 = [0] * n, [0] * n, [0] * n, [0] * n
+    n2, t2, n3, t3 = (np.zeros(n, dtype=np.int64) for _ in range(4))
     below = 0  # primes in the range below the segment
     run2 = seen2 = 0  # s2's sum over, and count of, the range's arguments answered so far
     next2 = bisect.bisect_left(cut2, first)  # the first x whose s2 is open
     for i0, flags in sieve.segments(i_lo, i_hi):
         packed = np.packbits(flags, bitorder="little")
         upto = np.cumsum(_POP.take(packed), dtype=np.int32)
-        # this segment answers the arguments in [2*i0 + 1, 2*i1]
-        hi = min(2 * (i0 + flags.size), U64_MAX)
+        # this segment answers the arguments in [lo, hi]
+        lo, hi = 2 * i0 + 1, 2 * (i0 + flags.size)
 
         q = s2_args.upto(hi)
         pis = _segment_pi(q, i0, packed, upto)
@@ -585,21 +584,19 @@ def _sweep_range(xs: list[int], r: Ratio, i_lo: int, i_hi: int):
         del q, pis  # freed before the band arguments are made
 
         for j, x in enumerate(xs):
-            # the least p with x // p <= hi; above p_top in a band that is
-            # empty, answered, or whose arguments all lie above hi
-            p_lo = max(p2[j], x // (hi + 1)) + 1
-            if p_lo <= p_top[j]:
-                for p in sieve.primes(p_lo, p_top[j]):
+            # x's band p with lo <= x // p <= hi
+            p_lo, p_hi = max(p2[j], x // (hi + 1)) + 1, min(p1[j], x // lo)
+            if p_lo <= p_hi:
+                for p in sieve.primes(p_lo, p_hi):
                     n3[j] += p.size
                     # p becomes x // p in place: this chunk of x's arguments
                     np.floor_divide(np.uint64(x), p, out=p)
                     pis = _segment_pi(p, i0, packed, upto)
                     t3[j] += p.size * below + int(pis.sum(dtype=np.int64))
-                p_top[j] = p_lo - 1
         below += int(upto[-1])
-    for j in range(next2, n):  # s2 open past the range: all its arguments here count
-        n2[j], t2[j] = seen2, run2
-    return [np.array(v, dtype=np.int64) for v in (n2, t2, n3, t3)], below
+    # s2 open past the range: all its arguments here count
+    n2[next2:], t2[next2:] = seen2, run2
+    return (n2, t2, n3, t3), below
 
 
 def count_sweep(x: int, r: Ratio) -> Decomposition:

@@ -167,7 +167,7 @@ def test_geometric_grid_refuses_a_grid_over_the_row_bound(monkeypatch):
     monkeypatch.setattr(cli, "_MAX_GRID_ROWS", 901)
     assert len(_geometric_grid(100, 1000, 10**12)) == 901
     monkeypatch.setattr(cli, "_MAX_GRID_ROWS", 900)
-    with pytest.raises(cli.GridSizeError):
+    with pytest.raises(cli.Refused):
         _geometric_grid(100, 1000, 10**12)
 
 
@@ -657,6 +657,21 @@ def test_unallocatable_table_exits_3(child_env):
     assert proc.returncode == 3
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+def test_interrupt_exits_130_from_entry_only(monkeypatch, capsys):
+    # main lets Ctrl-C through to in-process callers; the console script maps it
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "prime_pi", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["pi", "--x", "10"])
+    monkeypatch.setattr(cli, "main", interrupted)
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == 130
+    assert capsys.readouterr().err == "interrupted\n"
 
 
 def test_module_invocation_subprocess(child_env):

@@ -420,6 +420,38 @@ def test_sweep_ranges_match_one_range_on_random_grids(monkeypatch, segment_bytes
         _check_ranges(grid, r, rng.choice(grid[3:]), rng, CUT_COUNTS)
 
 
+def test_sweep_merge_is_exact_at_its_int64_bound(monkeypatch):
+    # four ranges whose prime counts add up to about pi(2^36), and four x
+    # whose pi(2^32) arguments per sum are spread over them in different
+    # ways, each argument counting every prime of its range: the totals
+    # reach pi(2^32)*pi(2^36), past a float's 2^53 and an int32's range
+    pi32, pi36 = 203280221, 2874398515
+    counts = [pi36 // 4 - 1, pi36 // 4, pi36 // 4 + 1, pi36 - 3 * (pi36 // 4) - 1]
+    splits = [[pi32 // 4] * 3 + [pi32 - 3 * (pi32 // 4)], [0, 0, 0, pi32], [pi32, 0, 0, 0],
+              [1, pi32 - 2, 0, 1]]
+
+    def synthetic_range(xs, r, lo, hi):
+        n = np.array([split[lo] for split in splits], dtype=np.int64)
+        return (n, n * counts[lo], n, n * counts[lo]), counts[lo]
+
+    want = []
+    for split in splits:
+        k1 = total = 0
+        below = 1
+        for n, count in zip(split, counts):
+            k1 += 2 * n
+            total += n * below + n * count
+            below += count
+        want.append(Decomposition(s1=k1 * (k1 + 1) // 2, s2=total, s3=total))
+    assert max(d.s2 for d in want) > 2**59
+
+    monkeypatch.setattr(counting, "_sweep_range", synthetic_range)
+    got = counting._sweep_in_ranges([2**64 - 1] * len(splits), Ratio(2), [0, 1, 2, 3, 4])
+    assert got == want
+    # a count row's JSON needs Python ints, not numpy scalars
+    assert all(type(v) is int for d in got for v in (d.s1, d.s2, d.s3))
+
+
 def test_range_cuts_fall_on_segment_boundaries(monkeypatch):
     monkeypatch.setattr(counting, "_usable_cpus", lambda: 3)
     for xs, r in [([10**16], Ratio(2)), ([10**15], Ratio(10)), ([10**14, 10**16], Ratio(3, 2))]:
@@ -517,28 +549,67 @@ def _alive(pid):
         return False
 
 
-@pytest.mark.skipif(
+needs_proc_and_two_cpus = pytest.mark.skipif(
     not os.path.isdir("/proc/self") or len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2,
     reason="needs /proc and two usable CPUs",
 )
+
+
+# a count whose sweep forks workers
+FORKED_COUNT = [sys.executable, "-m", "rsad", "count", "--x", "1e17", "--r", "2"]
+
+
+def _first_workers(proc):
+    """proc's live children once it has forked any, within 30 s."""
+    workers = []
+    deadline = time.monotonic() + 30
+    while not workers and proc.poll() is None and time.monotonic() < deadline:
+        workers = _live_children(proc.pid)
+        time.sleep(0.01)
+    assert workers, "the count forked no worker"
+    return workers
+
+
+def _assert_all_gone(workers):
+    deadline = time.monotonic() + 5
+    while any(map(_alive, workers)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(map(_alive, workers))
+
+
+@needs_proc_and_two_cpus
 def test_killed_count_leaves_no_worker(child_env):
     proc = subprocess.Popen(
-        [sys.executable, "-m", "rsad", "count", "--x", "1e17", "--r", "2"],
-        env=child_env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        FORKED_COUNT, env=child_env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
     )
     workers = []
     try:
-        deadline = time.monotonic() + 30
-        while not workers and proc.poll() is None and time.monotonic() < deadline:
-            workers = _live_children(proc.pid)
-            time.sleep(0.01)
-        assert workers, "the count forked no worker"
+        workers = _first_workers(proc)
         proc.kill()
         proc.wait(timeout=10)
-        deadline = time.monotonic() + 5
-        while any(map(_alive, workers)) and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert not any(map(_alive, workers))
+        _assert_all_gone(workers)
+    finally:
+        proc.kill()
+        proc.wait()
+        for pid in filter(_alive, workers):
+            os.kill(pid, signal.SIGKILL)
+
+
+@needs_proc_and_two_cpus
+def test_interrupted_count_exits_130_and_leaves_no_worker(child_env):
+    proc = subprocess.Popen(
+        FORKED_COUNT, env=child_env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        text=True,
+    )
+    workers = []
+    try:
+        workers = _first_workers(proc)
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=10)
+        assert proc.returncode == 130
+        assert "Traceback" not in err
+        assert err == "interrupted\n"
+        _assert_all_gone(workers)
     finally:
         proc.kill()
         proc.wait()
