@@ -29,7 +29,6 @@ matters when r*p lands exactly on an integer.
 
 from __future__ import annotations
 
-import bisect
 import math
 import os
 import time
@@ -546,25 +545,26 @@ def _sweep_range(xs: list[int], r: Ratio, i_lo: int, i_hi: int):
     ((n2, t2, n3, t3), count): for each x, how many of its s2 and of its s3
     arguments lie in the range, and the sums of their pi counted from the
     start of the range, as int64 arrays, which a worker sends back in 8
-    bytes an x each; and count, the primes in the range.  The s2 stream
-    sieves only the p with floor(r*p) in the range, and each band only its
-    p with floor(x/p) in the segment at hand.
+    bytes an x each; and count, the primes in the range.
+
+    The per-x state is uint64 columns x, p1, p2 and cut2 = floor(r*p2).  One
+    search, k = q.searchsorted(cut2) over a segment's s2 arguments q (uint64
+    too, or it compares in float64), closes every s2; x's band there is two
+    column expressions, and only the x with a non-empty band are visited.
     """
-    n = len(xs)
-    p1 = [math.isqrt(x) for x in xs]
-    p2 = [math.isqrt(x * r.den // r.num) for x in xs]
-    cut2 = [r.floor_mul(p) for p in p2]
+    x = np.array(xs, dtype=np.uint64)
+    p1 = np.array([math.isqrt(v) for v in xs], dtype=np.uint64)
+    p2 = np.array([math.isqrt(v * r.den // r.num) for v in xs], dtype=np.uint64)
+    cut2 = r.floor_mul(p2)
     first, last = 2 * i_lo + 1, 2 * i_hi
     sieve = _OddSieve(_required_limit(xs[-1], r))
     # floor(r*p) >= first iff p*num >= first*den; floor(r*p) <= last iff
     # p*num < (last + 1)*den
     p_first = max(2, (first * r.den - 1) // r.num + 1)
-    p_last = min(p2[-1], ((last + 1) * r.den - 1) // r.num)
+    p_last = min(int(p2[-1]), ((last + 1) * r.den - 1) // r.num)
     s2_args = _Queries(map(r.floor_mul, sieve.primes(p_first, p_last)))
-    n2, t2, n3, t3 = (np.zeros(n, dtype=np.int64) for _ in range(4))
+    n2, t2, n3, t3 = (np.zeros(len(xs), dtype=np.int64) for _ in range(4))
     below = 0  # primes in the range below the segment
-    run2 = seen2 = 0  # s2's sum over, and count of, the range's arguments answered so far
-    next2 = bisect.bisect_left(cut2, first)  # the first x whose s2 is open
     for i0, flags in sieve.segments(i_lo, i_hi):
         packed = np.packbits(flags, bitorder="little")
         upto = np.cumsum(_POP.take(packed), dtype=np.int32)
@@ -572,30 +572,23 @@ def _sweep_range(xs: list[int], r: Ratio, i_lo: int, i_hi: int):
         lo, hi = 2 * i0 + 1, 2 * (i0 + flags.size)
 
         q = s2_args.upto(hi)
-        pis = _segment_pi(q, i0, packed, upto)
-        start = 0
-        while next2 < n and cut2[next2] <= hi:
-            end = int(q.searchsorted(np.uint64(cut2[next2]), side="right"))
-            run2 += (end - start) * below + int(pis[start:end].sum(dtype=np.int64))
-            n2[next2], t2[next2], start = seen2 + end, run2, end
-            next2 += 1
-        run2 += (q.size - start) * below + int(pis[start:].sum(dtype=np.int64))
-        seen2 += q.size
-        del q, pis  # freed before the band arguments are made
+        run = np.zeros(q.size + 1, dtype=np.int64)
+        np.cumsum(_segment_pi(q, i0, packed, upto), out=run[1:])
+        k = q.searchsorted(cut2, side="right")
+        n2 += k
+        t2 += k * below + run[k]
+        del q, run  # freed before the band arguments are made
 
-        for j, x in enumerate(xs):
-            # x's band p with lo <= x // p <= hi
-            p_lo, p_hi = max(p2[j], x // (hi + 1)) + 1, min(p1[j], x // lo)
-            if p_lo <= p_hi:
-                for p in sieve.primes(p_lo, p_hi):
-                    n3[j] += p.size
-                    # p becomes x // p in place: this chunk of x's arguments
-                    np.floor_divide(np.uint64(x), p, out=p)
-                    pis = _segment_pi(p, i0, packed, upto)
-                    t3[j] += p.size * below + int(pis.sum(dtype=np.int64))
+        p_lo = np.maximum(p2, x // np.uint64(hi + 1)) + np.uint64(1)
+        p_hi = np.minimum(p1, x // np.uint64(lo))
+        for j in np.flatnonzero(p_lo <= p_hi).tolist():
+            for p in sieve.primes(int(p_lo[j]), int(p_hi[j])):
+                n3[j] += p.size
+                # p becomes x // p in place: this chunk of x's arguments
+                np.floor_divide(x[j], p, out=p)
+                pis = _segment_pi(p, i0, packed, upto)
+                t3[j] += p.size * below + int(pis.sum(dtype=np.int64))
         below += int(upto[-1])
-    # s2 open past the range: all its arguments here count
-    n2[next2:], t2[next2:] = seen2, run2
     return (n2, t2, n3, t3), below
 
 

@@ -25,11 +25,6 @@ def t10m():
     return build_table(10**7 + 64)
 
 
-@pytest.fixture(scope="session")
-def t100m():
-    return build_table(10**8)
-
-
 @pytest.fixture
 def child_env():
     """Environment for a child `python -m rsad`: this checkout's src first on

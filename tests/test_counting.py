@@ -1,3 +1,4 @@
+import collections
 import decimal
 import math
 import os
@@ -274,6 +275,41 @@ def test_count_sweep_sieves_each_band_prime_once(monkeypatch, segment_bytes):
         assert tiles == list(range(p2 + 1, p1 + 1)), (x, str(r))
         for lo, hi in calls[1:]:
             assert (x // hi - 1) // numbers == (x // lo - 1) // numbers, (x, str(r), lo, hi)
+
+
+@pytest.mark.parametrize("segment_bytes", [1, 97, SWEEP_SEGMENT_BYTES])
+def test_count_sweep_grid_sieves_each_band_prime_once_per_x(monkeypatch, segment_bytes):
+    # on a grid, each p is sieved once for every x whose band (p2, p1] holds
+    # it, by calls that are never empty and each lie in one segment of some x
+    calls = []
+    numbers = 2 * segment_bytes
+
+    class RecordingSieve(counting._OddSieve):
+        def primes(self, lo, hi):
+            calls.append((lo, hi))
+            return super().primes(lo, hi)
+
+    monkeypatch.setattr(counting, "_OddSieve", RecordingSieve)
+    monkeypatch.setattr(counting, "_FORK_MIN_NUMBERS", math.inf)  # a forked sieve records nothing here
+    monkeypatch.setattr(rsad.primes, "SWEEP_SEGMENT_BYTES", segment_bytes)
+    dense = list(range(3000, 3101))
+    decades = [round(10 ** (k / 4)) for k in range(24, 37)]  # 1e6..1e9, 4 a decade
+    # r = 1 leaves every band empty and r = 10^12 leaves s2 empty; the
+    # latter sweeps to x itself, so it takes the dense grid alone
+    for grid, r in [(dense, Ratio(2)), (dense, Ratio(1)), (dense, Ratio(10**12)),
+                    (decades, Ratio(2)), (decades, Ratio(1))]:
+        calls.clear()
+        count_sweep_grid(grid, r)
+        bands = [(x, math.isqrt(x * r.den // r.num), math.isqrt(x)) for x in grid]
+        assert calls[0] == (2, bands[-1][1]), str(r)
+        assert all(lo <= hi for lo, hi in calls[1:]), str(r)
+        tiles = collections.Counter(p for lo, hi in calls[1:] for p in range(lo, hi + 1))
+        assert tiles == collections.Counter(
+            p for _, p2, p1 in bands for p in range(p2 + 1, p1 + 1)), str(r)
+        for lo, hi in calls[1:]:
+            assert any(p2 < lo and hi <= p1
+                       and (x // hi - 1) // numbers == (x // lo - 1) // numbers
+                       for x, p2, p1 in bands), (str(r), lo, hi)
 
 
 def test_count_sweep_memory_holds_no_pending_band_arguments(monkeypatch):

@@ -46,8 +46,8 @@ def test_prime_count_large_known_values(t10m):
     assert t10m.prime_count(10**7) == 664579
 
 
-def test_prime_count_10e8(t100m):
-    assert t100m.prime_count(10**8) == 5761455
+def test_prime_count_10e8():
+    assert build_table(10**8).prime_count(10**8) == 5761455
 
 
 def test_primes_match_trial_division():
