@@ -8,70 +8,51 @@ reports each count against the smooth estimate 2*x*log(r)/log(x)^2, and
 checks the summation identity the prime-counting route rests on.
 """
 
-from .analytic import (
-    MertensResult,
-    log_integral,
-    mertens_sum,
-    rsa_count_estimate,
-)
-from .counting import (
-    CountReport,
-    Decomposition,
-    Ratio,
-    brute_counts_upto,
-    count_brute,
-    count_identity,
-    count_pi2,
-    count_report,
-    count_sweep,
-    count_sweep_grid,
-    identity_counts_upto,
-)
-from .diagnostics import (
-    IdentityViolationError,
-    check_pi_sums,
-    convergence_table,
-    sum_pi_p,
-)
-from .primes import (
-    CacheFormatError,
-    PrimeTable,
-    SieveWorkError,
-    TableLimitError,
-    build_table,
-    load_table,
-    prime_chunks,
-    prime_pi,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CacheFormatError",
-    "CountReport",
-    "Decomposition",
-    "IdentityViolationError",
-    "MertensResult",
-    "PrimeTable",
-    "Ratio",
-    "SieveWorkError",
-    "TableLimitError",
-    "brute_counts_upto",
-    "build_table",
-    "check_pi_sums",
-    "convergence_table",
-    "count_brute",
-    "count_identity",
-    "count_pi2",
-    "count_report",
-    "count_sweep",
-    "count_sweep_grid",
-    "identity_counts_upto",
-    "load_table",
-    "log_integral",
-    "mertens_sum",
-    "prime_chunks",
-    "prime_pi",
-    "rsa_count_estimate",
-    "sum_pi_p",
-]
+# Each public name, by the submodule that defines it.  A name is imported on
+# first use (PEP 562), so `import rsad` loads no submodule and no numpy.
+_NAMES = {
+    "analytic": ("MertensResult", "log_integral", "mertens_sum", "rsa_count_estimate"),
+    "counting": (
+        "CountReport",
+        "Decomposition",
+        "Ratio",
+        "brute_counts_upto",
+        "count_brute",
+        "count_identity",
+        "count_pi2",
+        "count_report",
+        "count_sweep",
+        "count_sweep_grid",
+        "identity_counts_upto",
+    ),
+    "diagnostics": ("IdentityViolationError", "check_pi_sums", "convergence_table", "sum_pi_p"),
+    "primes": (
+        "CacheFormatError",
+        "PrimeTable",
+        "SieveWorkError",
+        "TableLimitError",
+        "build_table",
+        "load_table",
+        "prime_chunks",
+        "prime_pi",
+    ),
+}
+_HOME = {name: module for module, names in _NAMES.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value  # bound now, so later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

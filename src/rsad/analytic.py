@@ -3,26 +3,26 @@
 Holds the logarithmic integral Li(x) = integral from 2 to x of dt/log t,
 the prime reciprocal sum  sum_{p<=z} 1/p  with its log log z residual,
 streamed from one sieve to z with no prime table, and the estimate
-2*x*log(r)/log(x)^2 that exact counts are compared against.
+2*x*log(r)/log(x)^2 that exact counts are compared against.  Li and the
+estimate need only math: numpy and the sieve are imported by the Mertens
+sum, so `rsad li` starts without them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-import numpy as np
-
-from .primes import prime_chunks
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     from .counting import Ratio
 
 
-@dataclass(frozen=True)
-class MertensResult:
-    """One evaluation of sum_{p<=z} 1/p against log log z."""
+class MertensResult(NamedTuple):
+    """One evaluation of sum_{p<=z} 1/p against log log z.
+
+    A NamedTuple, not a dataclass: importing dataclasses would add about
+    7 ms to every `rsad li` process.
+    """
 
     z: int
     sum: float
@@ -77,6 +77,8 @@ def _recip_sum(chunks) -> float:
     most one per odd candidate, 2^20 (155610 in the first segment), so its
     limb sums stay below 2^50.
     """
+    import numpy as np
+
     limbs = [0, 0, 0]
     for chunk in chunks:
         if chunk.size and int(chunk.max()) >= _RECIP_P_BOUND:
@@ -99,6 +101,8 @@ def mertens_sum(z: int) -> MertensResult:
     _recip_sum adds them exactly as integers and rounds once: the sum is
     the float math.fsum gives, bit for bit.  Requires z >= 2.
     """
+    from .primes import prime_chunks
+
     if z < 2:
         raise ValueError(f"mertens_sum requires z >= 2, got {z}")
     total = _recip_sum(prime_chunks(z))

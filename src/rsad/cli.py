@@ -13,22 +13,52 @@ from __future__ import annotations
 
 import argparse
 import decimal
-import json
+import importlib
 import math
 import sys
 
-from . import analytic, counting, diagnostics
-from .counting import Ratio
-from .primes import (
-    U64_MAX,
-    PrimeTable,
-    SieveWorkError,
-    TableLimitError,
-    _peak_estimate_bytes,
-    build_table,
-    load_table,  # unused here; bench/tracing.py wraps rsad.cli.load_table by name
-    prime_pi,
-)
+from . import analytic
+
+# Names from the sieving modules, each with the module that holds it (a
+# module's own name stands for the module).  Importing them loads numpy,
+# which li never needs, so each is bound on first access (PEP 562) and main
+# binds them all for every other subcommand.  A name already set, say by a
+# tracer, is kept.
+_LAZY = {
+    "counting": "counting",
+    "diagnostics": "diagnostics",
+    "Ratio": "counting",
+    **dict.fromkeys(
+        [
+            "PrimeTable",
+            "SieveWorkError",
+            "TableLimitError",
+            "U64_MAX",  # unused here: li's parsers compare with 2**64 to skip numpy
+            "_peak_estimate_bytes",
+            "build_table",
+            "load_table",  # unused here; bench/tracing.py wraps it by name
+            "prime_pi",
+        ],
+        "primes",
+    ),
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_LAZY[name]}", __package__)
+    value = module if name == _LAZY[name] else getattr(module, name)
+    globals()[name] = value  # bound now, so later lookups skip this hook
+    return value
+
+
+def _bind_sieving_names() -> None:
+    """Bind every name of _LAZY that is not bound yet."""
+    for name in _LAZY:
+        if name not in globals():
+            __getattr__(name)
+
 
 TABLE_HEADER = "x,r,exact,estimate,abs_err,rel_err,ratio,err_normalized,seconds"
 COUNT_HEADER = "x,r,exact,estimate,abs_err,rel_err,method,seconds"
@@ -44,7 +74,7 @@ def _parse_scale(text: str) -> int:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
     if d < 0:
         raise argparse.ArgumentTypeError(f"{text!r} must be nonnegative")
-    if d > U64_MAX:
+    if d >= 2**64:
         raise argparse.ArgumentTypeError(f"{text!r} must be below 2^64")
     return int(d)
 
@@ -58,6 +88,7 @@ def _parse_positive(text: str) -> int:
 
 
 def _parse_ratio(text: str) -> Ratio:
+    _bind_sieving_names()  # argparse calls this before main knows the subcommand
     try:
         return Ratio.parse(text)
     except ValueError as exc:
@@ -77,6 +108,12 @@ def _fmt(v: float) -> str:
 
 def _jnum(v: float) -> float:
     return float(f"{v:.12g}")
+
+
+def _json_text(doc) -> str:
+    import json  # only JSON output needs it; li never does
+
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -109,7 +146,7 @@ def _reports_text(
             {col: _jnum(v) if isinstance(v, float) else v for col, v in zip(cols, row)}
             for row in rows
         ]
-        return json.dumps(payload, indent=2) + "\n"
+        return _json_text(payload)
     lines = [header]
     lines.extend(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
@@ -222,7 +259,7 @@ def _cmd_mertens(args) -> int:
     fields = {"sum": res.sum, "loglog_z": res.loglog_z, "residual": res.residual}
     if args.format == "json":
         doc = {"z": res.z, **{name: _jnum(v) for name, v in fields.items()}}
-        text = json.dumps(doc, indent=2) + "\n"
+        text = _json_text(doc)
     else:
         text = "".join(f"{name}={_fmt(v)}\n" for name, v in fields.items())
     _emit(text, args.out)
@@ -323,9 +360,7 @@ _OPTIONS = {
 # li takes a real x and verify a list of ratios
 _OPTION_OVERRIDES = {
     ("li", "x"): dict(type=float, required=True),
-    ("verify", "r"): dict(
-        type=_parse_ratio_list, default=(Ratio(3, 2), Ratio(2), Ratio(5), Ratio(10))
-    ),
+    ("verify", "r"): dict(type=_parse_ratio_list, default="3/2,2,5,10"),
 }
 # Nothing reads --threads or --cache; they are accepted anyway because the
 # benchmark passes them to its ops.  The sweeps take their worker count from
@@ -362,15 +397,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    refusals = (Refused, MemoryError, OSError)
+    if args.command != "li":  # li needs only math
+        _bind_sieving_names()
+        refusals += (SieveWorkError, TableLimitError)
     try:
         return args.func(args)
-    except (
-        Refused,
-        SieveWorkError,
-        TableLimitError,
-        MemoryError,
-        OSError,
-    ) as exc:
+    except refusals as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

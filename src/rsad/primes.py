@@ -28,8 +28,9 @@ U64_MAX = 2**64 - 1
 SWEEP_SEGMENT_BYTES = 2**20
 
 # No sieve runs past this many numbers.  It admits sqrt(r*x) for every
-# x < 2^64 with r <= 256 (count's sweep at 2^64 - 1, r = 2, sieves to 6.07e9
-# in about 40 s); a sweep to 1e12 would take hours.
+# x < 2^64 with r <= 256 (count's sweep at 2^64 - 1, r = 2, sieves to 6.07e9:
+# 21.2 s in forked ranges on 2 CPUs, 39.3 s in one range; see the README's
+# Performance notes); a sweep to 1e12 would take hours.
 SIEVE_WORK_LIMIT = 2**36
 
 CACHE_MAGIC = b"RSAD1"
