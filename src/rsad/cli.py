@@ -15,32 +15,21 @@ import argparse
 import decimal
 import importlib
 import math
+import os
 import sys
 
 from . import analytic
 
-# Names from the sieving modules, each with the module that holds it (a
-# module's own name stands for the module).  Importing them loads numpy,
-# which li never needs, so each is bound on first access (PEP 562) and main
-# binds them all for every other subcommand.  A name already set, say by a
-# tracer, is kept.
+# The sieving modules cli reaches into, and the three functions callers
+# replace on it: tests patch build_table and prime_pi, and bench/tracing.py
+# wraps load_table.  Importing any of them loads numpy, which li never needs,
+# so each is bound on first access (PEP 562) and main binds them all for
+# every other subcommand.  A name a tracer or test set before main is kept.
 _LAZY = {
     "counting": "counting",
     "diagnostics": "diagnostics",
-    "Ratio": "counting",
-    **dict.fromkeys(
-        [
-            "PrimeTable",
-            "SieveWorkError",
-            "TableLimitError",
-            "U64_MAX",  # unused here: li's parsers compare with 2**64 to skip numpy
-            "_peak_estimate_bytes",
-            "build_table",
-            "load_table",  # unused here; bench/tracing.py wraps it by name
-            "prime_pi",
-        ],
-        "primes",
-    ),
+    "primes": "primes",
+    **dict.fromkeys(["build_table", "load_table", "prime_pi"], "primes"),
 }
 
 
@@ -87,15 +76,15 @@ def _parse_positive(text: str) -> int:
     return value
 
 
-def _parse_ratio(text: str) -> Ratio:
+def _parse_ratio(text: str) -> counting.Ratio:
     _bind_sieving_names()  # argparse calls this before main knows the subcommand
     try:
-        return Ratio.parse(text)
+        return counting.Ratio.parse(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _parse_ratio_list(text: str) -> list[Ratio]:
+def _parse_ratio_list(text: str) -> list[counting.Ratio]:
     ratios = [_parse_ratio(part) for part in text.split(",") if part.strip()]
     if not ratios:
         raise argparse.ArgumentTypeError(f"{text!r} names no ratio")
@@ -128,7 +117,7 @@ def _cell(rep: counting.CountReport, col: str, timing: bool):
     if col == "seconds" and not timing:
         return 0
     value = getattr(rep, col)
-    return str(value) if isinstance(value, Ratio) else value
+    return str(value) if isinstance(value, counting.Ratio) else value
 
 
 def _reports_text(
@@ -156,7 +145,7 @@ class Refused(Exception):
     """A run over a budget or the grid's row bound, refused before any work: exit 3."""
 
 
-def _admitted_table(args, max_x: int, limit: int, bytes_per_x: int = 0) -> PrimeTable:
+def _admitted_table(args, max_x: int, limit: int, bytes_per_x: int = 0) -> primes.PrimeTable:
     """The prime table to limit, built only once the run is admitted.
 
     Raises Refused, before any sieving, when max_x exceeds --brute-budget
@@ -165,7 +154,7 @@ def _admitted_table(args, max_x: int, limit: int, bytes_per_x: int = 0) -> Prime
     """
     if max_x > args.brute_budget:
         raise Refused(f"x={max_x} exceeds brute-force budget {args.brute_budget}")
-    need = _peak_estimate_bytes(limit) + bytes_per_x * (max_x + 1)
+    need = primes._peak_estimate_bytes(limit) + bytes_per_x * (max_x + 1)
     if need > args.memory_budget_bytes:
         raise Refused(
             f"x={max_x} with a prime table to {limit} needs up to {need} bytes "
@@ -277,7 +266,9 @@ def _cmd_li(args) -> int:
     return 0
 
 
-def _first_mismatch(table: PrimeTable, max_x: int, r: Ratio) -> tuple[int, int, int] | None:
+def _first_mismatch(
+    table: primes.PrimeTable, max_x: int, r: counting.Ratio
+) -> tuple[int, int, int] | None:
     """The least x <= max_x where brute_counts_upto and identity_counts_upto
     differ, as (x, brute, identity), or None."""
     brute = counting.brute_counts_upto(table, max_x, r)
@@ -321,7 +312,9 @@ def _cmd_verify(args) -> int:
 
     # C_M(x) = C_x(x) = pi_2(x) for every x <= M: each q <= x/p <= M*p, so
     # brute at r = M enumerates pi_2; both are 0 at x = 0
-    mismatch = pi2_sample_max and _first_mismatch(table, pi2_sample_max, Ratio(pi2_sample_max))
+    mismatch = pi2_sample_max and _first_mismatch(
+        table, pi2_sample_max, counting.Ratio(pi2_sample_max)
+    )
     if mismatch:
         x, pi2, full = mismatch
         print(f"pi2 cross-check failed at x={x}: C_x(x)={full}, pi2={pi2}", file=sys.stderr)
@@ -400,7 +393,7 @@ def main(argv=None) -> int:
     refusals = (Refused, MemoryError, OSError)
     if args.command != "li":  # li needs only math
         _bind_sieving_names()
-        refusals += (SieveWorkError, TableLimitError)
+        refusals += (primes.SieveWorkError, primes.TableLimitError)
     try:
         return args.func(args)
     except refusals as exc:
@@ -411,8 +404,18 @@ def main(argv=None) -> int:
         return 2
 
 
+def _exit_interrupted(signum, frame) -> None:
+    # exits at once: a KeyboardInterrupt raised inside a __del__ or weakref
+    # callback would be swallowed, and the run would go on to exit 0
+    os.write(2, b"interrupted\n")
+    os._exit(130)
+
+
 def entry() -> None:
     """The console script: main's exit code, or 130 after Ctrl-C."""
+    import signal  # only the console script installs a handler
+
+    signal.signal(signal.SIGINT, _exit_interrupted)
     try:
         sys.exit(main())
     except KeyboardInterrupt:

@@ -465,8 +465,8 @@ def _forked_ranges(xs: list[int], r: Ratio, ranges: list[tuple[int, int]], worke
     Each worker inherits xs and r through the fork and is sent the next
     range whenever it returns one, so no worker idles while ranges are left.
     An exception in a worker is raised here; a worker that dies (the OOM
-    killer, say) raises ChildProcessError.  On every way out each worker
-    is terminated and joined.
+    killer, say) raises ChildProcessError.  On every way out that returns
+    or raises here, each worker is terminated and joined.
     """
     # imported here: 10 ms that a sweep run in process does not pay
     import multiprocessing
@@ -510,10 +510,10 @@ def _range_worker(conn, parent: int, xs: list[int], r: Ratio) -> None:
     """A forked worker: _sweep_range over each range received, its result or
     exception sent back, until terminated or its parent is gone.
 
-    Interrupts are left to the parent, which terminates its workers.  A
-    killed parent cannot, and a worker deep in a range would sieve on for
-    seconds, so a thread polls the parent's pid.  The worker leaves by
-    os._exit, never flushing the stdout buffer it inherited.
+    Interrupts are left to the parent.  A parent killed, or exiting at once
+    on Ctrl-C, cannot terminate its workers, and one deep in a range would
+    sieve on for seconds, so a thread polls the parent's pid.  The worker
+    leaves by os._exit, never flushing the stdout buffer it inherited.
     """
     import signal
     import threading

@@ -15,8 +15,7 @@ import numpy as np
 from . import counting
 
 # bench/tracing.py wraps convergence_table and this count_identity binding by name
-from .counting import CountReport, Ratio, count_identity
-from .primes import PrimeTable
+from .counting import CountReport, count_identity
 
 
 class IdentityViolationError(Exception):
@@ -27,7 +26,7 @@ class IdentityViolationError(Exception):
         self.z = z
 
 
-def sum_pi_p(table: PrimeTable, z: int) -> int:
+def sum_pi_p(table: counting.PrimeTable, z: int) -> int:
     """sum_{p<=z} pi(p), asserting the closed form pi(z)*(pi(z)+1)/2.
 
     As p walks the primes up to z, pi(p) walks 1..pi(z), so the sum is a
@@ -43,7 +42,7 @@ def sum_pi_p(table: PrimeTable, z: int) -> int:
     return total
 
 
-def check_pi_sums(table: PrimeTable, z_max: int) -> int:
+def check_pi_sums(table: counting.PrimeTable, z_max: int) -> int:
     """sum_pi_p's check at every z in 2..z_max; returns the number of z checked.
 
     k(z) = pi(z) for every z is one array of pi queries, and the sum of
@@ -64,7 +63,7 @@ def check_pi_sums(table: PrimeTable, z_max: int) -> int:
     return z_max - 1
 
 
-def convergence_table(x_values: list[int], r: Ratio) -> list[CountReport]:
+def convergence_table(x_values: list[int], r: counting.Ratio) -> list[CountReport]:
     """One identity report per x of an ascending grid: exact C_r(x) against the estimate.
 
     All counts come from one counting.count_sweep_grid, and every report

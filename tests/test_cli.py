@@ -200,6 +200,18 @@ def test_count_degenerate_x(capsys):
     assert ",0,0," in capsys.readouterr().out
 
 
+def test_table_at_unit_ratio_reads_ratio_1_on_a_zero_estimate(capsys):
+    # r = 1 admits no p < q <= p: count and estimate are both 0
+    argv = "table --x-min 100 --x-max 1e4 --points-per-decade 1 --r 1"
+    assert run_cli(*argv.split()) == 0
+    assert capsys.readouterr().out == (
+        "x,r,exact,estimate,abs_err,rel_err,ratio,err_normalized,seconds\n"
+        "100,1,0,0,0,0,1,0,0\n"
+        "1000,1,0,0,0,0,1,0,0\n"
+        "10000,1,0,0,0,0,1,0,0\n"
+    )
+
+
 def test_count_timing_opt_in(capsys):
     assert run_cli("count", "--x", "1000", "--r", "2", "--timing") == 0
     seconds = capsys.readouterr().out.strip().split("\n")[1].split(",")[-1]
@@ -238,6 +250,7 @@ def test_bad_grid_returns_2(capsys):
     "table --x-min 100 --x-max 1000 --r 2 --threads 0",
     "table --x-min 100 --x-max 1000 --r 2 --threads -1",
     "table --x-min 100 --x-max 1000 --r 2 --points-per-decade 0",
+    "mertens --z 1",
     # options a subcommand would not read
     "li --x 100 --cache c",
     "pi --x 100 --format json",
@@ -672,6 +685,34 @@ def test_interrupt_exits_130_from_entry_only(monkeypatch, capsys):
         cli.entry()
     assert exc.value.code == 130
     assert capsys.readouterr().err == "interrupted\n"
+
+
+# A KeyboardInterrupt raised inside a finalizer is printed as "Exception
+# ignored" and swallowed, so this run once went on to print 4 and exit 0.
+_INTERRUPT_IN_A_FINALIZER = """
+import os, signal, sys
+import rsad.cli
+
+class Interrupts:
+    def __del__(self):
+        os.kill(os.getpid(), signal.SIGINT)
+
+def prime_pi(x):
+    Interrupts()
+    return 4
+
+rsad.cli.prime_pi = prime_pi
+sys.argv = ["rsad", "pi", "--x", "10"]
+rsad.cli.entry()
+"""
+
+
+def test_interrupt_inside_a_finalizer_exits_130(child_env):
+    proc = subprocess.run(
+        [sys.executable, "-c", _INTERRUPT_IN_A_FINALIZER],
+        capture_output=True, text=True, env=child_env, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr, proc.stdout) == (130, "interrupted\n", "")
 
 
 def test_module_invocation_subprocess(child_env):
