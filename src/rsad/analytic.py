@@ -73,9 +73,9 @@ def _recip_sum(chunks) -> float:
     chunks is an iterable of arrays of positive integers; a p >= 2^38 lies
     outside the argument and raises ValueError.  Every limb is below 2^30,
     so a chunk's limb sum is exact in int64 for any chunk under 2^33
-    entries.  A chunk of prime_chunks, one sieve segment's primes, holds at
-    most one per odd candidate, 2^20 (155610 in the first segment), so its
-    limb sums stay below 2^50.
+    entries.  A chunk of prime_chunks, the primes of one slice of a sieve
+    segment, holds at most one per flag, 2^16 entries, so its limb sums
+    stay below 2^46.
     """
     import numpy as np
 
@@ -95,9 +95,9 @@ def _recip_sum(chunks) -> float:
 def mertens_sum(z: int) -> MertensResult:
     """sum_{p<=z} 1/p, the float nearest the exact sum of the reciprocals.
 
-    The reciprocals come from one sieve to z, one segment's primes at a
-    time: it holds the sieve's buffers and base primes up to sqrt(z), never
-    the primes up to z.  Each 1/p is a whole multiple of 2^-90, so
+    The reciprocals come from one sieve to z, one slice of a segment's
+    primes at a time: it holds the sieve's buffers and base primes up to
+    sqrt(z), never the primes up to z.  Each 1/p is a whole multiple of 2^-90, so
     _recip_sum adds them exactly as integers and rounds once: the sum is
     the float math.fsum gives, bit for bit.  Requires z >= 2.
     """

@@ -313,29 +313,25 @@ def _segment_pi(args: np.ndarray, i0: int, packed: np.ndarray, upto: np.ndarray)
 
 
 class _Queries:
-    """pi arguments in ascending order, computed segment by segment.
-
-    chunks yields ascending uint64 arrays, each one above the one before.
-    """
+    """pi arguments from chunks, ascending uint64 arrays each above the one before."""
 
     def __init__(self, chunks):
         self._chunks = chunks
         self._pending = np.empty(0, dtype=np.uint64)
 
-    def upto(self, last: int) -> np.ndarray:
-        """Remove and return the arguments <= last, ascending."""
-        parts = []
+    def upto(self, last: int):
+        """Remove and yield the arguments <= last, ascending, in non-empty pieces."""
         while True:
             k = int(self._pending.searchsorted(np.uint64(last), side="right"))
-            parts.append(self._pending[:k])
+            if k:
+                yield self._pending[:k]
             self._pending = self._pending[k:]
             if self._pending.size:
-                break
+                return
             chunk = next(self._chunks, None)
             if chunk is None:
-                break
+                return
             self._pending = chunk
-        return np.concatenate(parts)
 
 
 def count_sweep_grid(xs: list[int], r: Ratio) -> list[Decomposition]:
@@ -362,8 +358,8 @@ def count_sweep_grid(xs: list[int], r: Ratio) -> list[Decomposition]:
     to repay the fork, or a process with one CPU, runs as one range in
     this process.  Either way the sums are the same integers.  A sweep
     holds only the base primes up to (r*x_max)^(1/4), the grid's sums, a
-    fixed number of segment buffers and one segment's arguments of one
-    stream, however dense the grid.
+    fixed number of segment buffers and the arguments of one sieve slice
+    of 2^16 flags of one stream, however dense the grid.
     """
     for x in xs:
         _check_u64(x, "x")
@@ -547,10 +543,11 @@ def _sweep_range(xs: list[int], r: Ratio, i_lo: int, i_hi: int):
     start of the range, as int64 arrays, which a worker sends back in 8
     bytes an x each; and count, the primes in the range.
 
-    The per-x state is uint64 columns x, p1, p2 and cut2 = floor(r*p2).  One
-    search, k = q.searchsorted(cut2) over a segment's s2 arguments q (uint64
-    too, or it compares in float64), closes every s2; x's band there is two
-    column expressions, and only the x with a non-empty band are visited.
+    The per-x state is uint64 columns x, p1, p2 and cut2 = floor(r*p2).  cut2
+    ascends with x, so each s2 closes once, in the piece q of s2 arguments
+    that reaches its cut2, by a search k = q.searchsorted(cut2) (q is uint64
+    too, or it compares in float64); x's band in a segment is two column
+    expressions, and only the x with a non-empty band are visited.
     """
     x = np.array(xs, dtype=np.uint64)
     p1 = np.array([math.isqrt(v) for v in xs], dtype=np.uint64)
@@ -565,19 +562,20 @@ def _sweep_range(xs: list[int], r: Ratio, i_lo: int, i_hi: int):
     s2_args = _Queries(map(r.floor_mul, sieve.primes(p_first, p_last)))
     n2, t2, n3, t3 = (np.zeros(len(xs), dtype=np.int64) for _ in range(4))
     below = 0  # primes in the range below the segment
+    xc, n, t = 0, 0, 0  # the x before xc closed their s2; n s2 arguments so far, t their pi
     for i0, flags in sieve.segments(i_lo, i_hi):
         packed = np.packbits(flags, bitorder="little")
         upto = np.cumsum(_POP.take(packed), dtype=np.int32)
         # this segment answers the arguments in [lo, hi]
         lo, hi = 2 * i0 + 1, 2 * (i0 + flags.size)
 
-        q = s2_args.upto(hi)
-        run = np.zeros(q.size + 1, dtype=np.int64)
-        np.cumsum(_segment_pi(q, i0, packed, upto), out=run[1:])
-        k = q.searchsorted(cut2, side="right")
-        n2 += k
-        t2 += k * below + run[k]
-        del q, run  # freed before the band arguments are made
+        for q in s2_args.upto(hi):
+            xe = xc + int(cut2[xc:].searchsorted(q[-1], side="right"))  # the x closing here
+            run = np.zeros(q.size + 1, dtype=np.int64)
+            np.cumsum(_segment_pi(q, i0, packed, upto), out=run[1:])
+            k = q.searchsorted(cut2[xc:xe], side="right")
+            n2[xc:xe], t2[xc:xe] = n + k, t + k * below + run[k]
+            xc, n, t = xe, n + q.size, t + q.size * below + int(run[-1])
 
         p_lo = np.maximum(p2, x // np.uint64(hi + 1)) + np.uint64(1)
         p_hi = np.minimum(p1, x // np.uint64(lo))
@@ -589,6 +587,7 @@ def _sweep_range(xs: list[int], r: Ratio, i_lo: int, i_hi: int):
                 pis = _segment_pi(p, i0, packed, upto)
                 t3[j] += p.size * below + int(pis.sum(dtype=np.int64))
         below += int(upto[-1])
+    n2[xc:], t2[xc:] = n, t
     return (n2, t2, n3, t3), below
 
 

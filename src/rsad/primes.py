@@ -29,6 +29,9 @@ U64_MAX = 2**64 - 1
 # sweep keeps a segment's running prime count `upto` in int32.
 SWEEP_SEGMENT_BYTES = 2**20
 
+# _OddSieve.primes yields a segment's primes in slices of this many flags
+_PRIME_SLICE = 2**16
+
 # No sieve runs past this many numbers.  It admits sqrt(r*x) for every
 # x < 2^64 with r <= 256 (count's sweep at 2^64 - 1, r = 2, sieves to 6.07e9:
 # 21.2 s in forked ranges on 2 CPUs, 39.3 s in one range; see the README's
@@ -71,15 +74,16 @@ def _prime_count_bound(limit: int) -> int:
 
 
 def _peak_estimate_bytes(limit: int) -> int:
-    """Bytes build_table holds at its peak: the output and the sieve's buffers.
-
-    8 bytes per prime at _prime_count_bound(limit), plus a segment buffer and
-    the wheel pattern, each the smaller of SWEEP_SEGMENT_BYTES and the number
-    of odd candidates, the pattern 15015 bytes longer.
-    """
+    """Bytes build_table holds at its peak: 8 per prime at Dusart's bound and
+    per flag of one slice (its int64 indices), the segment buffer, the pattern,
+    128 per base prime (its columns, temporaries and lists) and 8 KiB of Python
+    objects.  tracemalloc's peak stayed below it at every limit tried to 3e7."""
     if limit < 2:
         return 0
-    return 8 * _prime_count_bound(limit) + 2 * min(SWEEP_SEGMENT_BYTES, (limit + 1) // 2) + _WHEEL
+    seg = min(SWEEP_SEGMENT_BYTES, (limit + 1) // 2)
+    base = _prime_count_bound(max(math.isqrt(limit), 2))  # up to sqrt(limit)
+    return (8 * (_prime_count_bound(limit) + min(_PRIME_SLICE, seg)) + seg + 2 * _WHEEL
+            + 128 * base + 2**13)
 
 
 @dataclass(frozen=True)
@@ -146,7 +150,7 @@ def build_table(limit: int) -> PrimeTable:
 
     The output is allocated once, at Dusart's bound on pi(limit), before the
     base primes up to sqrt(limit) are built by this function.  Odd candidates
-    are sieved in one reused buffer of SWEEP_SEGMENT_BYTES, and each segment's
+    are sieved in one reused buffer of SWEEP_SEGMENT_BYTES, and each slice's
     primes are written in order into the output, so two builds with the same
     limit produce identical tables.  Its peak is _peak_estimate_bytes(limit),
     which a caller admits before building; raises MemoryError if the output
@@ -171,8 +175,8 @@ def build_table(limit: int) -> PrimeTable:
 
 
 # The odd multiples of 3, 5, 7, 11 and 13 repeat every 3*5*7*11*13 odd
-# candidates.  Each segment starts as a copy of that pattern, so these primes
-# never enter the crossing-off loop.
+# candidates.  Each segment starts as copies of the period at its phase, cut
+# from a pattern two periods long, so these primes never cross anything off.
 _WHEEL_PRIMES = (3, 5, 7, 11, 13)
 _WHEEL = 15015
 # Primality of the odd candidates 1, 3, ..., 13, which the pattern gets wrong
@@ -213,7 +217,7 @@ class _OddSieve:
         self.base = base[base > _WHEEL_PRIMES[-1]].astype(np.int64)
         self.base_idx = self.base // 2
         self.square_idx = self.base_idx * (self.base + 1)
-        self.pattern = np.ones(_WHEEL + self.segment_size, dtype=bool)
+        self.pattern = np.ones(2 * _WHEEL, dtype=bool)  # a whole period at any phase
         for p in _WHEEL_PRIMES:
             self.pattern[p // 2 :: p] = False
 
@@ -229,8 +233,9 @@ class _OddSieve:
         for i0 in range(i_lo, i_hi, size):
             i1 = min(i0 + size, i_hi)
             flags = buf[: i1 - i0]
-            w = i0 % _WHEEL
-            flags[:] = self.pattern[w : w + flags.size]
+            w, (rows, tail) = i0 % _WHEEL, divmod(flags.size, _WHEEL)
+            flags[: rows * _WHEEL].reshape(rows, _WHEEL)[:] = self.pattern[w : w + _WHEEL]
+            flags[rows * _WHEEL :] = self.pattern[w : w + tail]
             for i in range(i0, min(i1, len(_SMALL_ODD_IS_PRIME))):
                 flags[i - i0] = _SMALL_ODD_IS_PRIME[i]
             k = int(self.square_idx.searchsorted(i1))  # p^2 at or before the segment end
@@ -241,7 +246,7 @@ class _OddSieve:
             yield i0, flags
 
     def primes(self, lo: int, hi: int):
-        """Yield the primes in [lo, hi] as ascending uint64 arrays, one per segment.
+        """Yield the primes in [lo, hi] as ascending uint64 arrays, one per slice.
 
         hi must not exceed the sieve's limit.  The generator keeps no
         reference to an array it has yielded, so the caller may overwrite it
@@ -250,12 +255,16 @@ class _OddSieve:
         if lo <= 2 <= hi:
             yield np.array([2], dtype=np.uint64)
         for i0, flags in self.segments(lo // 2, (hi + 1) // 2):
-            yield 2 * np.flatnonzero(flags).view(np.uint64) + (2 * i0 + 1)
+            for j in range(0, flags.size, _PRIME_SLICE):
+                n = np.flatnonzero(flags[j : j + _PRIME_SLICE])  # index t: 2*(i0+j+t) + 1
+                n <<= 1
+                n += 2 * (i0 + j) + 1
+                yield n.view(np.uint64)
 
 
 def prime_chunks(n: int):
-    """Yield the primes up to n as ascending uint64 arrays, one per segment of
-    one sieve to n, with no table held."""
+    """Yield the primes up to n as ascending uint64 arrays, one per slice of
+    _PRIME_SLICE flags of one sieve to n, with no table held."""
     if n >= 2:
         yield from _OddSieve(n).primes(2, n)
 

@@ -1,5 +1,6 @@
 import os
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -32,3 +33,19 @@ def child_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return env
+
+
+@pytest.fixture
+def traced_peak():
+    """traced_peak(fn, *args): the peak bytes tracemalloc traced while fn(*args)
+    ran.  tracemalloc sees this process only, so a sweep under it must not fork."""
+
+    def run(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return run

@@ -2,7 +2,6 @@ import bisect
 import math
 import random
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -158,18 +157,13 @@ def test_recip_sum_rejects_p_outside_its_exactness_bound():
         _recip_sum([np.array([2], dtype=np.uint64), np.array([2**38], dtype=np.uint64)])
 
 
-def test_mertens_peak_does_not_grow_with_z():
-    # a stream of one segment's primes at a time: z = 1e8 holds 5761455
-    # primes, 46 MB as uint64, yet peaks within 1 MiB of z = 1e7
-    peaks = []
-    for z in (10**7, 10**8):
-        tracemalloc.start()
-        try:
-            mertens_sum(z)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+def test_mertens_peak_does_not_grow_with_z(traced_peak):
+    # a stream of one sieve slice's primes at a time: z = 1e8 holds 5761455
+    # primes, 46 MB as uint64, yet peaks within 1 MiB of z = 1e7, at about
+    # 1.5 MB; a whole segment's primes at a time peaked at 7.7 MB
+    peaks = [traced_peak(mertens_sum, z) for z in (10**7, 10**8)]
     assert abs(peaks[1] - peaks[0]) < 2**20, peaks
+    assert peaks[1] < 2.5 * 2**20, peaks
 
 
 def test_rsa_count_estimate_formula():

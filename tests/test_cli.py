@@ -302,7 +302,7 @@ def test_verify_arrays_checked_against_the_memory_budget(capsys, monkeypatch):
 
 
 def test_verify_admitted_on_its_table_and_arrays_together(capsys, monkeypatch):
-    # the default max-x 1e5 and ratios read a table to 1e4 (34911 bytes at
+    # the default max-x 1e5 and ratios read a table to 1e4 (96702 bytes at
     # peak) beside 24 bytes per x of arrays
     need = rsad.primes._peak_estimate_bytes(10**4) + cli._VERIFY_BYTES_PER_X * (10**5 + 1)
     real = cli.build_table

@@ -312,20 +312,14 @@ def test_count_sweep_grid_sieves_each_band_prime_once_per_x(monkeypatch, segment
                        for x, p2, p1 in bands), (str(r), lo, hi)
 
 
-def test_count_sweep_memory_holds_no_pending_band_arguments(monkeypatch):
-    import tracemalloc
-
-    # tracemalloc sees this process only, so the whole sweep runs here
+def test_count_sweep_memory_holds_no_pending_band_arguments(monkeypatch, traced_peak):
+    # the whole sweep runs in this process
     monkeypatch.setattr(counting, "_FORK_MIN_NUMBERS", math.inf)
-    tracemalloc.start()
-    try:
-        count_sweep(10**16, Ratio(2))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # about 9.5 MB; sieving each band ahead in blocks and keeping the
-    # arguments until their segment came up peaked at 11.9 MB
-    assert peak < 10 * 2**20
+    peak = traced_peak(count_sweep, 10**16, Ratio(2))
+    # about 4.2 MB; a whole segment's primes and s2 arguments at a time, not
+    # one slice's, peaked at 9.3 MB, and sieving each band ahead in blocks
+    # and keeping the arguments until their segment came up at 11.9 MB
+    assert peak < 5 * 2**20
 
 
 def test_count_sweep_validation():
@@ -362,24 +356,17 @@ def test_count_sweep_grid_every_x_below_3000(t10k):
         assert count_sweep_grid(grid, r) == [count_identity(t10k, x, r) for x in grid]
 
 
-def test_count_sweep_grid_memory_does_not_grow_with_density(monkeypatch):
-    import tracemalloc
-
+def test_count_sweep_grid_memory_does_not_grow_with_density(monkeypatch, traced_peak):
     from rsad.cli import _geometric_grid
 
-    # tracemalloc sees this process only, so the whole sweep runs here
+    # the whole sweep runs in this process
     monkeypatch.setattr(counting, "_FORK_MIN_NUMBERS", math.inf)
-    peaks = []
-    for points_per_decade in (4, 100):
-        grid = _geometric_grid(10**12, 10**13, points_per_decade)
-        tracemalloc.start()
-        try:
-            count_sweep_grid(grid, Ratio(2))
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    # about 8.6 MB either way; holding each x's answered arguments made it 32 MB
+    peaks = [traced_peak(count_sweep_grid, _geometric_grid(10**12, 10**13, n), Ratio(2))
+             for n in (4, 100)]
+    # about 4.1 MB either way, 8.1 MB with a whole segment's primes at a
+    # time; holding each x's answered arguments made it 32 MB
     assert peaks[1] < peaks[0] + 2**21
+    assert peaks[1] < 5 * 2**20
 
 
 def test_count_sweep_grid_shapes_and_validation():
@@ -672,9 +659,7 @@ def test_brute_counts_upto_prefix_values(t10k):
 
 
 @pytest.mark.parametrize("r", [Ratio(2), Ratio(10**14)], ids=str)
-def test_brute_counts_upto_sums_its_tally_in_place(r):
-    import tracemalloc
-
+def test_brute_counts_upto_sums_its_tally_in_place(r, traced_peak):
     from rsad import build_table
 
     # the 8-byte counts beside the products, read as int64 in place: 8.07 and
@@ -682,13 +667,7 @@ def test_brute_counts_upto_sums_its_tally_in_place(r):
     # and a cumsum into a second array of counts at 16.1 and 17.7
     max_x = 10**6
     table = build_table(max_x)
-    tracemalloc.start()
-    try:
-        brute_counts_upto(table, max_x, r)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 10.5 * (max_x + 1)
+    assert traced_peak(brute_counts_upto, table, max_x, r) < 10.5 * (max_x + 1)
 
 
 # t100k stops at 10^5 + 64, so r = 10^14 runs on a table that stops at x + 64
@@ -720,35 +699,20 @@ def test_identity_counts_upto_table_too_small():
     assert (info.value.required, info.value.limit) == (math.isqrt(2 * 10**4), 100)
 
 
-def test_identity_counts_upto_memory_is_a_few_result_arrays(t10k):
-    import tracemalloc
-
+def test_identity_counts_upto_memory_is_a_few_result_arrays(t10k, traced_peak):
     max_x = 10**6
-    tracemalloc.start()
-    try:
-        identity_counts_upto(t10k, max_x, Ratio(10))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 * 8 * (max_x + 1)
+    assert traced_peak(identity_counts_upto, t10k, max_x, Ratio(10)) <= 4 * 8 * (max_x + 1)
 
 
-def test_identity_counts_upto_band_temporaries_do_not_grow_with_the_band():
-    import tracemalloc
-
+def test_identity_counts_upto_band_temporaries_do_not_grow_with_the_band(traced_peak):
     from rsad import build_table
 
     # at r = 10^14 the band of p = 2 spans nearly every x: adding it through
     # np.repeat held about 15 MiB beside the 7.6 MiB result, slices about 1 MiB
     max_x = 10**6
     table = build_table(max_x)
-    tracemalloc.start()
-    try:
-        counts = identity_counts_upto(table, max_x, Ratio(10**14))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - counts.nbytes < 2 * 2**20
+    peak = traced_peak(identity_counts_upto, table, max_x, Ratio(10**14))
+    assert peak - 8 * (max_x + 1) < 2 * 2**20  # less the int64 counts it returns
 
 
 # --- semiprime counts ----------------------------------------------------
