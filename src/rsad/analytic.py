@@ -57,55 +57,77 @@ def log_integral(x: float) -> float:
 
 
 # Every 1/p with p < 2^38 is a whole multiple of 2^-90: its exponent is at
-# least -38, so its last bit is worth at least 2^-90.  Three 30-bit limbs
+# least -38, so its last bit is worth at least 2^-90.  Two 45-bit limbs
 # then hold it exactly.
 _RECIP_P_BOUND = 2**38
-_LIMB_SCALE = 2.0**30
+_LIMB_SCALE = 2.0**45
+# Limbs are below 2^45, so an int64 limb sum is exact for fewer entries
+_CHUNK_BOUND = 2**18
 
 
-def _recip_sum(chunks) -> float:
-    """The float nearest the exact sum of the float reciprocals 1.0/p.
+def _recip_units(chunks) -> int:
+    """The exact sum of the float reciprocals 1.0/p, in units of 2^-90.
 
-    Each 1/p is split exactly into three 30-bit integer limbs (scale by
-    2^30, floor, keep the remainder, three times), each limb is summed in
-    int64, and the one integer N they make is divided by 2^90 with Python's
-    correctly rounded int division, the single rounding math.fsum makes.
-    chunks is an iterable of arrays of positive integers; a p >= 2^38 lies
-    outside the argument and raises ValueError.  Every limb is below 2^30,
-    so a chunk's limb sum is exact in int64 for any chunk under 2^33
-    entries.  A chunk of prime_chunks, the primes of one slice of a sieve
-    segment, holds at most one per flag, 2^16 entries, so its limb sums
-    stay below 2^46.
+    Each 1/p is split exactly into two 45-bit integer limbs (scale by 2^45,
+    floor, keep the remainder and scale it by 2^45), and each limb is
+    summed in int64.  chunks is an iterable of arrays of positive
+    integers; a p >= 2^38 lies outside the argument and raises ValueError,
+    and so does a chunk of 2^18 entries or more, whose limb sum could
+    overflow int64.  A chunk of _OddSieve.primes, the primes of one slice
+    of a sieve segment, holds at most one per flag, 2^16 entries.
     """
     import numpy as np
 
-    limbs = [0, 0, 0]
+    high = low = 0
     for chunk in chunks:
+        if chunk.size >= _CHUNK_BOUND:
+            raise ValueError(f"a chunk holds {chunk.size} entries; at most 2^18 - 1 sum exactly")
         if chunk.size and int(chunk.max()) >= _RECIP_P_BOUND:
             raise ValueError(f"1/p is exact in 90 bits only for p < 2^38, got {int(chunk.max())}")
         frac = np.divide(1.0, chunk, dtype=np.float64)
-        for k in range(3):
-            frac *= _LIMB_SCALE
-            whole = np.floor(frac)
-            frac -= whole
-            limbs[k] += int(whole.astype(np.int64).sum())
-    return ((limbs[0] << 60) + (limbs[1] << 30) + limbs[2]) / 2**90
+        frac *= _LIMB_SCALE
+        whole = np.floor(frac)
+        frac -= whole
+        frac *= _LIMB_SCALE  # a whole number now
+        high += int(whole.astype(np.int64).sum())
+        low += int(frac.astype(np.int64).sum())
+    return (high << 45) + low
+
+
+def _recip_sum(chunks) -> float:
+    """The float nearest the exact sum of the float reciprocals 1.0/p: the
+    one correctly rounded int division, the single rounding math.fsum makes."""
+    return _recip_units(chunks) / 2**90
+
+
+def _range_units(sieve, lo: int, hi: int) -> int:
+    """_recip_units over the sieve's primes in [lo, hi]."""
+    return _recip_units(sieve.primes(lo, hi))
 
 
 def mertens_sum(z: int) -> MertensResult:
     """sum_{p<=z} 1/p, the float nearest the exact sum of the reciprocals.
 
-    The reciprocals come from one sieve to z, one slice of a segment's
-    primes at a time: it holds the sieve's buffers and base primes up to
-    sqrt(z), never the primes up to z.  Each 1/p is a whole multiple of 2^-90, so
-    _recip_sum adds them exactly as integers and rounds once: the sum is
-    the float math.fsum gives, bit for bit.  Requires z >= 2.
+    The reciprocals come from one sieve to z, cut into ranges of whole
+    segments (counting._sieve_ranges), forked on every usable CPU once z
+    reaches counting._FORK_MIN_NUMBERS.  A range takes its primes one slice
+    of a segment at a time: it holds the sieve's buffers and base primes up
+    to sqrt(z), never the primes up to z.  Each 1/p is a whole multiple of
+    2^-90, so each range returns its exact sum as an integer
+    (_recip_units), and the integers add up here and round once: the sum
+    is the float math.fsum gives, bit for bit, however z is cut.  Requires
+    z >= 2.
     """
-    from .primes import prime_chunks
+    from . import counting
+    from .primes import _OddSieve
 
     if z < 2:
         raise ValueError(f"mertens_sum requires z >= 2, got {z}")
-    total = _recip_sum(prime_chunks(z))
+    sieve = _OddSieve(z)
+    # the odd indices [lo, hi) hold the odd numbers in [2*lo + 1, 2*hi]
+    units = sum(counting._sieve_ranges(
+        z, lambda lo, hi: _range_units(sieve, 2 * lo + 1, min(2 * hi, z))))
+    total = units / 2**90
     loglog = math.log(math.log(z))
     return MertensResult(z=z, sum=total, loglog_z=loglog, residual=total - loglog)
 

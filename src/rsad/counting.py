@@ -291,25 +291,32 @@ def identity_counts_upto(table: PrimeTable, max_x: int, r: Ratio) -> np.ndarray:
     return counts
 
 
-# _POP[byte] counts the set bits of byte; _POP_ABOVE[8*byte + b] those above bit b
-_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
-_POP = _BITS.sum(axis=1, dtype=np.uint8)
-_POP_ABOVE = (_POP[:, None] - _BITS.cumsum(axis=1, dtype=np.uint8)).ravel()
+def _segment_words(flags: np.ndarray):
+    """flags packed as little-endian uint64 words, flag t as bit t % 64 of
+    word t // 64, the last word zero-padded; and upto[j], the primes in
+    words 0..j, in int32."""
+    packed = np.packbits(flags, bitorder="little")
+    if packed.size % 8:
+        packed = np.concatenate((packed, np.zeros(-packed.size % 8, dtype=np.uint8)))
+    words = packed.view("<u8")
+    return words, np.cumsum(np.bitwise_count(words), dtype=np.int32)
 
 
-def _segment_pi(args: np.ndarray, i0: int, packed: np.ndarray, upto: np.ndarray) -> np.ndarray:
+def _segment_pi(args: np.ndarray, i0: int, words: np.ndarray, upto: np.ndarray) -> np.ndarray:
     """For each argument, the primes from index i0 up to it.
 
-    packed holds the segment's flags, flag t as bit t % 8 of byte t // 8,
-    and upto[j] counts the primes in bytes 0..j; the primes up to flag t
-    are upto[t // 8] less the set bits of byte t // 8 above bit t % 8.
+    words and upto are _segment_words of the segment's flags; the primes
+    up to flag t are upto[t // 64] less the set bits of word t // 64 above
+    bit t % 64, counted after shifting by t % 64 and then by 1 (a shift by
+    64 would not clear the word).
     """
-    t = (args - np.uint64(2 * i0 + 1)).astype(np.intp)
-    t >>= 1  # flag of the largest odd n <= v
-    j = t >> 3
-    t &= 7
-    t |= packed[j].astype(np.intp) << 3
-    return upto[j] - _POP_ABOVE[t]
+    t = args - np.uint64(2 * i0 + 1)
+    t >>= np.uint64(1)  # flag of the largest odd n <= v
+    j = (t >> np.uint64(6)).astype(np.intp)
+    t &= np.uint64(63)
+    above = words[j] >> t
+    above >>= np.uint64(1)
+    return upto[j] - np.bitwise_count(above)
 
 
 class _Queries:
@@ -377,10 +384,12 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-# A sweep sieving fewer numbers (main sweep, s2 stream and s3 bands) runs in
-# one range in process.  On 2 cores, forked against in process, count took
-# 0.98-1.17 times as long at 2.2e7-4.2e7 numbers (x = 1e14, 3e14) and
-# 0.63-0.72 times at 7e7-1.3e8 (x = 1e15).
+# A sieve of fewer numbers (a sweep's main sweep, s2 stream and s3 bands;
+# mertens_sum's z) runs in one range in process.  On 2 cores, forked against
+# in process, count took 0.98-1.17 times as long at 2.2e7-4.2e7 numbers
+# (x = 1e14, 3e14) and 0.63-0.72 times at 7e7-1.3e8 (x = 1e15).  mertens_sum
+# took 1.34 times as long at z = 1e7, 0.99 at 2e7, 0.86 at 3e7, 0.70 at 4.2e7
+# and 0.60-0.69 at 5e7-1.1e8: its crossover, near 2e7, lies below this one.
 _FORK_MIN_NUMBERS = 5 * 10**7
 
 # Ranges per worker, handed to whichever worker is free.  The estimate counts
@@ -429,21 +438,44 @@ def _range_cuts(xs: list[int], r: Ratio) -> list[int]:
     return cuts + [end]
 
 
+def _sieve_ranges(limit: int, task):
+    """task(lo, hi) over ranges [lo, hi) of whole segments of the odd indices
+    of a sieve to limit, with about as many indices each, in order.
+
+    The sieve is cut into _RANGES_PER_CPU ranges per usable CPU, run in
+    forked workers (_in_ranges); a sieve of fewer than _FORK_MIN_NUMBERS
+    numbers, or a process on one CPU, is one range run here.
+    """
+    size, end = _segment_size(limit), (limit + 1) // 2
+    cpus = _usable_cpus()
+    if cpus == 1 or limit < _FORK_MIN_NUMBERS:
+        return _in_ranges(task, [(0, end)])
+    segments = -(-end // size)
+    k = min(_RANGES_PER_CPU * cpus, segments)
+    cuts = [size * (segments * i // k) for i in range(k)] + [end]
+    return _in_ranges(task, list(zip(cuts, cuts[1:])), min(k, cpus))
+
+
+def _in_ranges(task, ranges: list[tuple[int, int]], workers: int = 1):
+    """task(lo, hi) over each range, in order: one at a time here, or from
+    `workers` forked processes (_forked_ranges) when more than one."""
+    if workers > 1:
+        return _forked_ranges(task, ranges, workers)
+    return (task(lo, hi) for lo, hi in ranges)
+
+
 def _sweep_in_ranges(xs: list[int], r: Ratio, cuts: list[int], workers: int = 1):
     """count_sweep_grid's decompositions from _sweep_range over each [c_i, c_{i+1}).
 
-    The ranges run here, or in `workers` forked processes when more than
-    one; each range's int64 columns, counted from the start of the range,
-    are shifted by the primes below it and added here with numpy.  That is
-    exact: no x has more than pi(2^32) arguments, as its p <= sqrt(x) <
-    2^32, and none counts more than pi(2^36) primes, the sieve's work
-    bound, so every sum stays below pi(2^32)*pi(2^36) < 2^60.
+    The ranges run through _in_ranges; each range's int64 columns, counted
+    from the start of the range, are shifted by the primes below it and
+    added here with numpy.  That is exact: no x has more than pi(2^32)
+    arguments, as its p <= sqrt(x) < 2^32, and none counts more than
+    pi(2^36) primes, the sieve's work bound, so every sum stays below
+    pi(2^32)*pi(2^36) < 2^60.
     """
     ranges = list(zip(cuts, cuts[1:]))
-    if workers > 1:
-        results = _forked_ranges(xs, r, ranges, workers)
-    else:
-        results = (_sweep_range(xs, r, lo, hi) for lo, hi in ranges)
+    results = _in_ranges(lambda lo, hi: _sweep_range(xs, r, lo, hi), ranges, workers)
     k1, s2, s3 = (np.zeros(len(xs), dtype=np.int64) for _ in range(3))
     below = 1  # primes below the range, counting 2: the sweep sieves odd n only
     for (n2, t2, n3, t3), count in results:
@@ -455,16 +487,17 @@ def _sweep_in_ranges(xs: list[int], r: Ratio, cuts: list[int], workers: int = 1)
     return [Decomposition(s1=k * (k + 1) // 2, s2=a, s3=b) for k, a, b in sums]
 
 
-def _forked_ranges(xs: list[int], r: Ratio, ranges: list[tuple[int, int]], workers: int):
-    """_sweep_range's results over the ranges, in order, from `workers` forked processes.
+def _forked_ranges(task, ranges: list[tuple[int, int]], workers: int):
+    """task(lo, hi) over the ranges, in order, from `workers` forked processes.
 
-    Each worker inherits xs and r through the fork and is sent the next
-    range whenever it returns one, so no worker idles while ranges are left.
-    An exception in a worker is raised here; a worker that dies (the OOM
+    Each worker inherits task, and all it reads, through the fork and is
+    sent the next range whenever it returns one, so no worker idles while
+    ranges are left; only the ranges and the results are pickled.  An
+    exception in a worker is raised here; a worker that dies (the OOM
     killer, say) raises ChildProcessError.  On every way out that returns
     or raises here, each worker is terminated and joined.
     """
-    # imported here: 10 ms that a sweep run in process does not pay
+    # imported here: 10 ms that a sieve run in process does not pay
     import multiprocessing
     from multiprocessing.connection import wait
 
@@ -473,13 +506,13 @@ def _forked_ranges(xs: list[int], r: Ratio, ranges: list[tuple[int, int]], worke
 
     def send_next(conn):
         if todo:
-            busy[conn], task = todo.pop(0)
-            conn.send(task)
+            busy[conn], bounds = todo.pop(0)
+            conn.send(bounds)
 
     try:
         for _ in range(workers):
             conn, child_end = context.Pipe()
-            proc = context.Process(target=_range_worker, args=(child_end, os.getpid(), xs, r))
+            proc = context.Process(target=_range_worker, args=(child_end, os.getpid(), task))
             proc.start()
             started.append((proc, conn))
             child_end.close()  # so the worker's death reads as EOF here
@@ -502,8 +535,8 @@ def _forked_ranges(xs: list[int], r: Ratio, ranges: list[tuple[int, int]], worke
             conn.close()
 
 
-def _range_worker(conn, parent: int, xs: list[int], r: Ratio) -> None:
-    """A forked worker: _sweep_range over each range received, its result or
+def _range_worker(conn, parent: int, task) -> None:
+    """A forked worker: task over each range received, its result or
     exception sent back, until terminated or its parent is gone.
 
     Interrupts are left to the parent.  A parent killed, or exiting at once
@@ -526,7 +559,7 @@ def _range_worker(conn, parent: int, xs: list[int], r: Ratio) -> None:
         while True:
             lo, hi = conn.recv()
             try:
-                reply = True, _sweep_range(xs, r, lo, hi)
+                reply = True, task(lo, hi)
             except Exception as exc:  # raised again in the parent
                 reply = False, exc
             conn.send(reply)
@@ -564,15 +597,14 @@ def _sweep_range(xs: list[int], r: Ratio, i_lo: int, i_hi: int):
     below = 0  # primes in the range below the segment
     xc, n, t = 0, 0, 0  # the x before xc closed their s2; n s2 arguments so far, t their pi
     for i0, flags in sieve.segments(i_lo, i_hi):
-        packed = np.packbits(flags, bitorder="little")
-        upto = np.cumsum(_POP.take(packed), dtype=np.int32)
+        words, upto = _segment_words(flags)
         # this segment answers the arguments in [lo, hi]
         lo, hi = 2 * i0 + 1, 2 * (i0 + flags.size)
 
         for q in s2_args.upto(hi):
             xe = xc + int(cut2[xc:].searchsorted(q[-1], side="right"))  # the x closing here
             run = np.zeros(q.size + 1, dtype=np.int64)
-            np.cumsum(_segment_pi(q, i0, packed, upto), out=run[1:])
+            np.cumsum(_segment_pi(q, i0, words, upto), out=run[1:])
             k = q.searchsorted(cut2[xc:xe], side="right")
             n2[xc:xe], t2[xc:xe] = n + k, t + k * below + run[k]
             xc, n, t = xe, n + q.size, t + q.size * below + int(run[-1])
@@ -584,7 +616,7 @@ def _sweep_range(xs: list[int], r: Ratio, i_lo: int, i_hi: int):
                 n3[j] += p.size
                 # p becomes x // p in place: this chunk of x's arguments
                 np.floor_divide(x[j], p, out=p)
-                pis = _segment_pi(p, i0, packed, upto)
+                pis = _segment_pi(p, i0, words, upto)
                 t3[j] += p.size * below + int(pis.sum(dtype=np.int64))
         below += int(upto[-1])
     n2[xc:], t2[xc:] = n, t

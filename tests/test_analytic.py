@@ -1,6 +1,8 @@
 import bisect
 import math
+import os
 import random
+import signal
 import sys
 
 import numpy as np
@@ -12,6 +14,8 @@ from rsad import (
     mertens_sum,
     rsa_count_estimate,
 )
+import rsad.primes
+from rsad import analytic, counting
 from rsad.analytic import _recip_sum
 
 from oracles import prime_list
@@ -157,13 +161,118 @@ def test_recip_sum_rejects_p_outside_its_exactness_bound():
         _recip_sum([np.array([2], dtype=np.uint64), np.array([2**38], dtype=np.uint64)])
 
 
-def test_mertens_peak_does_not_grow_with_z(traced_peak):
+def test_recip_sum_takes_chunks_below_2_18_entries():
+    # the largest chunk whose int64 limb sums cannot overflow, and the least
+    # one it refuses
+    threes = np.full(2**18 - 1, 3, dtype=np.uint64)
+    assert _recip_sum([threes]) == math.fsum([1.0 / 3] * threes.size)
+    with pytest.raises(ValueError):
+        _recip_sum([np.full(2**18, 3, dtype=np.uint64)])
+
+
+def test_mertens_peak_does_not_grow_with_z(monkeypatch, traced_peak):
+    # the whole sum runs in this process
+    monkeypatch.setattr(counting, "_FORK_MIN_NUMBERS", math.inf)
     # a stream of one sieve slice's primes at a time: z = 1e8 holds 5761455
     # primes, 46 MB as uint64, yet peaks within 1 MiB of z = 1e7, at about
     # 1.5 MB; a whole segment's primes at a time peaked at 7.7 MB
     peaks = [traced_peak(mertens_sum, z) for z in (10**7, 10**8)]
     assert abs(peaks[1] - peaks[0]) < 2**20, peaks
     assert peaks[1] < 2.5 * 2**20, peaks
+
+
+def _mertens(monkeypatch, z, cpus):
+    """mertens_sum(z).sum as if the process had `cpus` CPUs, forking at any z."""
+    monkeypatch.setattr(counting, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(counting, "_FORK_MIN_NUMBERS", 0)
+    return mertens_sum(z).sum
+
+
+def test_forked_mertens_sum_is_the_one_range_sum_at_random_z_below_1e7(monkeypatch, t10m):
+    recips = (1.0 / t10m.primes.astype(np.float64)).tolist()
+    rng = random.Random(20282)
+    for _ in range(12):
+        z = rng.randrange(2, 10**7)
+        want = math.fsum(recips[: t10m.prime_count(z)])
+        assert _mertens(monkeypatch, z, 2) == _mertens(monkeypatch, z, 1) == want, z
+
+
+def test_forked_mertens_sum_at_a_range_cut(monkeypatch, t10m):
+    # odd index 3*size starts the last of four ranges, at the number
+    # 6*size + 1; z ends one range there, or starts one there.  This size
+    # puts the twin primes 6*size -+ 1 on either side of the cut.
+    monkeypatch.setattr(rsad.primes, "SWEEP_SEGMENT_BYTES", 1048535)
+    seen = []
+    in_ranges = counting._in_ranges
+
+    def recording(task, ranges, workers=1):
+        seen.append((ranges, workers))
+        return in_ranges(task, ranges, workers)
+
+    monkeypatch.setattr(counting, "_in_ranges", recording)
+    cut = 3 * 1048535
+    for z in (2 * cut - 1, 2 * cut, 2 * cut + 1, 2 * cut + 2):
+        want = math.fsum([1.0 / p for p in t10m.primes[: t10m.prime_count(z)].tolist()])
+        assert _mertens(monkeypatch, z, 2) == want, z
+        ranges, workers = seen[-1]
+        assert workers == 2 and cut in [hi for _, hi in ranges] + [lo for lo, _ in ranges], z
+    assert seen[-1][0][-1] == (cut, cut + 1)
+
+
+def test_forked_mertens_sum_forks_twice_and_leaves_no_worker(monkeypatch, t10m):
+    import multiprocessing
+
+    forks = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    z = 10**7 - 1
+    assert _mertens(monkeypatch, z, 2) == math.fsum(1.0 / t10m.primes[: t10m.prime_count(z)])
+    assert len(forks) == 2
+    assert multiprocessing.active_children() == []
+
+
+def test_mertens_sum_below_the_fork_threshold_or_on_one_cpu_does_not_fork(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(counting, "_usable_cpus", lambda: 2)
+    below = mertens_sum(10**7).sum  # z is below counting._FORK_MIN_NUMBERS
+    assert _mertens(monkeypatch, 10**7, 1) == below
+
+
+@pytest.mark.parametrize("fault,raised", [("raise", ZeroDivisionError), ("exit", ChildProcessError)])
+def test_a_failing_worker_fails_the_mertens_sum(monkeypatch, fault, raised):
+    import multiprocessing
+
+    range_units = analytic._range_units
+
+    def failing_range(sieve, lo, hi):
+        if lo == 1:  # the first range
+            return range_units(sieve, lo, hi)
+        if fault == "exit":
+            os._exit(9)
+        return 1 // 0
+
+    def hung(signum, frame):
+        raise TimeoutError("the sum kept waiting for a failed worker")
+
+    monkeypatch.setattr(analytic, "_range_units", failing_range)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(raised):
+            _mertens(monkeypatch, 10**7, 2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []
 
 
 def test_rsa_count_estimate_formula():

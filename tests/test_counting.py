@@ -322,6 +322,32 @@ def test_count_sweep_memory_holds_no_pending_band_arguments(monkeypatch, traced_
     assert peak < 5 * 2**20
 
 
+@pytest.mark.parametrize("segment_bytes,limit", [
+    (1, 301),
+    (97, 10**5 + 1),
+    (2**20 - 8, 9999991),
+    (SWEEP_SEGMENT_BYTES, 9999991),
+])
+def test_segment_pi_matches_the_table_at_word_edges(monkeypatch, t10m, segment_bytes, limit):
+    # flags 0, 63, 64 and 65 and each segment's last flag, at the odd n of
+    # the flag and the even n + 1; each limit leaves a last segment that is
+    # not a whole number of words, and 2^20 - 8 bytes pads every segment
+    monkeypatch.setattr(rsad.primes, "SWEEP_SEGMENT_BYTES", segment_bytes)
+    padded = 0
+    for i0, flags in rsad.primes._OddSieve(limit).segments(0, (limit + 1) // 2):
+        words, upto = counting._segment_words(flags)
+        assert words.size == -(-flags.size // 64)
+        assert upto[-1] == np.bitwise_count(words).sum() == flags.sum()
+        padded += flags.size % 64 != 0
+        edges = [t for t in (0, 63, 64, 65, flags.size - 1) if t < flags.size]
+        args = np.array(sorted({2 * (i0 + t) + 1 + e for t in edges for e in (0, 1)}),
+                        dtype=np.uint64)
+        # the odd primes up to each argument, less those below the segment
+        want = t10m.pi(args) - (args >= 2) - (t10m.prime_count(2 * i0) - (i0 > 0))
+        assert (counting._segment_pi(args, i0, words, upto) == want).all(), i0
+    assert flags.size % 64 and padded
+
+
 def test_count_sweep_validation():
     with pytest.raises(ValueError):
         count_sweep(-1, Ratio(2))
