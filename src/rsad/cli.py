@@ -4,9 +4,12 @@ Machine output (CSV or JSON) is deterministic by default so that repeated
 runs are byte-identical; wall-clock timings go into the seconds column
 only with --timing.  Brute count and verify sieve the prime table they
 need in the same run; no subcommand reads or writes a cache.  Exit codes:
-0 ok, 2 bad arguments, 3 table, budget or work-bound errors, a file that
-cannot be written or a sweep worker that died, 4 a cross-check failed
-(a built table's prime count among them), 130 interrupted (Ctrl-C).
+0 ok, 2 bad arguments, 3 table, budget or work-bound errors, a file or
+stdout that cannot be written or a sweep worker that died, 4 a
+cross-check failed (a built table's prime count among them), 130
+interrupted (Ctrl-C).  main returns the code to its caller; the console
+script, entry(), ends the process with it by os._exit, skipping the
+interpreter's teardown.
 """
 
 from __future__ import annotations
@@ -423,15 +426,38 @@ def _exit_interrupted(signum, frame) -> None:
 
 
 def entry() -> None:
-    """The console script: main's exit code, or 130 after Ctrl-C."""
+    """The console script: main's exit code, or 130 after Ctrl-C.
+
+    Once main has returned, or Ctrl-C has been mapped to 130, the process
+    flushes stdout and stderr and ends by os._exit, skipping the module
+    teardown and final garbage collections of an interpreter that has loaded
+    numpy.  Nothing is lost by that: _forked_ranges terminates and joins
+    every sweep worker before it returns or raises, _emit closes an --out
+    file in its with block, and rsad registers no atexit handler.
+    argparse's own exits (--help, a usage error) raise SystemExit and end
+    the usual way.  A stdout flush that fails exits 3 with one error line
+    when the run had succeeded; a failed run keeps its code and the line it
+    already wrote.  A stderr flush that fails is ignored.
+    """
     import signal  # only the console script installs a handler
 
     signal.signal(signal.SIGINT, _exit_interrupted)
     try:
-        sys.exit(main())
+        code = main()
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
-        sys.exit(130)
+        code = 130
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        if code == 0:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 3
+    try:
+        sys.stderr.flush()
+    except OSError:
+        pass
+    os._exit(code)
 
 
 if __name__ == "__main__":

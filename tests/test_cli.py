@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -697,7 +698,36 @@ def test_unallocatable_table_exits_3(child_env):
     assert "Traceback" not in proc.stderr
 
 
-def test_interrupt_exits_130_from_entry_only(monkeypatch, capsys):
+# entry() ends its process by os._exit, so it runs only in a child.  The
+# script replaces the rsad.cli function argv[1] names, then runs entry() on
+# the rest of argv.
+_ENTRY_WITH = """
+import sys
+import rsad.cli
+from rsad import PrimeTable
+
+def interrupted(*args):
+    raise KeyboardInterrupt
+
+real_build_table = rsad.cli.build_table
+def without_13(limit, **kw):
+    primes = real_build_table(limit, **kw).primes
+    return PrimeTable(limit, primes[primes != 13])
+
+name = sys.argv.pop(1)
+setattr(rsad.cli, name, {"main": interrupted, "build_table": without_13}[name])
+rsad.cli.entry()
+"""
+
+
+def run_entry(child_env, name, *argv):
+    return subprocess.run(
+        [sys.executable, "-c", _ENTRY_WITH, name, *argv],
+        capture_output=True, text=True, timeout=60, env=child_env,
+    )
+
+
+def test_interrupt_exits_130_from_entry_only(monkeypatch, child_env):
     # main lets Ctrl-C through to in-process callers; the console script maps it
     def interrupted(*args):
         raise KeyboardInterrupt
@@ -705,11 +735,72 @@ def test_interrupt_exits_130_from_entry_only(monkeypatch, capsys):
     monkeypatch.setattr(cli, "prime_pi", interrupted)
     with pytest.raises(KeyboardInterrupt):
         main(["pi", "--x", "10"])
-    monkeypatch.setattr(cli, "main", interrupted)
-    with pytest.raises(SystemExit) as exc:
-        cli.entry()
-    assert exc.value.code == 130
-    assert capsys.readouterr().err == "interrupted\n"
+    proc = run_entry(child_env, "main")
+    assert (proc.returncode, proc.stderr, proc.stdout) == (130, "interrupted\n", "")
+
+
+def test_check_failure_and_unwritable_out_exit_through_entry(tmp_path, child_env):
+    proc = run_entry(child_env, "build_table", "count", "--x", "1000", "--r", "2",
+                     "--method", "brute")
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr == "table check failed: the prime table to 44 holds 13 primes, pi(44) = 14\n"
+    proc = subprocess.run(
+        [sys.executable, "-m", "rsad", "count", "--x", "1e6", "--r", "2", "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=60, env=child_env,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+# the first golden case of each subcommand
+_FIRST_GOLDEN_OF_EACH = {c["argv"].split()[0]: c for c in reversed(GOLDEN)}
+
+
+@pytest.mark.parametrize("case", _FIRST_GOLDEN_OF_EACH.values(),
+                         ids=list(_FIRST_GOLDEN_OF_EACH))
+def test_golden_stdout_through_the_console_script(case, child_env):
+    proc = subprocess.run(
+        [sys.executable, "-m", "rsad", *case["argv"].split()],
+        capture_output=True, timeout=60, env=child_env,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == case["stdout"].encode()
+
+
+# 2401 rows, about 227 kB of CSV: more than a pipe buffer holds
+_LARGE_TABLE = "table --x-min 1e6 --x-max 1e12 --points-per-decade 400 --r 2".split()
+
+
+def test_output_larger_than_a_pipe_buffer_is_written_whole(tmp_path, capsys, child_env):
+    assert main(_LARGE_TABLE) == 0
+    expected = capsys.readouterr().out.encode()
+    assert len(expected) > 2**17
+    proc = subprocess.run([sys.executable, "-m", "rsad", *_LARGE_TABLE],
+                          capture_output=True, timeout=120, env=child_env)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == expected
+    out = tmp_path / "table.csv"
+    proc = subprocess.run([sys.executable, "-m", "rsad", *_LARGE_TABLE, "--out", str(out)],
+                          capture_output=True, timeout=120, env=child_env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+    assert out.read_bytes() == expected
+
+
+@pytest.mark.parametrize("argv", [["pi", "--x", "100"], _LARGE_TABLE], ids=["flush", "write"])
+def test_stdout_to_a_closed_pipe_exits_3_with_one_line(argv, child_env):
+    # Buffered, pi's 3 bytes meet the closed pipe at entry()'s final flush,
+    # which once exited 120 with an "Exception ignored" block; the table's
+    # rows meet it inside main, which returns 3, and the flush fails again.
+    child_env.pop("PYTHONUNBUFFERED", None)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "rsad", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=120, env=child_env)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (3, "error: [Errno 32] Broken pipe\n")
 
 
 # A KeyboardInterrupt raised inside a finalizer is printed as "Exception

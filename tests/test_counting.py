@@ -645,6 +645,27 @@ def test_killed_count_leaves_no_worker(child_env):
 
 
 @needs_proc_and_two_cpus
+def test_finished_count_leaves_no_worker(child_env):
+    # entry() ends by os._exit, which skips multiprocessing's atexit hook;
+    # _forked_ranges' finally ends every worker before main returns
+    proc = subprocess.Popen(
+        FORKED_COUNT, env=child_env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    workers = []
+    try:
+        workers = _first_workers(proc)
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (0, "")
+        assert out.splitlines()[1].split(",")[:3] == ["100000000000000000", "2", "95496219725167"]
+        _assert_all_gone(workers)
+    finally:
+        proc.kill()
+        proc.wait()
+        for pid in filter(_alive, workers):
+            os.kill(pid, signal.SIGKILL)
+
+
+@needs_proc_and_two_cpus
 def test_interrupted_count_exits_130_and_leaves_no_worker(child_env):
     proc = subprocess.Popen(
         FORKED_COUNT, env=child_env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
