@@ -37,7 +37,6 @@ _NAMES = {
         "TableLimitError",
         "build_table",
         "load_table",
-        "prime_chunks",
         "prime_pi",
     ),
 }

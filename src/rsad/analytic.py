@@ -108,15 +108,15 @@ def _range_units(sieve, lo: int, hi: int) -> int:
 def mertens_sum(z: int) -> MertensResult:
     """sum_{p<=z} 1/p, the float nearest the exact sum of the reciprocals.
 
-    The reciprocals come from one sieve to z, cut into ranges of whole
-    segments (counting._sieve_ranges), forked on every usable CPU once z
-    reaches counting._FORK_MIN_NUMBERS.  A range takes its primes one slice
-    of a segment at a time: it holds the sieve's buffers and base primes up
-    to sqrt(z), never the primes up to z.  Each 1/p is a whole multiple of
-    2^-90, so each range returns its exact sum as an integer
-    (_recip_units), and the integers add up here and round once: the sum
-    is the float math.fsum gives, bit for bit, however z is cut.  Requires
-    z >= 2.
+    The reciprocals come from one sieve to z, cut into ranges
+    (c_i, c_{i+1}] of whole segments (counting._range_cuts), forked on
+    every usable CPU once z reaches counting._FORK_MIN_NUMBERS.  A range
+    takes its primes one slice of a segment at a time: it holds the
+    sieve's buffers and base primes up to sqrt(z), never the primes up to
+    z.  Each 1/p is a whole multiple of 2^-90, so each range returns its
+    exact sum as an integer (_recip_units), and the integers add up here
+    and round once: the sum is the float math.fsum gives, bit for bit,
+    however z is cut.  Requires z >= 2.
     """
     from . import counting
     from .primes import _OddSieve
@@ -124,9 +124,8 @@ def mertens_sum(z: int) -> MertensResult:
     if z < 2:
         raise ValueError(f"mertens_sum requires z >= 2, got {z}")
     sieve = _OddSieve(z)
-    # the odd indices [lo, hi) hold the odd numbers in [2*lo + 1, 2*hi]
-    units = sum(counting._sieve_ranges(
-        z, lambda lo, hi: _range_units(sieve, 2 * lo + 1, min(2 * hi, z))))
+    units = sum(counting._in_ranges(
+        lambda lo, hi: _range_units(sieve, lo + 1, hi), counting._range_cuts(z)))
     total = units / 2**90
     loglog = math.log(math.log(z))
     return MertensResult(z=z, sum=total, loglog_z=loglog, residual=total - loglog)

@@ -109,11 +109,14 @@ def _json_text(doc) -> str:
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
+    """Write text to out_path, or to stdout, which is None if closed at start."""
+    if out_path is not None:
         with open(out_path, "w", newline="") as fh:
             fh.write(text)
+    elif sys.stdout is None:
+        raise OSError("stdout is closed")
+    else:
+        sys.stdout.write(text)
 
 
 def _cell(rep: counting.CountReport, col: str, timing: bool):
@@ -314,13 +317,13 @@ def _cmd_verify(args) -> int:
             x, brute, ident = mismatch
             raise CheckFailed(f"mismatch at x={x}, r={r}: brute={brute}, identity={ident}")
         checks += max_x + 1
-        print(f"identity-vs-brute for r={r}: all {max_x + 1} x values agree")
+        _emit(f"identity-vs-brute for r={r}: all {max_x + 1} x values agree\n", None)
 
     try:
         checks += diagnostics.check_pi_sums(table, sum_check_max)
     except diagnostics.IdentityViolationError as exc:
         raise CheckFailed(f"pi-sum closed form failed at z={exc.z}: {exc}") from None
-    print(f"pi-sum closed form: verified for all z <= {sum_check_max}")
+    _emit(f"pi-sum closed form: verified for all z <= {sum_check_max}\n", None)
 
     # C_M(x) = C_x(x) = pi_2(x) for every x <= M: each q <= x/p <= M*p, so
     # brute at r = M enumerates pi_2; both are 0 at x = 0
@@ -331,9 +334,9 @@ def _cmd_verify(args) -> int:
         x, pi2, full = mismatch
         raise CheckFailed(f"pi2 cross-check failed at x={x}: C_x(x)={full}, pi2={pi2}")
     checks += pi2_sample_max
-    print(f"pi2 cross-check: verified for all x <= {pi2_sample_max}")
+    _emit(f"pi2 cross-check: verified for all x <= {pi2_sample_max}\n", None)
 
-    print(f"all checks passed ({checks} total)")
+    _emit(f"all checks passed ({checks} total)\n", None)
     return 0
 
 
@@ -437,7 +440,8 @@ def entry() -> None:
     argparse's own exits (--help, a usage error) raise SystemExit and end
     the usual way.  A stdout flush that fails exits 3 with one error line
     when the run had succeeded; a failed run keeps its code and the line it
-    already wrote.  A stderr flush that fails is ignored.
+    already wrote.  A stdout closed at start is not flushed, and a stderr
+    flush that fails is ignored.
     """
     import signal  # only the console script installs a handler
 
@@ -448,7 +452,8 @@ def entry() -> None:
         print("interrupted", file=sys.stderr)
         code = 130
     try:
-        sys.stdout.flush()
+        if sys.stdout is not None:  # None when the process started with it closed
+            sys.stdout.flush()
     except OSError as exc:
         if code == 0:
             print(f"error: {exc}", file=sys.stderr)

@@ -29,6 +29,7 @@ matters when r*p lands exactly on an integer.
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 import time
@@ -291,34 +292,6 @@ def identity_counts_upto(table: PrimeTable, max_x: int, r: Ratio) -> np.ndarray:
     return counts
 
 
-def _segment_words(flags: np.ndarray):
-    """flags packed as little-endian uint64 words, flag t as bit t % 64 of
-    word t // 64, the last word zero-padded; and upto[j], the primes in
-    words 0..j, in int32."""
-    packed = np.packbits(flags, bitorder="little")
-    if packed.size % 8:
-        packed = np.concatenate((packed, np.zeros(-packed.size % 8, dtype=np.uint8)))
-    words = packed.view("<u8")
-    return words, np.cumsum(np.bitwise_count(words), dtype=np.int32)
-
-
-def _segment_pi(args: np.ndarray, i0: int, words: np.ndarray, upto: np.ndarray) -> np.ndarray:
-    """For each argument, the primes from index i0 up to it.
-
-    words and upto are _segment_words of the segment's flags; the primes
-    up to flag t are upto[t // 64] less the set bits of word t // 64 above
-    bit t % 64, counted after shifting by t % 64 and then by 1 (a shift by
-    64 would not clear the word).
-    """
-    t = args - np.uint64(2 * i0 + 1)
-    t >>= np.uint64(1)  # flag of the largest odd n <= v
-    j = (t >> np.uint64(6)).astype(np.intp)
-    t &= np.uint64(63)
-    above = words[j] >> t
-    above >>= np.uint64(1)
-    return upto[j] - np.bitwise_count(above)
-
-
 class _Queries:
     """pi arguments from chunks, ascending uint64 arrays each above the one before."""
 
@@ -375,8 +348,8 @@ def count_sweep_grid(xs: list[int], r: Ratio) -> list[Decomposition]:
     # no prime p <= sqrt(x) below x = 4, so k1 = s3 = 0 (and s2 = 0, as p2 < 2)
     if not xs or xs[-1] < 4:
         return [Decomposition(0, 0, 0)] * len(xs)
-    cuts = _range_cuts(xs, r)
-    return _sweep_in_ranges(xs, r, cuts, min(len(cuts) - 1, _usable_cpus()))
+    cuts = _range_cuts(_required_limit(xs[-1], r), _sweep_work(xs, r))
+    return _sweep_in_ranges(xs, r, cuts)
 
 
 def _usable_cpus() -> int:
@@ -398,74 +371,56 @@ _FORK_MIN_NUMBERS = 5 * 10**7
 _RANGES_PER_CPU = 2
 
 
-def _range_cuts(xs: list[int], r: Ratio) -> list[int]:
-    """Cuts 0 = c_0 < ... < c_k of the sweep's odd indices, on segment boundaries.
-
-    Each range [c_i, c_{i+1}) gets about the same number of numbers to
-    sieve: its own, the s2 stream's p with floor(r*p) in it and the band
-    p whose floor(x/p) lies in it.  A sweep of fewer than
-    _FORK_MIN_NUMBERS, or a process on one CPU, is one range.  Raises
-    SieveWorkError, before any sieving, past the sieve's work bound.
-    """
-    limit = _required_limit(xs[-1], r)
-    size, end = _segment_size(limit), (limit + 1) // 2
+def _sweep_work(xs: list[int], r: Ratio):
+    """work(c), the numbers a sweep sieves for its arguments up to c: c,
+    the s2 stream's p with floor(r*p) <= c and the band p with x // p <= c."""
     p1 = np.array([math.isqrt(x) for x in xs], dtype=float)
     p2 = np.array([math.isqrt(x * r.den // r.num) for x in xs], dtype=float)
     x_f, r_f = np.array(xs, dtype=float), float(r)
 
-    def work(i: int) -> float:
-        """Numbers sieved to answer the arguments up to 2*i."""
-        h = 2.0 * min(i, end)
+    def work(c: int) -> float:
+        h = float(c)
         bands = np.maximum(p1 - np.maximum(p2, x_f / (h + 1)), 0.0).sum()
         return h + min(h / r_f, p2[-1]) + float(bands)
 
-    cpus, total = _usable_cpus(), work(end)
-    if cpus == 1 or total < _FORK_MIN_NUMBERS:
-        return [0, end]
-    ranges = _RANGES_PER_CPU * cpus
-    cuts = [0]
-    for k in range(1, ranges):
-        # the least segment boundary m*size by which the share k/ranges is sieved
-        lo, hi = cuts[-1] // size, -(-end // size)
-        while lo < hi:
-            m = (lo + hi) // 2
-            if work(m * size) < total * k / ranges:
-                lo = m + 1
-            else:
-                hi = m
-        if cuts[-1] < lo * size < end:
-            cuts.append(lo * size)
-    return cuts + [end]
+    return work
 
 
-def _sieve_ranges(limit: int, task):
-    """task(lo, hi) over ranges [lo, hi) of whole segments of the odd indices
-    of a sieve to limit, with about as many indices each, in order.
+def _range_cuts(limit: int, work=lambda c: c) -> list[int]:
+    """Cuts 0 = c_0 < ... < c_k = limit of a sieve to limit, on its segment boundaries.
 
-    The sieve is cut into _RANGES_PER_CPU ranges per usable CPU, run in
-    forked workers (_in_ranges); a sieve of fewer than _FORK_MIN_NUMBERS
-    numbers, or a process on one CPU, is one range run here.
+    Each of at most _RANGES_PER_CPU ranges (c_i, c_{i+1}] per usable CPU
+    gets about the same share of work(limit), the work up to c being
+    work(c): _sweep_work's model, or the numbers themselves.  Work below
+    _FORK_MIN_NUMBERS, or a process on one CPU, is one range.  Raises
+    SieveWorkError, before any sieving, past the sieve's work bound.
     """
-    size, end = _segment_size(limit), (limit + 1) // 2
-    cpus = _usable_cpus()
-    if cpus == 1 or limit < _FORK_MIN_NUMBERS:
-        return _in_ranges(task, [(0, end)])
-    segments = -(-end // size)
-    k = min(_RANGES_PER_CPU * cpus, segments)
-    cuts = [size * (segments * i // k) for i in range(k)] + [end]
-    return _in_ranges(task, list(zip(cuts, cuts[1:])), min(k, cpus))
+    step = 2 * _segment_size(limit)  # the numbers of a segment
+    cpus, total = _usable_cpus(), work(limit)
+    if cpus == 1 or total < _FORK_MIN_NUMBERS:
+        return [0, limit]
+    ranges, cuts = _RANGES_PER_CPU * cpus, [0]
+    for k in range(1, ranges):
+        # the least segment boundary m*step by which the share k/ranges is done
+        m = bisect.bisect_left(range(-(-limit // step)), total * k / ranges,
+                               lo=cuts[-1] // step, key=lambda m: work(m * step))
+        if cuts[-1] < m * step < limit:
+            cuts.append(m * step)
+    return cuts + [limit]
 
 
-def _in_ranges(task, ranges: list[tuple[int, int]], workers: int = 1):
-    """task(lo, hi) over each range, in order: one at a time here, or from
-    `workers` forked processes (_forked_ranges) when more than one."""
+def _in_ranges(task, cuts: list[int]):
+    """task(lo, hi) over each range (c_i, c_{i+1}], in order: here, or from
+    min(ranges, usable CPUs) forked processes (_forked_ranges) if above one."""
+    ranges = list(zip(cuts, cuts[1:]))
+    workers = min(len(ranges), _usable_cpus())
     if workers > 1:
         return _forked_ranges(task, ranges, workers)
     return (task(lo, hi) for lo, hi in ranges)
 
 
-def _sweep_in_ranges(xs: list[int], r: Ratio, cuts: list[int], workers: int = 1):
-    """count_sweep_grid's decompositions from _sweep_range over each [c_i, c_{i+1}).
+def _sweep_in_ranges(xs: list[int], r: Ratio, cuts: list[int]):
+    """count_sweep_grid's decompositions from _sweep_range over each (c_i, c_{i+1}].
 
     The ranges run through _in_ranges; each range's int64 columns, counted
     from the start of the range, are shifted by the primes below it and
@@ -474,10 +429,9 @@ def _sweep_in_ranges(xs: list[int], r: Ratio, cuts: list[int], workers: int = 1)
     pi(2^36) primes, the sieve's work bound, so every sum stays below
     pi(2^32)*pi(2^36) < 2^60.
     """
-    ranges = list(zip(cuts, cuts[1:]))
-    results = _in_ranges(lambda lo, hi: _sweep_range(xs, r, lo, hi), ranges, workers)
+    results = _in_ranges(lambda lo, hi: _sweep_range(xs, r, lo, hi), cuts)
     k1, s2, s3 = (np.zeros(len(xs), dtype=np.int64) for _ in range(3))
-    below = 1  # primes below the range, counting 2: the sweep sieves odd n only
+    below = 0  # primes below the range
     for (n2, t2, n3, t3), count in results:
         k1 += n2 + n3
         s2 += n2 * below + t2
@@ -567,14 +521,13 @@ def _range_worker(conn, parent: int, task) -> None:
         os._exit(1)
 
 
-def _sweep_range(xs: list[int], r: Ratio, i_lo: int, i_hi: int):
-    """count_sweep_grid's sweep over the odd indices [i_lo, i_hi).
+def _sweep_range(xs: list[int], r: Ratio, lo: int, hi: int):
+    """count_sweep_grid's sweep over the pi arguments in (lo, hi], lo even.
 
-    The range answers the pi arguments from 2*i_lo + 1 to 2*i_hi.  Returns
-    ((n2, t2, n3, t3), count): for each x, how many of its s2 and of its s3
-    arguments lie in the range, and the sums of their pi counted from the
-    start of the range, as int64 arrays, which a worker sends back in 8
-    bytes an x each; and count, the primes in the range.
+    Returns ((n2, t2, n3, t3), count): for each x, how many of its s2 and
+    of its s3 arguments lie in the range, and the sums of their pi counted
+    from lo, as int64 arrays, which a worker sends back in 8 bytes an x
+    each; and count, the primes in the range.
 
     The per-x state is uint64 columns x, p1, p2 and cut2 = floor(r*p2).  cut2
     ascends with x, so each s2 closes once, in the piece q of s2 arguments
@@ -586,39 +539,33 @@ def _sweep_range(xs: list[int], r: Ratio, i_lo: int, i_hi: int):
     p1 = np.array([math.isqrt(v) for v in xs], dtype=np.uint64)
     p2 = np.array([math.isqrt(v * r.den // r.num) for v in xs], dtype=np.uint64)
     cut2 = r.floor_mul(p2)
-    first, last = 2 * i_lo + 1, 2 * i_hi
     sieve = _OddSieve(_required_limit(xs[-1], r))
-    # floor(r*p) >= first iff p*num >= first*den; floor(r*p) <= last iff
-    # p*num < (last + 1)*den
-    p_first = max(2, (first * r.den - 1) // r.num + 1)
-    p_last = min(int(p2[-1]), ((last + 1) * r.den - 1) // r.num)
+    # floor(r*p) > lo iff p*num >= (lo + 1)*den; floor(r*p) <= hi iff
+    # p*num < (hi + 1)*den
+    p_first = max(2, ((lo + 1) * r.den - 1) // r.num + 1)
+    p_last = min(int(p2[-1]), ((hi + 1) * r.den - 1) // r.num)
     s2_args = _Queries(map(r.floor_mul, sieve.primes(p_first, p_last)))
     n2, t2, n3, t3 = (np.zeros(len(xs), dtype=np.int64) for _ in range(4))
     below = 0  # primes in the range below the segment
     xc, n, t = 0, 0, 0  # the x before xc closed their s2; n s2 arguments so far, t their pi
-    for i0, flags in sieve.segments(i_lo, i_hi):
-        words, upto = _segment_words(flags)
-        # this segment answers the arguments in [lo, hi]
-        lo, hi = 2 * i0 + 1, 2 * (i0 + flags.size)
-
-        for q in s2_args.upto(hi):
+    for seg in sieve.segments(lo, hi):
+        for q in s2_args.upto(seg.hi):
             xe = xc + int(cut2[xc:].searchsorted(q[-1], side="right"))  # the x closing here
             run = np.zeros(q.size + 1, dtype=np.int64)
-            np.cumsum(_segment_pi(q, i0, words, upto), out=run[1:])
+            np.cumsum(seg.pi(q), out=run[1:])
             k = q.searchsorted(cut2[xc:xe], side="right")
             n2[xc:xe], t2[xc:xe] = n + k, t + k * below + run[k]
             xc, n, t = xe, n + q.size, t + q.size * below + int(run[-1])
 
-        p_lo = np.maximum(p2, x // np.uint64(hi + 1)) + np.uint64(1)
-        p_hi = np.minimum(p1, x // np.uint64(lo))
+        p_lo = np.maximum(p2, x // np.uint64(seg.hi + 1)) + np.uint64(1)
+        p_hi = np.minimum(p1, x // np.uint64(seg.lo + 1))
         for j in np.flatnonzero(p_lo <= p_hi).tolist():
             for p in sieve.primes(int(p_lo[j]), int(p_hi[j])):
                 n3[j] += p.size
                 # p becomes x // p in place: this chunk of x's arguments
                 np.floor_divide(x[j], p, out=p)
-                pis = _segment_pi(p, i0, words, upto)
-                t3[j] += p.size * below + int(pis.sum(dtype=np.int64))
-        below += int(upto[-1])
+                t3[j] += p.size * below + int(seg.pi(p).sum(dtype=np.int64))
+        below += seg.count
     n2[xc:], t2[xc:] = n, t
     return (n2, t2, n3, t3), below
 

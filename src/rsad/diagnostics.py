@@ -2,8 +2,9 @@
 
 sum_pi_p checks the summation identity the identity counter's s1 rests on,
 and check_pi_sums checks it at every z up to a bound at once, both on a
-prime table; convergence_table pairs exact counts with the estimate along
-a grid of x, from one table-free sweep.
+prime table: a strictly increasing table meets it by construction, so they
+catch only a repeated or out-of-order entry.  convergence_table pairs exact
+counts with the estimate along a grid of x, from one table-free sweep.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ def sum_pi_p(table: counting.PrimeTable, z: int) -> int:
     """sum_{p<=z} pi(p), asserting the closed form pi(z)*(pi(z)+1)/2.
 
     As p walks the primes up to z, pi(p) walks 1..pi(z), so the sum is a
-    triangular number.  The summation here issues a real pi query per
-    prime; disagreement with the closed form means the table is corrupt
-    and raises IdentityViolationError.
+    triangular number.  A real pi query per entry makes the sum, but on a
+    strictly increasing table the k-th entry's pi is k whatever the entries
+    are: only a repeated or out-of-order entry raises IdentityViolationError.
     """
     k = table.prime_count(z)
     total = int(table.pi(table.primes[:k]).sum())
@@ -48,7 +49,8 @@ def check_pi_sums(table: counting.PrimeTable, z_max: int) -> int:
     k(z) = pi(z) for every z is one array of pi queries, and the sum of
     pi(p) over the primes up to z is the prefix sum of another at k(z).
     The least z whose sum misses k(z)*(k(z)+1)/2 raises
-    IdentityViolationError with sum_pi_p's message.
+    IdentityViolationError with sum_pi_p's message, and as there only a
+    repeated or out-of-order entry can.
     """
     if z_max < 2:
         return 0

@@ -4,10 +4,11 @@ A built PrimeTable holds every prime up to its limit as a sorted uint64
 array: prime_count and pi answer pi queries on it by binary search,
 so a table sized to min(sqrt(r*x), x) is enough to drive the table-based
 semiprime counters.  Tables are immutable once built and safe
-to share between threads.  prime_chunks streams the primes up to n on the
-same segmented sieve with no table.  prime_pi counts them with no sieve at
-all: Lucy_Hedgehog's recursion takes O(n^(3/4)) time and O(sqrt(n)) memory
-and shares no code with the sieve, so it can check a built table's count.
+to share between threads.  The sieve behind them yields segments that
+answer pi over their own numbers, which the sweep reads with no table.
+prime_pi counts primes with no sieve at all: Lucy_Hedgehog's recursion
+takes O(n^(3/4)) time and O(sqrt(n)) memory and shares no code with the
+sieve, so it can check a built table's count.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,11 +27,11 @@ U64_MAX = 2**64 - 1
 # candidate.  Against 2^19, at x = 2^64 - 1 it halves count's passes over the
 # ~7700 base primes (42 s against 51 s through the CLI, 2 cores), and
 # pi(1.05e8) takes 0.14 s against 0.16 s.  A table with fewer odd candidates
-# sieves them in one segment of their size.  It must stay below 2^31: the
-# sweep keeps a segment's running prime count `upto` in int32.
+# sieves them in one segment of their size.  It must stay below 2^31:
+# a segment keeps its running prime count `upto` in int32.
 SWEEP_SEGMENT_BYTES = 2**20
 
-# _OddSieve.primes yields a segment's primes in slices of this many flags
+# a segment yields its primes in slices of this many flags
 _PRIME_SLICE = 2**16
 
 # No sieve runs past this many numbers.  It admits sqrt(r*x) for every
@@ -198,13 +200,67 @@ def _segment_size(limit: int) -> int:
     return min(SWEEP_SEGMENT_BYTES, (limit + 1) // 2)
 
 
+class _Segment:
+    """The numbers (lo, hi] of one sieve segment, lo even: flags[j] is True
+    iff lo + 2*j + 1 is prime, and the first segment, lo = 0, counts 2 too.
+    It is read while it is current: the sieve's next segment overwrites flags."""
+
+    def __init__(self, lo: int, flags: np.ndarray):
+        self.lo, self.hi, self.flags = lo, lo + 2 * flags.size, flags
+
+    @cached_property
+    def _packed(self):
+        """Flag t as bit t % 64 of little-endian uint64 word t // 64, and upto[j],
+        the primes in words 0..j, in int32: packed once pi or count is asked."""
+        packed = np.packbits(self.flags, bitorder="little")
+        if packed.size % 8:
+            packed = np.concatenate((packed, np.zeros(-packed.size % 8, dtype=np.uint8)))
+        words = packed.view("<u8")
+        return words, np.cumsum(np.bitwise_count(words), dtype=np.int32)
+
+    @property
+    def count(self) -> int:
+        """The primes in (lo, hi]."""
+        return int(self._packed[1][-1]) + (self.lo == 0)
+
+    def pi(self, args: np.ndarray) -> np.ndarray:
+        """The primes in (lo, v] for each uint64 v of args in (lo, hi], as int32.
+
+        With t the flag of the largest odd number <= v, that is upto[t // 64]
+        less the bits of word t // 64 above bit t % 64, shifted out by t % 64
+        and then by 1 (a shift by 64 would not clear the word).
+        """
+        words, upto = self._packed
+        t = args - np.uint64(self.lo + 1)
+        t >>= np.uint64(1)
+        j = (t >> np.uint64(6)).astype(np.intp)
+        t &= np.uint64(63)
+        above = words[j] >> t
+        above >>= np.uint64(1)
+        pi = upto[j] - np.bitwise_count(above)
+        if self.lo == 0:
+            pi += args >= 2
+        return pi
+
+    def primes(self):
+        """Yield the primes in (lo, hi] as new ascending uint64 arrays, one
+        per slice of _PRIME_SLICE flags."""
+        if self.lo == 0:
+            yield np.array([2], dtype=np.uint64)
+        for j in range(0, self.flags.size, _PRIME_SLICE):
+            n = np.flatnonzero(self.flags[j : j + _PRIME_SLICE])  # index t: lo + 2*(j+t) + 1
+            n <<= 1
+            n += self.lo + 2 * j + 1
+            yield n.view(np.uint64)
+
+
 class _OddSieve:
-    """Segmented sieve of the odd candidates n = 2i + 1 <= limit, by index i.
+    """Segmented sieve of the odd numbers up to limit.
 
     Holds the base primes up to sqrt(limit), built by build_table, and the
-    wheel pattern; segments() sieves in segments of _segment_size(limit).
-    Raises SieveWorkError, before any sieving, if limit exceeds
-    SIEVE_WORK_LIMIT.
+    wheel pattern; segments() sieves in segments of _segment_size(limit)
+    odd numbers.  Raises SieveWorkError, before any sieving, if limit
+    exceeds SIEVE_WORK_LIMIT.
     """
 
     def __init__(self, limit: int):
@@ -221,14 +277,11 @@ class _OddSieve:
         for p in _WHEEL_PRIMES:
             self.pattern[p // 2 :: p] = False
 
-    def segments(self, i_lo: int, i_hi: int):
-        """Yield (i0, flags) for consecutive segments of the indices [i_lo, i_hi).
-
-        flags[j] is True iff 2*(i0 + j) + 1 is prime.  Segments come in
-        ascending order and share one buffer, so each flags is overwritten
-        by the next.
-        """
+    def segments(self, lo: int, hi: int):
+        """Yield the _Segments, in ascending order, that cover the numbers
+        (lo, hi], lo even; hi must not exceed the sieve's limit."""
         size = self.segment_size
+        i_lo, i_hi = lo // 2, (hi + 1) // 2
         buf = np.empty(min(size, max(i_hi - i_lo, 0)), dtype=bool)
         for i0 in range(i_lo, i_hi, size):
             i1 = min(i0 + size, i_hi)
@@ -243,7 +296,7 @@ class _OddSieve:
             offsets = np.maximum(self.square_idx[:k], i0 + (self.base_idx[:k] - i0) % base) - i0
             for o, p in zip(offsets.tolist(), base.tolist()):
                 flags[o::p] = False
-            yield i0, flags
+            yield _Segment(2 * i0, flags)
 
     def primes(self, lo: int, hi: int):
         """Yield the primes in [lo, hi] as ascending uint64 arrays, one per slice.
@@ -252,21 +305,11 @@ class _OddSieve:
         reference to an array it has yielded, so the caller may overwrite it
         and its memory goes when the caller drops it.
         """
-        if lo <= 2 <= hi:
-            yield np.array([2], dtype=np.uint64)
-        for i0, flags in self.segments(lo // 2, (hi + 1) // 2):
-            for j in range(0, flags.size, _PRIME_SLICE):
-                n = np.flatnonzero(flags[j : j + _PRIME_SLICE])  # index t: 2*(i0+j+t) + 1
-                n <<= 1
-                n += 2 * (i0 + j) + 1
-                yield n.view(np.uint64)
-
-
-def prime_chunks(n: int):
-    """Yield the primes up to n as ascending uint64 arrays, one per slice of
-    _PRIME_SLICE flags of one sieve to n, with no table held."""
-    if n >= 2:
-        yield from _OddSieve(n).primes(2, n)
+        if hi < 2:
+            return  # the first segment, (0, 2] at least, would yield 2
+        # (0, hi] for lo <= 2, (lo - 1, hi] for an odd lo, (lo, hi] for an even one
+        for seg in self.segments(2 * (lo // 2) if lo > 2 else 0, hi):
+            yield from seg.primes()
 
 
 def prime_pi(n: int) -> int:

@@ -198,25 +198,27 @@ def test_forked_mertens_sum_is_the_one_range_sum_at_random_z_below_1e7(monkeypat
 
 
 def test_forked_mertens_sum_at_a_range_cut(monkeypatch, t10m):
-    # odd index 3*size starts the last of four ranges, at the number
-    # 6*size + 1; z ends one range there, or starts one there.  This size
-    # puts the twin primes 6*size -+ 1 on either side of the cut.
+    # the segment boundary 6*size starts the last of four ranges; z ends one
+    # range at or just below it, or starts one there.  This size puts the
+    # twin primes 6*size -+ 1 on either side of the cut.
     monkeypatch.setattr(rsad.primes, "SWEEP_SEGMENT_BYTES", 1048535)
     seen = []
-    in_ranges = counting._in_ranges
+    forked_ranges = counting._forked_ranges
 
-    def recording(task, ranges, workers=1):
+    def recording(task, ranges, workers):
         seen.append((ranges, workers))
-        return in_ranges(task, ranges, workers)
+        return forked_ranges(task, ranges, workers)
 
-    monkeypatch.setattr(counting, "_in_ranges", recording)
-    cut = 3 * 1048535
-    for z in (2 * cut - 1, 2 * cut, 2 * cut + 1, 2 * cut + 2):
+    monkeypatch.setattr(counting, "_forked_ranges", recording)
+    cut = 6 * 1048535
+    for z in (cut - 1, cut, cut + 1, cut + 2):
         want = math.fsum([1.0 / p for p in t10m.primes[: t10m.prime_count(z)].tolist()])
+        seen.clear()
         assert _mertens(monkeypatch, z, 2) == want, z
-        ranges, workers = seen[-1]
-        assert workers == 2 and cut in [hi for _, hi in ranges] + [lo for lo, _ in ranges], z
-    assert seen[-1][0][-1] == (cut, cut + 1)
+        (ranges, workers), = seen
+        bounds = [hi for _, hi in ranges] + [lo for lo, _ in ranges]
+        assert workers == 2 and min(cut, z) in bounds, z
+    assert ranges[-1] == (cut, cut + 2)
 
 
 def test_forked_mertens_sum_forks_twice_and_leaves_no_worker(monkeypatch, t10m):

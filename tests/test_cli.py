@@ -803,6 +803,36 @@ def test_stdout_to_a_closed_pipe_exits_3_with_one_line(argv, child_env):
     assert (proc.returncode, proc.stderr) == (3, "error: [Errno 32] Broken pipe\n")
 
 
+_CLOSED_STDOUT_RUNS = {
+    "pi": "pi --x 10",
+    "li": "li --x 10",
+    "count": "count --x 100 --r 2",
+    "table": "table --x-min 100 --x-max 1000 --r 2",
+    "mertens": "mertens --z 100",
+    "verify": "verify --max-x 100",
+}
+
+
+@pytest.mark.parametrize("argv", _CLOSED_STDOUT_RUNS.values(), ids=list(_CLOSED_STDOUT_RUNS))
+def test_closed_stdout_exits_3_with_one_line(argv, tmp_path, child_env):
+    # started with fd 1 closed, Python sets sys.stdout to None; writing to it
+    # once raised AttributeError with a traceback, exit 1 (verify's print
+    # calls wrote nothing and exited 0)
+    def run(*extra):
+        return subprocess.run([sys.executable, "-m", "rsad", *argv.split(), *extra],
+                              stderr=subprocess.PIPE, text=True, timeout=60, env=child_env,
+                              preexec_fn=lambda: os.close(1))
+
+    proc = run()
+    assert (proc.returncode, proc.stderr) == (3, "error: stdout is closed\n")
+    if not argv.startswith("verify"):  # the one subcommand with no --out
+        out = tmp_path / "out.txt"
+        proc = run("--out", str(out))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert main([*argv.split(), "--out", str(tmp_path / "in_process.txt")]) == 0
+        assert out.read_bytes() == (tmp_path / "in_process.txt").read_bytes()
+
+
 # A KeyboardInterrupt raised inside a finalizer is printed as "Exception
 # ignored" and swallowed, so this run once went on to print 4 and exit 0.
 _INTERRUPT_IN_A_FINALIZER = """

@@ -334,17 +334,18 @@ def test_segment_pi_matches_the_table_at_word_edges(monkeypatch, t10m, segment_b
     # not a whole number of words, and 2^20 - 8 bytes pads every segment
     monkeypatch.setattr(rsad.primes, "SWEEP_SEGMENT_BYTES", segment_bytes)
     padded = 0
-    for i0, flags in rsad.primes._OddSieve(limit).segments(0, (limit + 1) // 2):
-        words, upto = counting._segment_words(flags)
+    for seg in rsad.primes._OddSieve(limit).segments(0, limit):
+        flags = seg.flags
+        words, upto = seg._packed
         assert words.size == -(-flags.size // 64)
         assert upto[-1] == np.bitwise_count(words).sum() == flags.sum()
+        assert seg.count == t10m.prime_count(seg.hi) - t10m.prime_count(seg.lo)
         padded += flags.size % 64 != 0
         edges = [t for t in (0, 63, 64, 65, flags.size - 1) if t < flags.size]
-        args = np.array(sorted({2 * (i0 + t) + 1 + e for t in edges for e in (0, 1)}),
+        args = np.array(sorted({seg.lo + 2 * t + 1 + e for t in edges for e in (0, 1)}),
                         dtype=np.uint64)
-        # the odd primes up to each argument, less those below the segment
-        want = t10m.pi(args) - (args >= 2) - (t10m.prime_count(2 * i0) - (i0 > 0))
-        assert (counting._segment_pi(args, i0, words, upto) == want).all(), i0
+        want = t10m.pi(args) - t10m.prime_count(seg.lo)
+        assert (seg.pi(args) == want).all(), seg.lo
     assert flags.size % 64 and padded
 
 
@@ -410,21 +411,21 @@ CUT_COUNTS = (1, 2, 3, 7)
 
 
 def _sweep_end(xs, r):
-    return (_required_limit(xs[-1], r) + 1) // 2
+    return _required_limit(xs[-1], r)
 
 
 def _boundary_cuts(x, r, end, k, rng):
-    """Up to k cuts in (0, end), each putting a pi argument of x on the first
-    or last number of a range, s2 arguments floor(r*p) and band arguments
-    floor(x/p) in turn.
+    """Up to k even cuts in (0, end), each putting a pi argument of x on the
+    first or last number of a range, s2 arguments floor(r*p) and band
+    arguments floor(x/p) in turn.
 
-    The range from cut c answers the arguments from 2c + 1 and the range up
-    to c those up to 2c, so c = v // 2 puts an odd v first in a range and an
-    even v last.
+    The range from cut c answers the arguments from c + 1 and the range up
+    to c those up to c, so c = 2*(v // 2) puts an odd v first in a range and
+    an even v last.
     """
     p1, p2 = math.isqrt(x), math.isqrt(x * r.den // r.num)
     kinds = [
-        {v // 2 for v in args if 0 < v // 2 < end}
+        {2 * (v // 2) for v in args if 0 < 2 * (v // 2) < end}
         for args in ([r.floor_mul(p) for p in prime_list(p2)],
                      [x // p for p in prime_list(p1) if p > p2])
     ]
@@ -451,8 +452,9 @@ def _check_ranges(xs, r, x, rng, ks):
 def test_sweep_ranges_match_one_range_at_every_x_below_3000(monkeypatch, segment_bytes):
     # each ratio takes one cut count, and each segment size the next one, so
     # every count meets both segment sizes (1-byte segments take 9 s here;
-    # the random grids cover them)
+    # the random grids cover them); the ranges run in this process
     monkeypatch.setattr(rsad.primes, "SWEEP_SEGMENT_BYTES", segment_bytes)
+    monkeypatch.setattr(counting, "_usable_cpus", lambda: 1)
     rng = random.Random(20261021 + segment_bytes)
     grid = list(range(3000))
     for i, r in enumerate(SWEEP_RATIOS):
@@ -463,6 +465,7 @@ def test_sweep_ranges_match_one_range_at_every_x_below_3000(monkeypatch, segment
 @pytest.mark.parametrize("segment_bytes,x_max", [(1, 10**6), (4, 10**6), (97, 10**9)])
 def test_sweep_ranges_match_one_range_on_random_grids(monkeypatch, segment_bytes, x_max):
     monkeypatch.setattr(rsad.primes, "SWEEP_SEGMENT_BYTES", segment_bytes)
+    monkeypatch.setattr(counting, "_usable_cpus", lambda: 1)
     rng = random.Random(20261022 + segment_bytes)
     for r in SWEEP_RATIOS:
         grid = sorted([0, 1, 3] + [rng.randrange(x_max) for _ in range(rng.choice((3, 12)))])
@@ -475,7 +478,7 @@ def test_sweep_merge_is_exact_at_its_int64_bound(monkeypatch):
     # ways, each argument counting every prime of its range: the totals
     # reach pi(2^32)*pi(2^36), past a float's 2^53 and an int32's range
     pi32, pi36 = 203280221, 2874398515
-    counts = [pi36 // 4 - 1, pi36 // 4, pi36 // 4 + 1, pi36 - 3 * (pi36 // 4) - 1]
+    counts = [pi36 // 4, pi36 // 4, pi36 // 4 + 1, pi36 - 3 * (pi36 // 4) - 1]
     splits = [[pi32 // 4] * 3 + [pi32 - 3 * (pi32 // 4)], [0, 0, 0, pi32], [pi32, 0, 0, 0],
               [1, pi32 - 2, 0, 1]]
 
@@ -485,8 +488,7 @@ def test_sweep_merge_is_exact_at_its_int64_bound(monkeypatch):
 
     want = []
     for split in splits:
-        k1 = total = 0
-        below = 1
+        k1 = total = below = 0
         for n, count in zip(split, counts):
             k1 += 2 * n
             total += n * below + n * count
@@ -495,23 +497,34 @@ def test_sweep_merge_is_exact_at_its_int64_bound(monkeypatch):
     assert max(d.s2 for d in want) > 2**59
 
     monkeypatch.setattr(counting, "_sweep_range", synthetic_range)
+    monkeypatch.setattr(counting, "_usable_cpus", lambda: 1)
     got = counting._sweep_in_ranges([2**64 - 1] * len(splits), Ratio(2), [0, 1, 2, 3, 4])
     assert got == want
     # a count row's JSON needs Python ints, not numpy scalars
     assert all(type(v) is int for d in got for v in (d.s1, d.s2, d.s3))
 
 
+def _sweep_cuts(xs, r):
+    return counting._range_cuts(_required_limit(xs[-1], r), counting._sweep_work(xs, r))
+
+
 def test_range_cuts_fall_on_segment_boundaries(monkeypatch):
+    # one cutter serves the sweep, on its work model, and the Mertens sum,
+    # on the numbers themselves
     monkeypatch.setattr(counting, "_usable_cpus", lambda: 3)
-    for xs, r in [([10**16], Ratio(2)), ([10**15], Ratio(10)), ([10**14, 10**16], Ratio(3, 2))]:
-        limit = _required_limit(xs[-1], r)
-        size, end = rsad.primes._segment_size(limit), _sweep_end(xs, r)
-        cuts = counting._range_cuts(xs, r)
+    sweeps = [([10**16], Ratio(2)), ([10**15], Ratio(10)), ([10**14, 10**16], Ratio(3, 2))]
+    cases = [(_sweep_end(xs, r), _sweep_cuts(xs, r)) for xs, r in sweeps]
+    cases += [(z, counting._range_cuts(z)) for z in (10**8, 2 * 10**8 + 1)]
+    for end, cuts in cases:
+        step = 2 * rsad.primes._segment_size(end)
         assert cuts[0] == 0 and cuts[-1] == end
         assert 2 < len(cuts) <= 7 and all(a < b for a, b in zip(cuts, cuts[1:]))
-        assert all(c % size == 0 for c in cuts[:-1])
+        assert all(c % step == 0 for c in cuts[:-1])
+    below = counting._FORK_MIN_NUMBERS - 1
+    assert counting._range_cuts(below) == [0, below]
     monkeypatch.setattr(counting, "_usable_cpus", lambda: 1)
-    assert counting._range_cuts([10**16], Ratio(2)) == [0, _sweep_end([10**16], Ratio(2))]
+    assert _sweep_cuts([10**16], Ratio(2)) == [0, _sweep_end([10**16], Ratio(2))]
+    assert counting._range_cuts(10**8) == [0, 10**8]
 
 
 def test_forked_sweep_gives_the_frozen_count_and_leaves_no_worker(monkeypatch):

@@ -13,7 +13,6 @@ from rsad import (
     build_table,
     count_sweep,
     load_table,
-    prime_chunks,
     prime_pi,
 )
 
@@ -129,28 +128,28 @@ def test_patched_segment_size_reaches_every_sieve(monkeypatch):
     calls = []
     segments = _OddSieve.segments
 
-    def recording_segments(self, i_lo, i_hi):
-        call = [i_lo, i_hi, 0]
+    def recording_segments(self, lo, hi):
+        call = [lo, hi, 0]
         calls.append(call)
-        for seg in segments(self, i_lo, i_hi):
+        for seg in segments(self, lo, hi):
             call[2] += 1
             yield seg
 
     monkeypatch.setattr(_OddSieve, "segments", recording_segments)
     monkeypatch.setattr(rsad.primes, "SWEEP_SEGMENT_BYTES", 97)
-    # the base tables to 3, 10 and 100 fit one segment each; the 4999 odd
-    # indices [1, 5000) take ceil(4999 / 97) = 52
+    # the base tables to 3, 10 and 100 fit one segment each; the 5000 odd
+    # numbers up to 10^4 take ceil(5000 / 97) = 52
     build_table(10**4)
-    assert calls == [[1, 2, 1], [1, 5, 1], [1, 50, 1], [1, 5000, 52]]
+    assert calls == [[0, 3, 1], [0, 10, 1], [0, 100, 1], [0, 10**4, 52]]
     calls.clear()
-    list(prime_chunks(10**4))
-    assert calls == [[1, 2, 1], [1, 5, 1], [1, 50, 1], [1, 5000, 52]]
+    list(_OddSieve(10**4).primes(2, 10**4))
+    assert calls == [[0, 3, 1], [0, 10, 1], [0, 100, 1], [0, 10**4, 52]]
     calls.clear()
-    # the sweep to isqrt(2 * 10^6) = 1414 over its 707 odd indices takes 8,
-    # and its s2 stream of the p <= 707, indices [1, 354), takes 4
+    # the sweep to isqrt(2 * 10^6) = 1414 over its 707 odd numbers takes 8,
+    # and its s2 stream of the 354 odd p <= 707 takes 4
     count_sweep(10**6, Ratio(2))
     runs = {(lo, hi): n for lo, hi, n in calls}
-    assert (runs[0, 707], runs[1, 354]) == (8, 4)
+    assert (runs[0, 1414], runs[0, 707]) == (8, 4)
 
 
 def test_sieve_ranges_match_trial_division(monkeypatch):
@@ -203,9 +202,9 @@ def test_wheel_fill_is_the_full_pattern_copy(monkeypatch, size):
     i_lo = 7 + 12345  # above the small odd candidates the pattern gets wrong
     n = min(40 * size, 3 * SWEEP_SEGMENT_BYTES) - 3  # the last segment is short
     segments = 0
-    for i0, flags in sieve.segments(i_lo, i_lo + n):
-        w = i0 % _WHEEL
-        assert np.array_equal(flags, full[w : w + flags.size]), (size, i0)
+    for seg in sieve.segments(2 * i_lo, 2 * (i_lo + n)):
+        w = seg.lo // 2 % _WHEEL
+        assert np.array_equal(seg.flags, full[w : w + seg.flags.size]), (size, seg.lo)
         segments += 1
     assert segments == -(-n // size)
 
@@ -221,7 +220,7 @@ def test_build_table_peak_is_within_its_estimate(traced_peak, limit):
 def test_prime_pi_matches_prime_count(t10k, t10m):
     for n in range(3000):
         assert prime_pi(n) == t10k.prime_count(n), n
-        streamed = np.concatenate([np.empty(0, np.uint64), *prime_chunks(n)])
+        streamed = np.concatenate([np.empty(0, np.uint64), *_OddSieve(n).primes(2, n)])
         assert np.array_equal(streamed, t10k.primes[: t10k.prime_count(n)]), n
     rng = random.Random(20261020)
     for n in [rng.randrange(10**7) for _ in range(200)]:
