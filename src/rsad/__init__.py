@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 # Each public name, by the submodule that defines it.  A name is imported on
 # first use (PEP 562), so `import rsad` loads no submodule and no numpy.
 _NAMES = {
-    "analytic": ("MertensResult", "log_integral", "mertens_sum", "rsa_count_estimate"),
+    "analytic": ("MertensResult", "log_integral", "mertens_sum", "prime_pi", "rsa_count_estimate"),
     "counting": (
         "CountReport",
         "Decomposition",
@@ -37,7 +37,6 @@ _NAMES = {
         "TableLimitError",
         "build_table",
         "load_table",
-        "prime_pi",
     ),
 }
 _HOME = {name: module for module, names in _NAMES.items() for name in names}

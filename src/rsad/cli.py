@@ -6,10 +6,10 @@ only with --timing.  Brute count and verify sieve the prime table they
 need in the same run; no subcommand reads or writes a cache.  Exit codes:
 0 ok, 2 bad arguments, 3 table, budget or work-bound errors, a file or
 stdout that cannot be written or a sweep worker that died, 4 a
-cross-check failed (a built table's prime count among them), 130
-interrupted (Ctrl-C).  main returns the code to its caller; the console
-script, entry(), ends the process with it by os._exit, skipping the
-interpreter's teardown.
+cross-check failed (a built table's prime count or prime sum among them),
+130 interrupted (Ctrl-C).  li, and pi below 2^27, run without numpy.  main
+returns the code to its caller; the console script, entry(), ends the
+process with it by os._exit, skipping the interpreter's teardown.
 """
 
 from __future__ import annotations
@@ -22,17 +22,19 @@ import os
 import sys
 
 from . import analytic
+from .analytic import prime_pi  # bound here, so tests and tracers replace it on cli
 
-# The sieving modules cli reaches into, and the three functions callers
-# replace on it: tests patch build_table and prime_pi, and bench/tracing.py
-# wraps load_table.  Importing any of them loads numpy, which li never needs,
-# so each is bound on first access (PEP 562) and main binds them all for
-# every other subcommand.  A name a tracer or test set before main is kept.
+# The sieving modules cli reaches into, and the two functions callers
+# replace on it: tests patch build_table, and bench/tracing.py wraps
+# build_table and load_table.  Importing any of them loads numpy, which li
+# never needs and pi needs only from 2^27 (analytic.prime_pi imports it
+# then), so each is bound on first access (PEP 562) and main binds them all
+# for every other subcommand.  A name a tracer or test set before main is kept.
 _LAZY = {
     "counting": "counting",
     "diagnostics": "diagnostics",
     "primes": "primes",
-    **dict.fromkeys(["build_table", "load_table", "prime_pi"], "primes"),
+    **dict.fromkeys(["build_table", "load_table"], "primes"),
 }
 
 
@@ -161,8 +163,10 @@ def _admitted_table(args, max_x: int, limit: int, bytes_per_x: int = 0) -> prime
     Raises Refused, before any sieving, when max_x exceeds --brute-budget
     or when the table's peak to limit plus bytes_per_x for each x in
     [0, max_x] exceeds --memory-budget-bytes.  Raises CheckFailed when the
-    table's prime count is not prime_pi(limit), which shares no code with
-    the sieve.
+    table's prime count, or its prime sum mod 2^64, is not what
+    Lucy_Hedgehog's recursion (primes.lucy), which shares no code with the
+    sieve, gives at limit.  A table with the right count of wrong primes
+    has the wrong sum, unless two wrong entries cancel.
     """
     if max_x > args.brute_budget:
         raise Refused(f"x={max_x} exceeds brute-force budget {args.brute_budget}")
@@ -173,11 +177,17 @@ def _admitted_table(args, max_x: int, limit: int, bytes_per_x: int = 0) -> prime
             f"at peak, over the {args.memory_budget_bytes}-byte budget"
         )
     table = build_table(limit)
-    pi = prime_pi(limit)
+    pi = primes.lucy(limit)
     if table.count != pi:
         raise CheckFailed(
             f"table check failed: the prime table to {limit} holds "
             f"{table.count} primes, pi({limit}) = {pi}"
+        )
+    held, total = int(table.primes.sum()), primes.lucy(limit, weighted=True)  # both mod 2^64
+    if held != total:
+        raise CheckFailed(
+            f"table check failed: the primes of the prime table to {limit} sum to "
+            f"{held} mod 2^64, the primes up to {limit} to {total}"
         )
     return table
 
@@ -401,30 +411,49 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refusals() -> tuple:
+    """The exceptions main maps to exit 3: the sieve's own among them once
+    rsad.primes is loaded, as it is in every run that can raise them."""
+    loaded = sys.modules.get(f"{__package__}.primes")
+    sieving = (loaded.SieveWorkError, loaded.TableLimitError) if loaded else ()
+    return (Refused, MemoryError, OSError, *sieving)
+
+
+def _error(line: str) -> None:
+    """Write one line to stderr.  A stderr closed at start (None) or that
+    fails to write loses the line, and the run keeps its exit code."""
+    if sys.stderr is not None:
+        try:
+            print(line, file=sys.stderr)
+        except OSError:
+            pass
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    refusals = (Refused, MemoryError, OSError)
-    if args.command != "li":  # li needs only math
+    if args.command not in ("li", "pi"):  # li needs only math, pi only prime_pi
         _bind_sieving_names()
-        refusals += (primes.SieveWorkError, primes.TableLimitError)
     try:
         return args.func(args)
-    except refusals as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except _refusals() as exc:
+        _error(f"error: {exc}")
         return 3
     except CheckFailed as exc:
-        print(exc, file=sys.stderr)
+        _error(str(exc))
         return 4
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(f"error: {exc}")
         return 2
 
 
 def _exit_interrupted(signum, frame) -> None:
     # exits at once: a KeyboardInterrupt raised inside a __del__ or weakref
     # callback would be swallowed, and the run would go on to exit 0
-    os.write(2, b"interrupted\n")
+    try:
+        os.write(2, b"interrupted\n")
+    except OSError:  # stderr is closed
+        pass
     os._exit(130)
 
 
@@ -440,8 +469,9 @@ def entry() -> None:
     argparse's own exits (--help, a usage error) raise SystemExit and end
     the usual way.  A stdout flush that fails exits 3 with one error line
     when the run had succeeded; a failed run keeps its code and the line it
-    already wrote.  A stdout closed at start is not flushed, and a stderr
-    flush that fails is ignored.
+    already wrote.  A stdout or stderr closed at start is not flushed, and
+    an error line or stderr flush that fails is dropped (_error), so a
+    closed stderr keeps every exit code.
     """
     import signal  # only the console script installs a handler
 
@@ -449,17 +479,18 @@ def entry() -> None:
     try:
         code = main()
     except KeyboardInterrupt:
-        print("interrupted", file=sys.stderr)
+        _error("interrupted")
         code = 130
     try:
         if sys.stdout is not None:  # None when the process started with it closed
             sys.stdout.flush()
     except OSError as exc:
         if code == 0:
-            print(f"error: {exc}", file=sys.stderr)
+            _error(f"error: {exc}")
             code = 3
     try:
-        sys.stderr.flush()
+        if sys.stderr is not None:
+            sys.stderr.flush()
     except OSError:
         pass
     os._exit(code)

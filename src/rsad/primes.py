@@ -6,9 +6,10 @@ so a table sized to min(sqrt(r*x), x) is enough to drive the table-based
 semiprime counters.  Tables are immutable once built and safe
 to share between threads.  The sieve behind them yields segments that
 answer pi over their own numbers, which the sweep reads with no table.
-prime_pi counts primes with no sieve at all: Lucy_Hedgehog's recursion
-takes O(n^(3/4)) time and O(sqrt(n)) memory and shares no code with the
-sieve, so it can check a built table's count.
+lucy counts primes, or sums them mod 2^64, with no sieve at all:
+Lucy_Hedgehog's recursion takes O(n^(3/4)) time and O(sqrt(n)) memory and
+shares no code with the sieve, so it can check a built table's count and
+sum.  analytic.prime_pi runs it, or the same count on Python integers.
 """
 
 from __future__ import annotations
@@ -312,41 +313,62 @@ class _OddSieve:
             yield from seg.primes()
 
 
-def prime_pi(n: int) -> int:
-    """pi(n) by Lucy_Hedgehog's recursion, with no table and no sieve.
+def lucy(n: int, weighted: bool = False) -> int:
+    """pi(n), or with weighted the sum of the primes <= n mod 2^64, by
+    Lucy_Hedgehog's recursion in numpy, with no table and no sieve.
 
-    S(v) starts as the count of 2..v; for each prime p <= sqrt(n) in turn,
-    S(v) -= S(v // p) - S(p - 1) at every v >= p^2 strikes the numbers whose
-    least prime factor is p, and S(n) ends as pi(n).  Only the v = n // i
-    are ever read, so two int64 arrays of isqrt(n) + 1 entries hold them all:
-    O(n^(3/4)) time, 0.73 s at 2^36 (numpy 2.4.6, one thread of a 2-vCPU
-    machine).  It keeps the sieve's work bound by choice, raising
-    SieveWorkError before any work when n exceeds SIEVE_WORK_LIMIT; below
-    it every S(v) is under 2^37, so int64 is exact.
+    S(v) starts as the count of 2..v (with weighted, their sum); for each
+    prime p <= sqrt(n) in turn, S(v) -= w*(S(v // p) - S(p - 1)) at every
+    v >= p^2 strikes the numbers whose least prime factor is p, with w = 1
+    (with weighted, w = p), and S(n) ends as pi(n) (the prime sum).  Only
+    the v = n // i are ever read, so two arrays of isqrt(n) + 1 entries hold
+    them all: O(n^(3/4)) time, 0.73 s at 2^36 for the count (numpy 2.4.6,
+    one thread of a 2-vCPU machine).  The count's arrays are int64, exact
+    since every S(v) is under 2^37; the sum's are uint64, exact mod 2^64
+    because the recursion uses only ring operations, all on arrays (numpy
+    warns on a uint64 scalar that wraps).  It keeps the sieve's work bound
+    by choice, raising SieveWorkError before any work when n exceeds
+    SIEVE_WORK_LIMIT.
     """
     if n < 2:
         return 0
     _segment_size(n)  # the work bound
     r = math.isqrt(n)
-    small = np.arange(-1, r, dtype=np.int64)  # small[v] = S(v), v <= r
-    small[0] = 0
     quotients = n // np.arange(1, r + 1, dtype=np.int64)
-    large = quotients - 1  # large[i - 1] = S(n // i), i <= r
+    v = np.arange(r + 1, dtype=np.int64)
+    # small[v] = S(v) for v <= r, and large[i - 1] = S(n // i) for i <= r
+    small, large = (_sum_from_2(v), _sum_from_2(quotients)) if weighted else (v - 1, quotients - 1)
+    small[0] = 0
     for p in range(2, r + 1):
-        if small[p] == small[p - 1]:
-            continue  # p is composite: S(p) is already pi(p)
         sp = small[p - 1]
+        if small[p] == sp:
+            continue  # p is composite: S(p) is already final
+        w = p if weighted else 1
         # S(n // i) changes where n // i >= p^2, reading S(n // (i*p)) from
         # large while i*p <= r.
         # Each right side is computed before its assignment, from old values.
         k = min(r, n // (p * p))
         j = min(k, r // p)
-        large[:j] -= large[p - 1 : j * p : p] - sp
-        large[j:k] -= small[quotients[j:k] // p] - sp
+        large[:j] -= _times(large[p - 1 : j * p : p] - sp, w)
+        large[j:k] -= _times(small[quotients[j:k] // p] - sp, w)
         if p * p <= r:
             # v // p over v = p^2..r is p, ..., r // p, each p times
-            small[p * p :] -= np.repeat(small[p : r // p + 1], p)[: r + 1 - p * p] - sp
+            small[p * p :] -= _times(np.repeat(small[p : r // p + 1], p)[: r + 1 - p * p] - sp, w)
     return int(large[0])
+
+
+def _sum_from_2(v: np.ndarray) -> np.ndarray:
+    """2 + 3 + ... + v = v*(v + 1)/2 - 1 at each v >= 1 of an int64 array, as
+    uint64 mod 2^64: the even factor is halved before the product wraps."""
+    v = v.astype(np.uint64)
+    return np.where(v & 1, v * ((v + 1) >> 1), (v >> 1) * (v + 1)) - 1
+
+
+def _times(d: np.ndarray, w: int) -> np.ndarray:
+    """d scaled in place by the weight w; a weight of 1 costs no pass."""
+    if w != 1:
+        d *= w
+    return d
 
 
 def load_table(path) -> PrimeTable:

@@ -553,12 +553,14 @@ def test_verify_catches_broken_counter(capsys, monkeypatch):
 
 def test_verify_catches_a_table_that_breaks_the_pi_sum(capsys, monkeypatch):
     # a second 31 in place of 37 lies above every pi argument of the identity
-    # check at x <= 100, r = 2, and keeps the table's prime count, so only
-    # the pi-sum closed form sees it
+    # check at x <= 100, r = 2, and keeps the table's prime count; 103 in
+    # place of 97 (above them too) cancels its shift of the table's prime
+    # sum, so only the pi-sum closed form sees it
     real = cli.build_table
     def doubled_31(limit, **kw):
         primes = real(limit, **kw).primes.copy()
         primes[primes == 37] = 31
+        primes[primes == 97] = 103
         return PrimeTable(limit, primes)
 
     monkeypatch.setattr(cli, "build_table", doubled_31)
@@ -589,6 +591,29 @@ def test_a_table_that_drops_a_prime_exits_4(argv, capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err == (
         f"table check failed: the prime table to {limit} holds {pi - 1} primes, pi({limit}) = {pi}\n"
+    )
+
+
+@pytest.mark.parametrize("argv,limit,total", [
+    ("verify --max-x 1000", 1000, 76127),
+    ("count --x 1000 --r 2 --method brute", 44, 281),
+])
+def test_a_table_with_a_wrong_prime_exits_4(argv, limit, total, capsys, monkeypatch):
+    # 38 in place of 37 keeps the count; every other check reads the same
+    # table, so only the prime sum sees it
+    real = cli.build_table
+    def with_38(limit, **kw):
+        primes = real(limit, **kw).primes.copy()
+        primes[primes == 37] = 38
+        return PrimeTable(limit, primes)
+
+    monkeypatch.setattr(cli, "build_table", with_38)
+    assert run_cli(*argv.split()) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"table check failed: the primes of the prime table to {limit} sum to "
+        f"{total + 1} mod 2^64, the primes up to {limit} to {total}\n"
     )
 
 
@@ -831,6 +856,28 @@ def test_closed_stdout_exits_3_with_one_line(argv, tmp_path, child_env):
         assert (proc.returncode, proc.stderr) == (0, "")
         assert main([*argv.split(), "--out", str(tmp_path / "in_process.txt")]) == 0
         assert out.read_bytes() == (tmp_path / "in_process.txt").read_bytes()
+
+
+@pytest.mark.parametrize("stderr", ["closed", "read-only"])
+@pytest.mark.parametrize("argv,code", [
+    ("mertens --z 1", 2),
+    ("count --x 1000 --r 2 --out /nonexistent/x", 3),
+    ("pi --x 68719476737", 3),
+])
+def test_closed_stderr_keeps_the_exit_code(argv, code, stderr, child_env):
+    # started with fd 2 closed, Python sets sys.stderr to None, and print(...,
+    # file=None) wrote the error line to stdout; on a read-only fd 2 the
+    # print raised OSError inside main's handler.  Both exited 1.
+    def close_stderr():
+        if stderr == "closed":
+            os.close(2)
+        else:
+            os.dup2(os.open(os.devnull, os.O_RDONLY), 2)
+
+    proc = subprocess.run([sys.executable, "-m", "rsad", *argv.split()],
+                          stdout=subprocess.PIPE, text=True, timeout=60, env=child_env,
+                          preexec_fn=close_stderr)
+    assert (proc.returncode, proc.stdout) == (code, "")
 
 
 # A KeyboardInterrupt raised inside a finalizer is printed as "Exception

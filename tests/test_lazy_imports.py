@@ -1,9 +1,9 @@
 """Module loading follows the subcommand.
 
-`import rsad`, `import rsad.cli`, `rsad --help` and `rsad li` need only the
-standard library; numpy and the sieving modules load on first use of one of
-their names.  A name a caller set on rsad.cli before main ran, as a tracer
-or a test does, is the one main calls.
+`import rsad`, `import rsad.cli`, `rsad --help`, `rsad li` and `rsad pi`
+below 2^27 need only the standard library; numpy and the sieving modules
+load on first use of one of their names.  A name a caller set on rsad.cli
+before main ran, as a tracer or a test does, is the one main calls.
 """
 
 import json
@@ -53,8 +53,18 @@ def test_li_help_and_import_run_without_numpy(child_env):
     assert (proc.returncode, proc.stderr) == (0, "")
 
 
+def test_pi_below_2_27_runs_without_numpy(child_env):
+    proc = run_without_numpy(child_env, "pi", "--x", "1e7", "--threads", "2")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "664579\n", "")
+    proc = run_without_numpy(child_env, "pi", "--x", "134217727")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "7603553\n", "")
+    proc = run_without_numpy(child_env, "pi", "--x", "134217728")  # numpy's recursion
+    assert proc.returncode == 1
+    assert "ImportError: numpy refused" in proc.stderr
+
+
 def test_the_finder_refuses_numpy_to_a_sieving_subcommand(child_env):
-    proc = run_without_numpy(child_env, "pi", "--x", "100")
+    proc = run_without_numpy(child_env, "count", "--x", "100", "--r", "2")
     assert proc.returncode == 1
     assert "ImportError: numpy refused" in proc.stderr
 

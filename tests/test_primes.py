@@ -1,5 +1,7 @@
 import math
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +19,8 @@ from rsad import (
 )
 
 import rsad.primes
+from rsad import analytic
+from rsad.analytic import _INT_PI_BELOW, _int_prime_pi
 from rsad.primes import (
     SIEVE_WORK_LIMIT,
     SWEEP_SEGMENT_BYTES,
@@ -25,6 +29,7 @@ from rsad.primes import (
     _WHEEL_PRIMES,
     _OddSieve,
     _peak_estimate_bytes,
+    lucy,
 )
 
 from oracles import pi_td, prime_list
@@ -237,6 +242,61 @@ def test_prime_pi_at_prime_squares(t10m):
     for p in prime_list(1000):
         assert prime_pi(p * p) == t10m.prime_count(p * p), p
         assert prime_pi(p * p - 1) == t10m.prime_count(p * p - 1), p
+
+
+def test_lucy_prime_sum_is_the_tables_sum(t10k, t10m):
+    # the uint64 arrays wrap at every subtraction that goes below zero
+    for n in range(3000):
+        assert lucy(n, weighted=True) == int(t10k.primes[: t10k.prime_count(n)].sum()), n
+    rng = random.Random(20261021)
+    for n in [rng.randrange(10**7) for _ in range(50)] + [p * p + d for p in prime_list(100)
+                                                         for d in (-1, 0)]:
+        assert lucy(n, weighted=True) == int(t10m.primes[: t10m.prime_count(n)].sum()), n
+
+
+@pytest.fixture(scope="module")
+def t2_27():
+    return build_table(2**27)
+
+
+def test_integer_recursion_matches_the_sieve(t10k, t2_27):
+    assert _INT_PI_BELOW == 2**27
+    for n in range(3000):
+        assert _int_prime_pi(n) == t10k.prime_count(n), n
+    assert _int_prime_pi(2**27 - 1) == _int_prime_pi(2**27) == t2_27.count == 7603553
+    rng = random.Random(20261022)
+    for n in [rng.randrange(2**27) for _ in range(50)]:
+        assert _int_prime_pi(n) == t2_27.prime_count(n), n
+
+
+@pytest.mark.parametrize("p_max", [1000, pytest.param(10**4, marks=pytest.mark.slow)])
+def test_integer_recursion_at_prime_squares(t2_27, p_max):
+    # S(v) first changes at p^2 in the step for p; p up to 10^4 takes about 45 s
+    for p in prime_list(p_max):
+        assert _int_prime_pi(p * p) == t2_27.prime_count(p * p), p
+        assert _int_prime_pi(p * p - 1) == t2_27.prime_count(p * p - 1), p
+
+
+def test_prime_pi_runs_numpys_recursion_once_numpy_is_imported(monkeypatch):
+    # numpy is imported in this process, so the integer recursion never runs
+    def no_integers(n):
+        raise AssertionError("the integer recursion ran")
+
+    monkeypatch.setattr(analytic, "_int_prime_pi", no_integers)
+    assert prime_pi(1000) == 168
+    assert prime_pi(2**27) == 7603553
+
+
+def test_prime_pi_switches_to_numpy_at_2_27(child_env):
+    # a fresh process: the integer recursion answers 2^27 - 1 with no numpy,
+    # and numpy's recursion answers 2^27
+    script = ("import sys, rsad\n"
+              "for n in (2**27 - 1, 2**27):\n"
+              "    print(rsad.prime_pi(n), 'numpy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env=child_env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "7603553 False\n7603553 True\n"
 
 
 def test_prime_pi_is_independent_of_the_sieve(monkeypatch, capsys):
