@@ -17,9 +17,6 @@ __version__ = "0.1.0"
 _NAMES = {
     "analytic": ("MertensResult", "log_integral", "mertens_sum", "prime_pi", "rsa_count_estimate"),
     "counting": (
-        "CountReport",
-        "Decomposition",
-        "Ratio",
         "brute_counts_upto",
         "count_brute",
         "count_identity",
@@ -29,6 +26,7 @@ _NAMES = {
         "count_sweep_grid",
         "identity_counts_upto",
     ),
+    "exact": ("CountReport", "Decomposition", "Ratio"),
     "diagnostics": ("IdentityViolationError", "check_pi_sums", "convergence_table", "sum_pi_p"),
     "primes": (
         "CacheFormatError",

@@ -17,7 +17,7 @@ import sys
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
-    from .counting import Ratio
+    from .exact import Ratio
 
 
 class MertensResult(NamedTuple):

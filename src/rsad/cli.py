@@ -7,9 +7,11 @@ need in the same run; no subcommand reads or writes a cache.  Exit codes:
 0 ok, 2 bad arguments, 3 table, budget or work-bound errors, a file or
 stdout that cannot be written or a sweep worker that died, 4 a
 cross-check failed (a built table's prime count or prime sum among them),
-130 interrupted (Ctrl-C).  li, and pi below 2^27, run without numpy.  main
-returns the code to its caller; the console script, entry(), ends the
-process with it by os._exit, skipping the interpreter's teardown.
+130 interrupted (Ctrl-C).  li, pi below 2^27 and count below a limit of
+2^20 run without numpy: count then sieves a Python list and counts on it
+with bisect (_integer_count).  main returns the code to its caller; the
+console script, entry(), ends the process with it by os._exit, skipping
+the interpreter's teardown.
 """
 
 from __future__ import annotations
@@ -24,18 +26,25 @@ import sys
 from . import analytic
 from .analytic import prime_pi  # bound here, so tests and tracers replace it on cli
 
-# The sieving modules cli reaches into, and the two functions callers
-# replace on it: tests patch build_table, and bench/tracing.py wraps
-# build_table and load_table.  Importing any of them loads numpy, which li
-# never needs and pi needs only from 2^27 (analytic.prime_pi imports it
-# then), so each is bound on first access (PEP 562) and main binds them all
-# for every other subcommand.  A name a tracer or test set before main is kept.
+# The modules cli reaches into, and the functions callers replace on it:
+# tests patch build_table and primes_upto, and bench/tracing.py wraps
+# build_table and load_table.  Each is bound on first access (PEP 562) or
+# by _bind, one module's names at a time, when a run first reads them: li
+# needs only math and pi only prime_pi (analytic.prime_pi imports numpy from
+# 2^27); _parse_ratio binds exact, which needs no numpy, and count on its
+# integer path (_integer_count) reads nothing else.  Importing counting,
+# diagnostics or primes loads numpy, so each command binds them
+# (_bind_sieving_names) only on the path that reads them.  A name a tracer
+# or test set is kept.
 _LAZY = {
+    "exact": "exact",
+    "primes_upto": "exact",
     "counting": "counting",
     "diagnostics": "diagnostics",
     "primes": "primes",
     **dict.fromkeys(["build_table", "load_table"], "primes"),
 }
+_SIEVING = ("counting", "diagnostics", "primes")
 
 
 def __getattr__(name: str):
@@ -47,11 +56,16 @@ def __getattr__(name: str):
     return value
 
 
-def _bind_sieving_names() -> None:
-    """Bind every name of _LAZY that is not bound yet."""
-    for name in _LAZY:
-        if name not in globals():
+def _bind(modules) -> None:
+    """Bind every name of _LAZY from one of modules that is not bound yet."""
+    for name, module in _LAZY.items():
+        if module in modules and name not in globals():
             __getattr__(name)
+
+
+def _bind_sieving_names() -> None:
+    """Bind the names from counting, diagnostics and primes: numpy loads."""
+    _bind(_SIEVING)
 
 
 TABLE_HEADER = "x,r,exact,estimate,abs_err,rel_err,ratio,err_normalized,seconds"
@@ -81,15 +95,15 @@ def _parse_positive(text: str) -> int:
     return value
 
 
-def _parse_ratio(text: str) -> counting.Ratio:
-    _bind_sieving_names()  # argparse calls this before main knows the subcommand
+def _parse_ratio(text: str) -> exact.Ratio:
+    _bind(["exact"])  # argparse calls this before any command runs
     try:
-        return counting.Ratio.parse(text)
+        return exact.Ratio.parse(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _parse_ratio_list(text: str) -> list[counting.Ratio]:
+def _parse_ratio_list(text: str) -> list[exact.Ratio]:
     ratios = [_parse_ratio(part) for part in text.split(",") if part.strip()]
     if not ratios:
         raise argparse.ArgumentTypeError(f"{text!r} names no ratio")
@@ -121,15 +135,15 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _cell(rep: counting.CountReport, col: str, timing: bool):
+def _cell(rep: exact.CountReport, col: str, timing: bool):
     if col == "seconds" and not timing:
         return 0
     value = getattr(rep, col)
-    return str(value) if isinstance(value, counting.Ratio) else value
+    return str(value) if col == "r" else value
 
 
 def _reports_text(
-    reports: list[counting.CountReport], header: str, fmt: str, timing: bool
+    reports: list[exact.CountReport], header: str, fmt: str, timing: bool
 ) -> str:
     """CSV or JSON with one row per report and the columns of header.
 
@@ -157,19 +171,41 @@ class CheckFailed(Exception):
     """A cross-check found a mismatch, which the message names: exit 4."""
 
 
+def _check_brute_budget(args, max_x: int) -> None:
+    if max_x > args.brute_budget:
+        raise Refused(f"x={max_x} exceeds brute-force budget {args.brute_budget}")
+
+
+def _check_primes(limit: int, held: tuple[int, int], lucy: tuple[int, int]) -> None:
+    """Raise CheckFailed unless held, the (count, sum mod 2^64) of the primes
+    a run built to limit, is lucy, Lucy_Hedgehog's count and sum at limit.
+
+    The recursion shares no code with either sieve.  Primes with the right
+    count but a wrong entry have the wrong sum, unless two wrong entries cancel.
+    """
+    (count, held_sum), (pi, total) = held, lucy
+    if count != pi:
+        raise CheckFailed(
+            f"table check failed: the prime table to {limit} holds "
+            f"{count} primes, pi({limit}) = {pi}"
+        )
+    if held_sum != total:
+        raise CheckFailed(
+            f"table check failed: the primes of the prime table to {limit} sum to "
+            f"{held_sum} mod 2^64, the primes up to {limit} to {total}"
+        )
+
+
 def _admitted_table(args, max_x: int, limit: int, bytes_per_x: int = 0) -> primes.PrimeTable:
     """The prime table to limit, built only once the run is admitted, and checked.
 
     Raises Refused, before any sieving, when max_x exceeds --brute-budget
     or when the table's peak to limit plus bytes_per_x for each x in
     [0, max_x] exceeds --memory-budget-bytes.  Raises CheckFailed when the
-    table's prime count, or its prime sum mod 2^64, is not what
-    Lucy_Hedgehog's recursion (primes.lucy), which shares no code with the
-    sieve, gives at limit.  A table with the right count of wrong primes
-    has the wrong sum, unless two wrong entries cancel.
+    table's prime count or its prime sum mod 2^64 is not what primes.lucy
+    gives at limit (_check_primes).
     """
-    if max_x > args.brute_budget:
-        raise Refused(f"x={max_x} exceeds brute-force budget {args.brute_budget}")
+    _check_brute_budget(args, max_x)
     need = primes._peak_estimate_bytes(limit) + bytes_per_x * (max_x + 1)
     if need > args.memory_budget_bytes:
         raise Refused(
@@ -177,29 +213,59 @@ def _admitted_table(args, max_x: int, limit: int, bytes_per_x: int = 0) -> prime
             f"at peak, over the {args.memory_budget_bytes}-byte budget"
         )
     table = build_table(limit)
-    pi = primes.lucy(limit)
-    if table.count != pi:
-        raise CheckFailed(
-            f"table check failed: the prime table to {limit} holds "
-            f"{table.count} primes, pi({limit}) = {pi}"
-        )
-    held, total = int(table.primes.sum()), primes.lucy(limit, weighted=True)  # both mod 2^64
-    if held != total:
-        raise CheckFailed(
-            f"table check failed: the primes of the prime table to {limit} sum to "
-            f"{held} mod 2^64, the primes up to {limit} to {total}"
-        )
+    # the uint64 sum wraps mod 2^64, as lucy's does
+    _check_primes(limit, (table.count, int(table.primes.sum())), primes.lucy(limit, with_sum=True))
     return table
+
+
+# count runs on a Python list of the primes (exact) when its limit is below
+# this, in a process without numpy.  Medians of 7 alternating fresh processes
+# (2 vCPUs, Python 3.11.7, numpy 2.4.6) at r = 1, where the list counters
+# visit the most primes for their limit: at a limit of 2^20 - 1 identity,
+# brute and both took 134, 151 and 190 ms on lists and 177, 413 and 363 ms
+# with numpy; at 2^21 - 1 the identity took 213 ms on lists, 183 with numpy.
+_INT_COUNT_BELOW = 2**20
+# primes._peak_estimate_bytes(_INT_COUNT_BELOW - 1), the estimated peak of
+# the largest table a numpy count below the bound builds.  The integer path is taken only under a
+# --memory-budget-bytes of at least this, where the numpy path refuses no
+# such count on memory either, so the two paths refuse the same runs.
+_INT_COUNT_PEAK_BYTES = 1770014
+
+
+def _integer_count(args) -> bool:
+    """Whether this count runs on exact's Python lists, not on numpy."""
+    return (
+        "numpy" not in sys.modules
+        and exact._required_limit(args.x, args.r) < _INT_COUNT_BELOW
+        and args.memory_budget_bytes >= _INT_COUNT_PEAK_BYTES
+    )
+
+
+def _integer_reports(args, methods: list[str]) -> list[exact.CountReport]:
+    """count's rows from the primes to its limit in a Python list, which is
+    checked against exact._int_pi_and_sum as _admitted_table checks a
+    table; refused on --brute-budget as the numpy path refuses."""
+    x, r = args.x, args.r
+    if "brute" in methods:
+        _check_brute_budget(args, x)
+    limit = exact._required_limit(x, r)
+    plist = primes_upto(limit)
+    _check_primes(limit, (len(plist), sum(plist) % 2**64), exact._int_pi_and_sum(limit))
+    return [exact.list_report(plist, x, r, m) for m in methods]
 
 
 def _cmd_count(args) -> int:
     x, r = args.x, args.r
     methods = ["brute", "identity"] if args.method == "both" else [args.method]
-    # only brute reads a table; the identity always sweeps pi in bounded memory
-    table = None
-    if "brute" in methods:
-        table = _admitted_table(args, x, counting._required_limit(x, r))
-    rows = [counting.count_report(table, x, r, method=m) for m in methods]
+    if _integer_count(args):
+        rows = _integer_reports(args, methods)
+    else:
+        _bind_sieving_names()
+        # only brute reads a table; the identity always sweeps pi in bounded memory
+        table = None
+        if "brute" in methods:
+            table = _admitted_table(args, x, exact._required_limit(x, r))
+        rows = [counting.count_report(table, x, r, method=m) for m in methods]
     _emit(_reports_text(rows, COUNT_HEADER, args.format, args.timing), args.out)
     if len(rows) == 2 and rows[0].exact != rows[1].exact:
         raise CheckFailed(
@@ -263,6 +329,7 @@ def _cmd_table(args) -> int:
     if args.x_min > args.x_max:
         raise ValueError("--x-min must not exceed --x-max")
     grid = _geometric_grid(args.x_min, args.x_max, args.points_per_decade)
+    _bind_sieving_names()
     rows = diagnostics.convergence_table(grid, r)
     _emit(_reports_text(rows, TABLE_HEADER, args.format, args.timing), args.out)
     return 0
@@ -294,7 +361,7 @@ def _cmd_li(args) -> int:
 
 
 def _first_mismatch(
-    table: primes.PrimeTable, max_x: int, r: counting.Ratio
+    table: primes.PrimeTable, max_x: int, r: exact.Ratio
 ) -> tuple[int, int, int] | None:
     """The least x <= max_x where brute_counts_upto and identity_counts_upto
     differ, as (x, brute, identity), or None."""
@@ -317,7 +384,8 @@ def _cmd_verify(args) -> int:
     sum_check_max = min(max_x, 10**4)
     pi2_sample_max = min(max_x, 1000)
     # sum_check_max >= pi2_sample_max, the pi2 check's largest pi argument
-    required = max([counting._required_limit(max_x, r) for r in ratios] + [sum_check_max, 2])
+    required = max([exact._required_limit(max_x, r) for r in ratios] + [sum_check_max, 2])
+    _bind_sieving_names()
     table = _admitted_table(args, max_x, required, _VERIFY_BYTES_PER_X)
 
     checks = 0
@@ -338,7 +406,7 @@ def _cmd_verify(args) -> int:
     # C_M(x) = C_x(x) = pi_2(x) for every x <= M: each q <= x/p <= M*p, so
     # brute at r = M enumerates pi_2; both are 0 at x = 0
     mismatch = pi2_sample_max and _first_mismatch(
-        table, pi2_sample_max, counting.Ratio(pi2_sample_max)
+        table, pi2_sample_max, exact.Ratio(pi2_sample_max)
     )
     if mismatch:
         x, pi2, full = mismatch
@@ -432,8 +500,6 @@ def _error(line: str) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command not in ("li", "pi"):  # li needs only math, pi only prime_pi
-        _bind_sieving_names()
     try:
         return args.func(args)
     except _refusals() as exc:

@@ -25,6 +25,12 @@ pi(x/p) mean pi at the floored argument.  Python integers make every
 intermediate product exact regardless of width.  The cofactor bound is
 inclusive (q <= r*p counts q = r*p when that value is a prime), which only
 matters when r*p lands exactly on an integer.
+
+Ratio, Decomposition, CountReport and _required_limit are defined in
+exact, which needs no numpy, and re-exported here.  exact also holds
+count_brute_list and count_identity_list, this module's enumeration and
+decomposition on a Python list of primes, which the CLI runs for a small
+count in a process without numpy.
 """
 
 from __future__ import annotations
@@ -33,162 +39,11 @@ import bisect
 import math
 import os
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import rsa_count_estimate
-from .primes import U64_MAX, PrimeTable, _check_u64, _OddSieve, _segment_size
-
-# floor_mul scales a prime array in uint64 only while num * p stays below this
-_NP_SAFE = 2**62
-
-
-@dataclass(frozen=True)
-class Ratio:
-    """The bound r as an exact rational num/den >= 1, in lowest terms.
-
-    Keeps every comparison against primes integer-exact: q <= r*p is
-    evaluated as q*den <= num*p, never in floating point.
-    """
-
-    num: int
-    den: int = 1
-
-    def __post_init__(self):
-        if not isinstance(self.num, int) or not isinstance(self.den, int):
-            raise ValueError(f"ratio parts must be integers, got {self.num!r}/{self.den!r}")
-        if self.den < 1:
-            raise ValueError(f"ratio denominator must be >= 1, got {self.den}")
-        if self.num < self.den:
-            raise ValueError(f"ratio must be >= 1, got {self.num}/{self.den}")
-        g = math.gcd(self.num, self.den)
-        if g > 1:
-            object.__setattr__(self, "num", self.num // g)
-            object.__setattr__(self, "den", self.den // g)
-        if self.num > U64_MAX:  # and so is den, which is at most num
-            raise ValueError("ratio parts must fit in 64 bits")
-
-    @classmethod
-    def parse(cls, text: str) -> "Ratio":
-        """Parse "2", "1.5", or "3/2" into an exact ratio >= 1."""
-        s = text.strip()
-        try:
-            if "/" in s:
-                a, b = s.split("/")
-                return cls(int(a), int(b))
-            if "." in s:
-                whole, frac = s.split(".")
-                # int() would take a sign or an underscore here and shift the value
-                if frac.strip("0123456789"):
-                    raise ValueError("only the digits 0-9 may follow the point")
-                scale = 10 ** len(frac)
-                return cls(int(whole or "0") * scale + int(frac or "0"), scale)
-            return cls(int(s))
-        except ValueError as exc:
-            raise ValueError(f"cannot parse ratio {text!r}: {exc}") from exc
-
-    def floor_mul(self, n):
-        """floor(r * n), exact; elementwise when n is an ascending uint64 array.
-
-        An array whose products num * n reach 2^62 is scaled in Python
-        integers instead of uint64; each floor(r * n) must fit in uint64.
-        """
-        if not isinstance(n, np.ndarray):
-            return self.num * n // self.den
-        if n.size == 0:
-            return n
-        if self.num * int(n[-1]) < _NP_SAFE:
-            return n * np.uint64(self.num) // np.uint64(self.den)
-        return (n.astype(object) * self.num // self.den).astype(np.uint64)
-
-    def log(self) -> float:
-        """log(num/den), accurate for full-width parts and for r near 1.
-
-        (num - den) / den is one correctly rounded int division, so log1p
-        keeps the digits that log(num) - log(den) cancels when num ~ den.
-        An integer r takes math.log(num), which is never less accurate
-        than log1p(num - 1) and is 1 ulp closer for about 1% of them.
-        """
-        if self.den == 1:
-            return math.log(self.num)
-        return math.log1p((self.num - self.den) / self.den)
-
-    def __float__(self) -> float:
-        return self.num / self.den
-
-    def __str__(self) -> str:
-        return str(self.num) if self.den == 1 else f"{self.num}/{self.den}"
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """The three partial sums of the identity counter; their total s2 + s3 - s1 is C_r(x)."""
-
-    s1: int  # sum of pi(p) over p <= sqrt(x)
-    s2: int  # sum of pi(floor(r*p)) over p <= sqrt(x/r)
-    s3: int  # sum of pi(floor(x/p)) over sqrt(x/r) < p <= sqrt(x)
-
-    @property
-    def total(self) -> int:
-        return self.s2 + self.s3 - self.s1
-
-
-@dataclass(frozen=True)
-class CountReport:
-    """One exact count at x against its main term.
-
-    Stores what was counted; the properties, named after the CLI columns,
-    derive the rest.  err_scale, r*log(e*r)*x/log(x)^3, is the expected size
-    of the error term, so err_normalized is the deviation in those units; a
-    bounded err_normalized across a grid is the empirical signature that the
-    error term has that shape.  Below x = 2, estimate and err_scale are 0 and inf.
-    """
-
-    x: int
-    r: Ratio
-    exact: int
-    method: str  # "brute" or "identity"
-    seconds: float  # wall time of the exact computation
-
-    @property
-    def estimate(self) -> float:
-        return rsa_count_estimate(self.x, self.r) if self.x >= 2 else 0.0
-
-    @property
-    def err_scale(self) -> float:
-        if self.x < 2:
-            return math.inf
-        xf = float(self.x)
-        return float(self.r) * (1.0 + self.r.log()) * xf / math.log(xf) ** 3
-
-    @property
-    def abs_err(self) -> float:
-        return abs(self.exact - self.estimate)
-
-    @property
-    def rel_err(self) -> float:
-        return self.abs_err / max(self.exact, 1)
-
-    @property
-    def ratio(self) -> float:
-        """exact / estimate; 1.0 when both are zero."""
-        if self.estimate == 0.0:
-            return 1.0 if self.exact == 0 else math.inf
-        return self.exact / self.estimate
-
-    @property
-    def err_normalized(self) -> float:
-        return self.abs_err / self.err_scale
-
-
-def _required_limit(x: int, r: Ratio) -> int:
-    """min(floor(sqrt(r*x)), x), the largest pi argument either counter can issue.
-
-    s2's floor(r*p) is at most sqrt(r*x), and s2 is empty once r > x;
-    s3's floor(x/p) and brute's cofactors q <= x/p stay below x.
-    """
-    return min(math.isqrt(r.num * x // r.den), x)
+from .exact import CountReport, Decomposition, Ratio, _required_limit
+from .primes import PrimeTable, _check_u64, _OddSieve, _segment_size
 
 
 def _cofactor_slices(table: PrimeTable, x: int, r: Ratio):

@@ -6,10 +6,12 @@ so a table sized to min(sqrt(r*x), x) is enough to drive the table-based
 semiprime counters.  Tables are immutable once built and safe
 to share between threads.  The sieve behind them yields segments that
 answer pi over their own numbers, which the sweep reads with no table.
-lucy counts primes, or sums them mod 2^64, with no sieve at all:
-Lucy_Hedgehog's recursion takes O(n^(3/4)) time and O(sqrt(n)) memory and
-shares no code with the sieve, so it can check a built table's count and
-sum.  analytic.prime_pi runs it, or the same count on Python integers.
+lucy counts primes, or counts them and sums them mod 2^64 in one loop,
+with no sieve at all: Lucy_Hedgehog's recursion takes O(n^(3/4)) time and
+O(sqrt(n)) memory and shares no code with the sieve, so it can check a
+built table's count and sum.  analytic.prime_pi runs it, or the same count
+on Python integers; exact._int_pi_and_sum is the count and sum on Python
+integers.
 """
 
 from __future__ import annotations
@@ -313,48 +315,61 @@ class _OddSieve:
             yield from seg.primes()
 
 
-def lucy(n: int, weighted: bool = False) -> int:
-    """pi(n), or with weighted the sum of the primes <= n mod 2^64, by
-    Lucy_Hedgehog's recursion in numpy, with no table and no sieve.
+def lucy(n: int, with_sum: bool = False):
+    """pi(n), or with with_sum the pair (pi(n), the sum of the primes <= n
+    mod 2^64), by Lucy_Hedgehog's recursion in numpy, with no table and no
+    sieve.
 
-    S(v) starts as the count of 2..v (with weighted, their sum); for each
+    S(v) starts as the count of 2..v (for the sum, their sum); for each
     prime p <= sqrt(n) in turn, S(v) -= w*(S(v // p) - S(p - 1)) at every
     v >= p^2 strikes the numbers whose least prime factor is p, with w = 1
-    (with weighted, w = p), and S(n) ends as pi(n) (the prime sum).  Only
+    (for the sum, w = p), and S(n) ends as pi(n) (the prime sum).  Only
     the v = n // i are ever read, so two arrays of isqrt(n) + 1 entries hold
     them all: O(n^(3/4)) time, 0.73 s at 2^36 for the count (numpy 2.4.6,
-    one thread of a 2-vCPU machine).  The count's arrays are int64, exact
-    since every S(v) is under 2^37; the sum's are uint64, exact mod 2^64
-    because the recursion uses only ring operations, all on arrays (numpy
-    warns on a uint64 scalar that wraps).  It keeps the sieve's work bound
-    by choice, raising SieveWorkError before any work when n exceeds
-    SIEVE_WORK_LIMIT.
+    one thread of a 2-vCPU machine).  with_sum carries the sum's two arrays
+    through the same loop, which finds the primes p and the indices
+    n // i // p once for both; without it the loop does the count's steps
+    alone.  The count's arrays are int64, exact since every S(v) is under
+    2^37; the sum's are uint64, exact mod 2^64 because the recursion uses
+    only ring operations, all on arrays (numpy warns on a uint64 scalar that
+    wraps).  It keeps the sieve's work bound by choice, raising
+    SieveWorkError before any work when n exceeds SIEVE_WORK_LIMIT.
     """
     if n < 2:
-        return 0
+        return (0, 0) if with_sum else 0
     _segment_size(n)  # the work bound
     r = math.isqrt(n)
     quotients = n // np.arange(1, r + 1, dtype=np.int64)
     v = np.arange(r + 1, dtype=np.int64)
-    # small[v] = S(v) for v <= r, and large[i - 1] = S(n // i) for i <= r
-    small, large = (_sum_from_2(v), _sum_from_2(quotients)) if weighted else (v - 1, quotients - 1)
+    # small[v] = S(v) for v <= r, and large[i - 1] = S(n // i) for i <= r;
+    # wsmall and wlarge hold the sum's
+    small, large = v - 1, quotients - 1
     small[0] = 0
+    if with_sum:
+        wsmall, wlarge = _sum_from_2(v), _sum_from_2(quotients)
+        wsmall[0] = 0
     for p in range(2, r + 1):
         sp = small[p - 1]
         if small[p] == sp:
             continue  # p is composite: S(p) is already final
-        w = p if weighted else 1
         # S(n // i) changes where n // i >= p^2, reading S(n // (i*p)) from
         # large while i*p <= r.
         # Each right side is computed before its assignment, from old values.
         k = min(r, n // (p * p))
         j = min(k, r // p)
-        large[:j] -= _times(large[p - 1 : j * p : p] - sp, w)
-        large[j:k] -= _times(small[quotients[j:k] // p] - sp, w)
+        idx = quotients[j:k] // p  # the v // p that S(n // i) reads for i in (j, k]
+        large[:j] -= large[p - 1 : j * p : p] - sp
+        large[j:k] -= small[idx] - sp
         if p * p <= r:
             # v // p over v = p^2..r is p, ..., r // p, each p times
-            small[p * p :] -= _times(np.repeat(small[p : r // p + 1], p)[: r + 1 - p * p] - sp, w)
-    return int(large[0])
+            small[p * p :] -= np.repeat(small[p : r // p + 1], p)[: r + 1 - p * p] - sp
+        if with_sum:  # the same steps with weight p
+            wp = wsmall[p - 1]
+            wlarge[:j] -= _times(wlarge[p - 1 : j * p : p] - wp, p)
+            wlarge[j:k] -= _times(wsmall[idx] - wp, p)
+            if p * p <= r:
+                wsmall[p * p :] -= _times(np.repeat(wsmall[p : r // p + 1], p)[: r + 1 - p * p] - wp, p)
+    return (int(large[0]), int(wlarge[0])) if with_sum else int(large[0])
 
 
 def _sum_from_2(v: np.ndarray) -> np.ndarray:
@@ -364,10 +379,9 @@ def _sum_from_2(v: np.ndarray) -> np.ndarray:
     return np.where(v & 1, v * ((v + 1) >> 1), (v >> 1) * (v + 1)) - 1
 
 
-def _times(d: np.ndarray, w: int) -> np.ndarray:
-    """d scaled in place by the weight w; a weight of 1 costs no pass."""
-    if w != 1:
-        d *= w
+def _times(d: np.ndarray, p: int) -> np.ndarray:
+    """d scaled in place by p, with no second array."""
+    d *= p
     return d
 
 

@@ -1,7 +1,8 @@
 """Module loading follows the subcommand.
 
-`import rsad`, `import rsad.cli`, `rsad --help`, `rsad li` and `rsad pi`
-below 2^27 need only the standard library; numpy and the sieving modules
+`import rsad`, `import rsad.cli`, `rsad --help`, `rsad li`, `rsad pi`
+below 2^27 and `rsad count` below a limit of 2^20 need only the standard
+library, and so does parsing every option; numpy and the sieving modules
 load on first use of one of their names.  A name a caller set on rsad.cli
 before main ran, as a tracer or a test does, is the one main calls.
 """
@@ -9,15 +10,17 @@ before main ran, as a tracer or a test does, is the one main calls.
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import rsad
+import rsad.primes
+from rsad import cli
 from rsad.cli import main
 
-# Runs `python -m rsad ARGV...` (or, with no ARGV, `import rsad, rsad.cli`)
-# under an import finder that refuses numpy.
-REFUSE_NUMPY = """
+# An import finder that refuses numpy
+FINDER = """
 import runpy, sys
 
 class RefuseNumpy:
@@ -26,6 +29,10 @@ class RefuseNumpy:
             raise ImportError(f"{name} refused")
 
 sys.meta_path.insert(0, RefuseNumpy())
+"""
+# Runs `python -m rsad ARGV...` (or, with no ARGV, `import rsad, rsad.cli`)
+# under the finder.
+REFUSE_NUMPY = FINDER + """
 if len(sys.argv) > 1:
     runpy.run_module("rsad", run_name="__main__", alter_sys=True)
 else:
@@ -64,9 +71,133 @@ def test_pi_below_2_27_runs_without_numpy(child_env):
 
 
 def test_the_finder_refuses_numpy_to_a_sieving_subcommand(child_env):
-    proc = run_without_numpy(child_env, "count", "--x", "100", "--r", "2")
+    # the limit isqrt(2e12) = 1414213 is above the integer path's bound
+    proc = run_without_numpy(child_env, "count", "--x", "1e12", "--r", "2")
     assert proc.returncode == 1
     assert "ImportError: numpy refused" in proc.stderr
+
+
+def test_a_bad_option_beside_r_is_a_usage_error_without_numpy(child_env):
+    # --r once loaded the sieving modules, and numpy, while argparse parsed
+    proc = run_without_numpy(child_env, "table", "--x-min", "1e6", "--x-max", "1e8",
+                             "--r", "2", "--points-per-decade", "0")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("usage: rsad table")
+    assert proc.stderr.endswith("error: argument --points-per-decade: '0' must be at least 1\n")
+
+
+# Runs rsad.cli.main on each argv of the JSON list argv[1] in turn, under the
+# finder, and prints each run's [code, stdout, stderr] as one JSON list.
+MAINS_WITHOUT_NUMPY = FINDER + """
+import contextlib, io, json
+import rsad.cli
+
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = rsad.cli.main(argv)
+    runs.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(runs))
+"""
+
+
+def mains_without_numpy(child_env, argvs):
+    """[code, stdout, stderr] of main at each argv, run in one child under the finder."""
+    proc = subprocess.run(
+        [sys.executable, "-c", MAINS_WITHOUT_NUMPY, json.dumps([a.split() for a in argvs])],
+        capture_output=True, text=True, timeout=120, env=child_env,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    return [tuple(run) for run in json.loads(proc.stdout)]
+
+
+def in_process(argvs, capsys):
+    """[code, stdout, stderr] of main at each argv in this process, where numpy is loaded."""
+    runs = []
+    for argv in argvs:
+        code = main(argv.split())
+        runs.append((code, *capsys.readouterr()))
+    return runs
+
+
+GOLDEN_COUNTS = [c for c in json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+                 if c["argv"].startswith("count")]
+
+
+def test_golden_counts_run_without_numpy(child_env):
+    runs = mains_without_numpy(child_env, [c["argv"] for c in GOLDEN_COUNTS])
+    assert runs == [(0, c["stdout"], "") for c in GOLDEN_COUNTS]
+
+
+def test_the_benchmarks_counts_run_without_numpy_and_print_the_same(child_env, capsys):
+    argvs = [f"count --x {x} --r {r} --method both --threads 2"
+             for x in ("1e6", "1e7", "1e8") for r in ("3/2", "2", "10")]
+    want = in_process(argvs, capsys)
+    assert all(code == 0 for code, _, _ in want)
+    assert mains_without_numpy(child_env, argvs) == want
+
+
+def test_the_paths_refuse_a_count_over_the_brute_budget_alike(child_env, capsys):
+    argvs = ["count --x 1e6 --r 2 --method brute --brute-budget 999999",
+             "count --x 1e6 --r 2 --method both --brute-budget 1000",
+             "count --x 1e6 --r 2 --method identity --brute-budget 1000",
+             "count --x 1e6 --r 2 --method both --brute-budget 1e6"]
+    want = in_process(argvs, capsys)
+    assert [code for code, _, _ in want] == [3, 3, 0, 0]
+    assert want[0][2] == "error: x=1000000 exceeds brute-force budget 999999\n"
+    assert mains_without_numpy(child_env, argvs) == want
+
+
+def test_the_paths_refuse_a_count_over_the_memory_budget_alike(child_env, capsys):
+    # below _INT_COUNT_PEAK_BYTES a count takes the numpy path, which refuses
+    # or admits it on its own table; at it and above, the integer path, where
+    # the numpy path admits every table below the bound too
+    need = rsad.primes._peak_estimate_bytes(1414)  # the table to isqrt(2e6)
+    peak = cli._INT_COUNT_PEAK_BYTES
+    budgets = [need - 1, need, peak - 1, peak, peak + 1]
+    argvs = [f"count --x 1e6 --r 2 --method both --memory-budget-bytes {b}" for b in budgets]
+    want = in_process(argvs, capsys)
+    assert [code for code, _, _ in want] == [3, 0, 0, 0, 0]
+    assert want[0][2] == (f"error: x=1000000 with a prime table to 1414 needs up to {need} bytes "
+                          f"at peak, over the {need - 1}-byte budget\n")
+    for argv, run in zip(argvs, want):  # fresh processes, numpy allowed
+        proc = subprocess.run([sys.executable, "-m", "rsad", *argv.split()],
+                              capture_output=True, text=True, timeout=60, env=child_env)
+        assert (proc.returncode, proc.stdout, proc.stderr) == run, argv
+    assert mains_without_numpy(child_env, argvs[3:]) == want[3:]
+    proc = run_without_numpy(child_env, *argvs[2].split())
+    assert "ImportError: numpy refused" in proc.stderr  # below the peak: the numpy path
+
+
+# Runs `rsad ARGV...` under the finder with rsad.cli.primes_upto replaced by
+# a sieve that makes the mistake sys.argv[1] names.
+WRONG_LIST = FINDER + """
+import rsad.cli
+
+real = rsad.cli.primes_upto
+mistakes = {
+    "without_13": lambda limit: [p for p in real(limit) if p != 13],
+    "with_38": lambda limit: [38 if p == 37 else p for p in real(limit)],
+}
+rsad.cli.primes_upto = mistakes[sys.argv.pop(1)]
+sys.exit(rsad.cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("mistake,stderr", [
+    ("without_13", "table check failed: the prime table to 44 holds 13 primes, pi(44) = 14\n"),
+    ("with_38", "table check failed: the primes of the prime table to 44 sum to 282 mod 2^64, "
+                "the primes up to 44 to 281\n"),
+])
+def test_a_wrong_list_exits_4_through_the_integer_path(mistake, stderr, child_env):
+    # the same lines as test_cli's wrong tables on the numpy path
+    proc = subprocess.run(
+        [sys.executable, "-c", WRONG_LIST, mistake, "count", "--x", "1000", "--r", "2",
+         "--method", "brute"],
+        capture_output=True, text=True, timeout=60, env=child_env,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (4, "", stderr)
 
 
 @pytest.mark.parametrize("name", rsad.__all__)

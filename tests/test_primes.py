@@ -21,6 +21,7 @@ from rsad import (
 import rsad.primes
 from rsad import analytic
 from rsad.analytic import _INT_PI_BELOW, _int_prime_pi
+from rsad.exact import _int_pi_and_sum
 from rsad.primes import (
     SIEVE_WORK_LIMIT,
     SWEEP_SEGMENT_BYTES,
@@ -244,14 +245,19 @@ def test_prime_pi_at_prime_squares(t10m):
         assert prime_pi(p * p - 1) == t10m.prime_count(p * p - 1), p
 
 
+def _count_and_sum(table, n):
+    primes = table.primes[: table.prime_count(n)]
+    return primes.size, int(primes.sum())  # the uint64 sum wraps mod 2^64
+
+
 def test_lucy_prime_sum_is_the_tables_sum(t10k, t10m):
     # the uint64 arrays wrap at every subtraction that goes below zero
     for n in range(3000):
-        assert lucy(n, weighted=True) == int(t10k.primes[: t10k.prime_count(n)].sum()), n
+        assert lucy(n, with_sum=True) == _count_and_sum(t10k, n), n
     rng = random.Random(20261021)
     for n in [rng.randrange(10**7) for _ in range(50)] + [p * p + d for p in prime_list(100)
                                                          for d in (-1, 0)]:
-        assert lucy(n, weighted=True) == int(t10m.primes[: t10m.prime_count(n)].sum()), n
+        assert lucy(n, with_sum=True) == _count_and_sum(t10m, n), n
 
 
 @pytest.fixture(scope="module")
@@ -267,6 +273,17 @@ def test_integer_recursion_matches_the_sieve(t10k, t2_27):
     rng = random.Random(20261022)
     for n in [rng.randrange(2**27) for _ in range(50)]:
         assert _int_prime_pi(n) == t2_27.prime_count(n), n
+
+
+def test_integer_count_and_sum_match_the_sieve(t10k, t10m):
+    # the count and sum in one loop, as the CLI's integer count path checks its primes
+    for n in range(3000):
+        assert _int_pi_and_sum(n) == _count_and_sum(t10k, n), n
+    rng = random.Random(20261023)
+    for n in [rng.randrange(10**7) for _ in range(20)] + [p * p + d for p in prime_list(100)
+                                                         for d in (-1, 0)] + [2**20 - 1]:
+        assert _int_pi_and_sum(n) == _count_and_sum(t10m, n), n
+        assert _int_pi_and_sum(n)[0] == _int_prime_pi(n), n
 
 
 @pytest.mark.parametrize("p_max", [1000, pytest.param(10**4, marks=pytest.mark.slow)])
