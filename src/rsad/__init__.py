@@ -26,8 +26,8 @@ _NAMES = {
         "count_sweep_grid",
         "identity_counts_upto",
     ),
-    "exact": ("CountReport", "Decomposition", "Ratio"),
-    "diagnostics": ("IdentityViolationError", "check_pi_sums", "convergence_table", "sum_pi_p"),
+    "exact": ("CountReport", "Decomposition", "IdentityViolationError", "Ratio"),
+    "diagnostics": ("check_pi_sums", "convergence_table", "sum_pi_p"),
     "primes": (
         "CacheFormatError",
         "PrimeTable",

@@ -7,11 +7,12 @@ need in the same run; no subcommand reads or writes a cache.  Exit codes:
 0 ok, 2 bad arguments, 3 table, budget or work-bound errors, a file or
 stdout that cannot be written or a sweep worker that died, 4 a
 cross-check failed (a built table's prime count or prime sum among them),
-130 interrupted (Ctrl-C).  li, pi below 2^27 and count below a limit of
-2^20 run without numpy: count then sieves a Python list and counts on it
-with bisect (_integer_count).  main returns the code to its caller; the
-console script, entry(), ends the process with it by os._exit, skipping
-the interpreter's teardown.
+130 interrupted (Ctrl-C).  li, pi below 2^27, count below a limit of 2^20
+and verify below a --max-x of 2^17 run without numpy: count and verify
+then sieve a Python list of the primes, check it as a table is checked,
+and count on it with bisect (_integer_path).  main returns the code to
+its caller; the console script, entry(), ends the process with it by
+os._exit, skipping the interpreter's teardown.
 """
 
 from __future__ import annotations
@@ -31,11 +32,11 @@ from .analytic import prime_pi  # bound here, so tests and tracers replace it on
 # build_table and load_table.  Each is bound on first access (PEP 562) or
 # by _bind, one module's names at a time, when a run first reads them: li
 # needs only math and pi only prime_pi (analytic.prime_pi imports numpy from
-# 2^27); _parse_ratio binds exact, which needs no numpy, and count on its
-# integer path (_integer_count) reads nothing else.  Importing counting,
-# diagnostics or primes loads numpy, so each command binds them
-# (_bind_sieving_names) only on the path that reads them.  A name a tracer
-# or test set is kept.
+# 2^27); _parse_ratio binds exact, which needs no numpy, and count and
+# verify on their integer paths (_integer_path) read nothing else.
+# Importing counting, diagnostics or primes loads numpy, so each command
+# binds them (_bind_sieving_names) only on the path that reads them.  A
+# name a tracer or test set is kept.
 _LAZY = {
     "exact": "exact",
     "primes_upto": "exact",
@@ -199,13 +200,12 @@ def _check_primes(limit: int, held: tuple[int, int], lucy: tuple[int, int]) -> N
 def _admitted_table(args, max_x: int, limit: int, bytes_per_x: int = 0) -> primes.PrimeTable:
     """The prime table to limit, built only once the run is admitted, and checked.
 
-    Raises Refused, before any sieving, when max_x exceeds --brute-budget
-    or when the table's peak to limit plus bytes_per_x for each x in
-    [0, max_x] exceeds --memory-budget-bytes.  Raises CheckFailed when the
+    Raises Refused, before any sieving, when the table's peak to limit plus
+    bytes_per_x for each x in [0, max_x] exceeds --memory-budget-bytes; its
+    callers have checked --brute-budget first.  Raises CheckFailed when the
     table's prime count or its prime sum mod 2^64 is not what primes.lucy
     gives at limit (_check_primes).
     """
-    _check_brute_budget(args, max_x)
     need = primes._peak_estimate_bytes(limit) + bytes_per_x * (max_x + 1)
     if need > args.memory_budget_bytes:
         raise Refused(
@@ -218,6 +218,26 @@ def _admitted_table(args, max_x: int, limit: int, bytes_per_x: int = 0) -> prime
     return table
 
 
+def _integer_path(args, size: int, below: int, floor: int) -> bool:
+    """Whether a run takes exact's Python lists, not numpy.
+
+    Only in a process without numpy, for a size below the subcommand's
+    bound, and under a --memory-budget-bytes of at least floor, the numpy
+    path's admitted need at that bound: there the numpy path refuses no run
+    below the bound on memory either, and under a smaller budget it decides,
+    so both paths refuse the same runs with the same bytes.
+    """
+    return "numpy" not in sys.modules and size < below and args.memory_budget_bytes >= floor
+
+
+def _checked_list(limit: int) -> list[int]:
+    """The primes to limit in a Python list, checked against
+    exact._int_pi_and_sum as _admitted_table checks a table."""
+    plist = primes_upto(limit)
+    _check_primes(limit, (len(plist), sum(plist) % 2**64), exact._int_pi_and_sum(limit))
+    return plist
+
+
 # count runs on a Python list of the primes (exact) when its limit is below
 # this, in a process without numpy.  Medians of 7 alternating fresh processes
 # (2 vCPUs, Python 3.11.7, numpy 2.4.6) at r = 1, where the list counters
@@ -226,45 +246,23 @@ def _admitted_table(args, max_x: int, limit: int, bytes_per_x: int = 0) -> prime
 # with numpy; at 2^21 - 1 the identity took 213 ms on lists, 183 with numpy.
 _INT_COUNT_BELOW = 2**20
 # primes._peak_estimate_bytes(_INT_COUNT_BELOW - 1), the estimated peak of
-# the largest table a numpy count below the bound builds.  The integer path is taken only under a
-# --memory-budget-bytes of at least this, where the numpy path refuses no
-# such count on memory either, so the two paths refuse the same runs.
+# the largest table a numpy count below the bound builds: _integer_path's floor.
 _INT_COUNT_PEAK_BYTES = 1770014
-
-
-def _integer_count(args) -> bool:
-    """Whether this count runs on exact's Python lists, not on numpy."""
-    return (
-        "numpy" not in sys.modules
-        and exact._required_limit(args.x, args.r) < _INT_COUNT_BELOW
-        and args.memory_budget_bytes >= _INT_COUNT_PEAK_BYTES
-    )
-
-
-def _integer_reports(args, methods: list[str]) -> list[exact.CountReport]:
-    """count's rows from the primes to its limit in a Python list, which is
-    checked against exact._int_pi_and_sum as _admitted_table checks a
-    table; refused on --brute-budget as the numpy path refuses."""
-    x, r = args.x, args.r
-    if "brute" in methods:
-        _check_brute_budget(args, x)
-    limit = exact._required_limit(x, r)
-    plist = primes_upto(limit)
-    _check_primes(limit, (len(plist), sum(plist) % 2**64), exact._int_pi_and_sum(limit))
-    return [exact.list_report(plist, x, r, m) for m in methods]
 
 
 def _cmd_count(args) -> int:
     x, r = args.x, args.r
     methods = ["brute", "identity"] if args.method == "both" else [args.method]
-    if _integer_count(args):
-        rows = _integer_reports(args, methods)
+    limit = exact._required_limit(x, r)
+    if "brute" in methods:
+        _check_brute_budget(args, x)
+    if _integer_path(args, limit, _INT_COUNT_BELOW, _INT_COUNT_PEAK_BYTES):
+        plist = _checked_list(limit)
+        rows = [exact.list_report(plist, x, r, m) for m in methods]
     else:
         _bind_sieving_names()
         # only brute reads a table; the identity always sweeps pi in bounded memory
-        table = None
-        if "brute" in methods:
-            table = _admitted_table(args, x, exact._required_limit(x, r))
+        table = _admitted_table(args, x, limit) if "brute" in methods else None
         rows = [counting.count_report(table, x, r, method=m) for m in methods]
     _emit(_reports_text(rows, COUNT_HEADER, args.format, args.timing), args.out)
     if len(rows) == 2 and rows[0].exact != rows[1].exact:
@@ -360,22 +358,37 @@ def _cmd_li(args) -> int:
     return 0
 
 
-def _first_mismatch(
-    table: primes.PrimeTable, max_x: int, r: exact.Ratio
-) -> tuple[int, int, int] | None:
-    """The least x <= max_x where brute_counts_upto and identity_counts_upto
-    differ, as (x, brute, identity), or None."""
-    brute = counting.brute_counts_upto(table, max_x, r)
-    ident = counting.identity_counts_upto(table, max_x, r)
-    x = int((brute != ident).argmax())  # 0 when none differs
+def _first_mismatch(brute, ident) -> tuple[int, int, int] | None:
+    """The least x where two count arrays differ, as (x, brute[x], ident[x]),
+    or None: numpy's arrays, or the array('q')s of exact's list counters."""
+    if hasattr(brute, "argmax"):  # numpy's
+        x = int((brute != ident).argmax())  # 0 when none differs
+    elif brute == ident:  # compared in C
+        return None
+    else:
+        x = next(x for x, pair in enumerate(zip(brute, ident)) if pair[0] != pair[1])
     return (x, int(brute[x]), int(ident[x])) if brute[x] != ident[x] else None
 
 
 # verify's arrays, admitted with its table's peak, in bytes per x of [0, max_x]:
 # the brute and identity counts of one ratio, and brute's products.  Peak RSS
 # above the interpreter's, at max_x = 1e6, 4e6 and 8e6, gave 17.2-18.5 at the
-# default ratios and at most 19.1 at r >= 10^6, where nearly every semiprime counts.
+# default ratios and at most 19.1 at r >= 10^6, where nearly every semiprime
+# counts.  The integer path holds 16: two array('q')s of counts.
 _VERIFY_BYTES_PER_X = 24
+# verify runs on a Python list of the primes (exact) when --max-x is below
+# this, in a process without numpy.  Medians of 9-15 alternating fresh
+# processes (2 vCPUs, Python 3.11.7, numpy 2.4.6), lists against numpy: at
+# the default ratios 53 against 119 ms at max_x = 1000, 113 against 148 at
+# 2^17 - 1, 134 against 151 at 2e5 and 189 against 178 at 3e5; at
+# r = 10^14, where nearly every semiprime counts, 76 against 134 at 2^17 - 1
+# and 104 against 160 at 3e5.  Each ratio costs the lists two passes over
+# [0, max_x], so with ten ratios they broke even at 2^17 - 1 (207 against 205).
+_INT_VERIFY_BELOW = 2**17
+# primes._peak_estimate_bytes(_INT_VERIFY_BELOW - 1) + _VERIFY_BYTES_PER_X *
+# _INT_VERIFY_BELOW, the numpy path's need at the largest --max-x below the
+# bound, whose table reaches at most --max-x: _integer_path's floor.
+_INT_VERIFY_PEAK_BYTES = 3881998
 
 
 def _cmd_verify(args) -> int:
@@ -385,29 +398,40 @@ def _cmd_verify(args) -> int:
     pi2_sample_max = min(max_x, 1000)
     # sum_check_max >= pi2_sample_max, the pi2 check's largest pi argument
     required = max([exact._required_limit(max_x, r) for r in ratios] + [sum_check_max, 2])
-    _bind_sieving_names()
-    table = _admitted_table(args, max_x, required, _VERIFY_BYTES_PER_X)
+    _check_brute_budget(args, max_x)
+    # the same checks on a list of the primes or on a table
+    if _integer_path(args, max_x, _INT_VERIFY_BELOW, _INT_VERIFY_PEAK_BYTES):
+        held = _checked_list(required)
+        brute, identity = exact.brute_counts_list, exact.identity_counts_list
+        check_pi_sums = exact.check_pi_sums_list
+    else:
+        _bind_sieving_names()
+        held = _admitted_table(args, max_x, required, _VERIFY_BYTES_PER_X)
+        brute, identity = counting.brute_counts_upto, counting.identity_counts_upto
+        check_pi_sums = diagnostics.check_pi_sums
+
+    def first_mismatch(upto: int, r: exact.Ratio):
+        # each ratio's counts are dropped before the next ratio's are made
+        return _first_mismatch(brute(held, upto, r), identity(held, upto, r))
 
     checks = 0
     for r in ratios:
-        mismatch = _first_mismatch(table, max_x, r)
+        mismatch = first_mismatch(max_x, r)
         if mismatch:
-            x, brute, ident = mismatch
-            raise CheckFailed(f"mismatch at x={x}, r={r}: brute={brute}, identity={ident}")
+            x, brute_x, ident_x = mismatch
+            raise CheckFailed(f"mismatch at x={x}, r={r}: brute={brute_x}, identity={ident_x}")
         checks += max_x + 1
         _emit(f"identity-vs-brute for r={r}: all {max_x + 1} x values agree\n", None)
 
     try:
-        checks += diagnostics.check_pi_sums(table, sum_check_max)
-    except diagnostics.IdentityViolationError as exc:
+        checks += check_pi_sums(held, sum_check_max)
+    except exact.IdentityViolationError as exc:
         raise CheckFailed(f"pi-sum closed form failed at z={exc.z}: {exc}") from None
     _emit(f"pi-sum closed form: verified for all z <= {sum_check_max}\n", None)
 
     # C_M(x) = C_x(x) = pi_2(x) for every x <= M: each q <= x/p <= M*p, so
     # brute at r = M enumerates pi_2; both are 0 at x = 0
-    mismatch = pi2_sample_max and _first_mismatch(
-        table, pi2_sample_max, exact.Ratio(pi2_sample_max)
-    )
+    mismatch = pi2_sample_max and first_mismatch(pi2_sample_max, exact.Ratio(pi2_sample_max))
     if mismatch:
         x, pi2, full = mismatch
         raise CheckFailed(f"pi2 cross-check failed at x={x}: C_x(x)={full}, pi2={pi2}")

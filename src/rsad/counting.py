@@ -4,8 +4,8 @@ An RSA integer for the bound r >= 1 is a semiprime n = p*q with
 p < q <= r*p.  C_r(x) counts them up to x.  Three routes are implemented,
 two of them independent:
 
-  * count_brute: walk primes p <= sqrt(x) and count admissible cofactors
-    q in (p, min(r*p, x/p)] directly on the prime table.
+  * count_brute: count the admissible cofactors q in (p, min(r*p, x/p)]
+    of each prime p <= sqrt(x) directly on the prime table.
   * count_identity: the prime-counting decomposition
 
         C_r(x) = -sum_{p<=sqrt(x)} pi(p)
@@ -61,14 +61,38 @@ def _cofactor_slices(table: PrimeTable, x: int, r: Ratio):
         yield p, primes[i + 1 : table.prime_count(min(r.floor_mul(p), x // p))]
 
 
+# primes per pi query of count_brute: its temporaries, about 24 bytes a
+# prime, stay within the sieve buffers that _peak_estimate_bytes admits
+# beside the table and that are free once it is built
+_BRUTE_SLICE = 2**14
+
+
 def count_brute(x: int, r: Ratio, table: PrimeTable) -> int:
     """C_r(x) by direct pair enumeration over the prime table.
 
-    Counts the admissible cofactors of every prime p <= sqrt(x).  Never
-    touches the identity's partial sums, so it serves as the independent
-    oracle for count_identity.
+    The i-th prime p <= sqrt(x) (from 0) has pi(min(floor(r*p), x // p)) - i - 1
+    admissible cofactors q in (p, min(r*p, x/p)], the q of _cofactor_slices;
+    one pi query over the bounds of _BRUTE_SLICE primes at a time counts
+    them all.  floor(r*p) is taken only for p <= sqrt(x/r): above, x // p
+    is the smaller, and floor(r*p) may pass 2^64.  Never touches the
+    identity's partial sums, so it serves as the independent oracle for
+    count_identity.
     """
-    return sum(qs.size for _, qs in _cofactor_slices(table, x, r))
+    _check_u64(x, "x")
+    table.check_range(_required_limit(x, r))
+    k1 = table.prime_count(math.isqrt(x))
+    k2 = table.prime_count(math.isqrt(x * r.den // r.num))
+    total = 0
+    for i in range(0, k1, _BRUTE_SLICE):
+        ps = table.primes[i : min(i + _BRUTE_SLICE, k1)]
+        bounds = np.uint64(x) // ps
+        low = bounds[: max(k2 - i, 0)]  # the p <= sqrt(x/r)
+        np.minimum(low, r.floor_mul(ps[: low.size]), out=low)
+        # the bounds rise, then fall, so pi's check of the two ends does not
+        # cover them: the check_range above does, as every one is at most the limit
+        total += int(table.pi(bounds).sum())
+    # the sum of i + 1 over i < k1 is k1*(k1 + 1)/2
+    return total - k1 * (k1 + 1) // 2
 
 
 def brute_counts_upto(table: PrimeTable, max_x: int, r: Ratio) -> np.ndarray:

@@ -3,8 +3,10 @@
 sum_pi_p checks the summation identity the identity counter's s1 rests on,
 and check_pi_sums checks it at every z up to a bound at once, both on a
 prime table: a strictly increasing table meets it by construction, so they
-catch only a repeated or out-of-order entry.  convergence_table pairs exact
-counts with the estimate along a grid of x, from one table-free sweep.
+catch only a repeated or out-of-order entry.  Their IdentityViolationError
+is defined in exact, beside check_pi_sums_list, the same check on a list of
+the primes.  convergence_table pairs exact counts with the estimate along a
+grid of x, from one table-free sweep.
 """
 
 from __future__ import annotations
@@ -17,14 +19,7 @@ from . import counting
 
 # bench/tracing.py wraps convergence_table and this count_identity binding by name
 from .counting import CountReport, count_identity
-
-
-class IdentityViolationError(Exception):
-    """An exact summation identity failed at z; the prime table is corrupt."""
-
-    def __init__(self, z: int, total: int, expected: int):
-        super().__init__(f"sum of pi(p) for p <= {z} gave {total}, closed form {expected}")
-        self.z = z
+from .exact import IdentityViolationError
 
 
 def sum_pi_p(table: counting.PrimeTable, z: int) -> int:

@@ -9,8 +9,12 @@ primes_upto, count_brute_list and count_identity_list count C_r(x) the way
 counting's table counters do, with the same exact integer tests, on a
 Python list of the primes up to _required_limit(x, r) and with bisect for
 pi; _int_pi_and_sum, Lucy_Hedgehog's count and prime sum on Python
-integers, checks that list.  Nothing here imports numpy, so a `rsad count`
-whose limit is small runs without it (cli._integer_count).
+integers, checks that list.  brute_counts_list, identity_counts_list and
+check_pi_sums_list do verify's checks, those of counting's
+brute_counts_upto and identity_counts_upto and of diagnostics.check_pi_sums,
+on such a list, holding the counts at every x in array('q')s.  Nothing
+here imports numpy, so a `rsad count` whose limit is small and a small
+`rsad verify` run without it (cli._integer_path).
 """
 
 from __future__ import annotations
@@ -18,8 +22,9 @@ from __future__ import annotations
 import math
 import sys
 import time
+from array import array
 from bisect import bisect_right
-from itertools import compress, repeat
+from itertools import accumulate, compress, repeat
 from typing import NamedTuple
 
 from .analytic import rsa_count_estimate
@@ -180,6 +185,14 @@ class CountReport(NamedTuple):
         return self.abs_err / self.err_scale
 
 
+class IdentityViolationError(Exception):
+    """An exact summation identity failed at z; the prime table is corrupt."""
+
+    def __init__(self, z: int, total: int, expected: int):
+        super().__init__(f"sum of pi(p) for p <= {z} gave {total}, closed form {expected}")
+        self.z = z
+
+
 def _required_limit(x: int, r: Ratio) -> int:
     """min(floor(sqrt(r*x)), x), the largest pi argument either counter can issue.
 
@@ -285,3 +298,89 @@ def list_report(primes: list[int], x: int, r: Ratio, method: str) -> CountReport
     else:
         raise ValueError(f"unknown method {method!r}")
     return CountReport(x, r, exact, method, time.perf_counter() - t0)
+
+
+# entries per step of _prefix_sum: its temporaries stay near 52 bytes * this
+_PREFIX_STEP = 2**10
+
+
+def _prefix_sum(counts: array) -> array:
+    """counts, each entry replaced in place by its sum with every entry before it.
+
+    accumulate runs over _PREFIX_STEP entries at a time, each step's first
+    entry carrying the sum so far, so no second array as long as counts is
+    ever held.
+    """
+    carry = 0
+    for i in range(0, len(counts), _PREFIX_STEP):
+        part = counts[i : i + _PREFIX_STEP]
+        part[0] += carry
+        part = array("q", list(accumulate(part)))  # from a list: 25% faster than the iterator
+        counts[i : i + len(part)] = part
+        carry = part[-1]
+    return counts
+
+
+def brute_counts_list(primes: list[int], max_x: int, r: Ratio) -> array:
+    """counting.brute_counts_upto on a list of the primes: counts[n] = C_r(n)
+    for every 0 <= n <= max_x, as an array('q'), 8 bytes an n.
+
+    Tallies every product p*q <= max_x of a prime p and one of its
+    count_brute_list cofactors q in (p, min(r*p, max_x/p)], then sums the
+    tally up.  primes must hold every prime up to _required_limit(max_x, r).
+    """
+    counts = array("q", [0]) * (max_x + 1)
+    for i, p in enumerate(primes[: bisect_right(primes, math.isqrt(max_x))]):
+        for q in primes[i + 1 : bisect_right(primes, min(r.num * p // r.den, max_x // p))]:
+            counts[p * q] += 1
+    return _prefix_sum(counts)
+
+
+def identity_counts_list(primes: list[int], max_x: int, r: Ratio) -> array:
+    """counting.identity_counts_upto on a list of the primes: counts[x] = C_r(x)
+    for every 0 <= x <= max_x, as an array('q'), from one difference list.
+
+    The k-th prime p <= sqrt(max_x) takes k from s1 at x = p^2 and adds
+    pi(floor(r*p)) to s2 at b = ceil(p^2*num/den).  In between, p lies in
+    x's band and s3 gains pi(floor(x/p)), which reads pi(q) on the row
+    [q*p, q*p + p): the band starts with pi(p) at p^2, steps by
+    pi(q) - pi(q - 1), the entries equal to q, at each q*p, and drops the
+    pi((b - 1) // p) it reached at b.  Steps at or past max_x + 1 are left
+    out.  One prefix sum of the list gives every count.  Same requirement
+    on primes as brute_counts_list.
+    """
+    counts = array("q", [0]) * (max_x + 1)
+    for k, p in enumerate(primes[: bisect_right(primes, math.isqrt(max_x))], 1):
+        b = -(-p * p * r.num // r.den)
+        counts[p * p] -= k
+        if b <= max_x:
+            counts[b] += bisect_right(primes, r.num * p // r.den)
+        hi = min(b, max_x + 1)  # p's band is [p^2, hi)
+        if p * p < hi:
+            first, last = bisect_right(primes, p), bisect_right(primes, (hi - 1) // p)
+            counts[p * p] += first
+            for q in primes[first:last]:
+                counts[q * p] += 1
+            if hi <= max_x:
+                counts[hi] -= last
+    return _prefix_sum(counts)
+
+
+def check_pi_sums_list(primes: list[int], z_max: int) -> int:
+    """diagnostics.check_pi_sums on a list of the primes; returns the number of z checked.
+
+    totals[k] sums pi(p) over the first k entries, so each z in 2..z_max
+    checks totals[pi(z)] against pi(z)*(pi(z) + 1)/2.  Only when some k
+    misses it are the z walked, to raise IdentityViolationError at the
+    least z whose pi(z) is such a k, as check_pi_sums does.
+    """
+    if z_max < 2:
+        return 0
+    ps = primes[: bisect_right(primes, z_max)]
+    totals = list(accumulate(map(bisect_right, repeat(primes), ps), initial=0))
+    if any(t != k * (k + 1) // 2 for k, t in enumerate(totals)):
+        for z in range(2, z_max + 1):
+            k = bisect_right(primes, z)
+            if totals[k] != k * (k + 1) // 2:
+                raise IdentityViolationError(z, totals[k], k * (k + 1) // 2)
+    return z_max - 1

@@ -109,6 +109,37 @@ def test_count_brute_matches_pair_oracle(t10k, r):
         assert count_brute(x, r, t10k) == rsa_count_pairs(x, r.num, r.den)
 
 
+def test_count_brute_matches_the_list_counter_at_random_x(t10m):
+    # one pi query over the bounds min(floor(r*p), x // p); the ratios reach
+    # (2^62+3)/2^61, whose floor(r*p) leaves uint64 arithmetic, and 2^64 - 1,
+    # whose floor(r*p) passes 2^64 wherever it is not the bound
+    from rsad.exact import count_brute_list
+
+    plist = t10m.primes.tolist()
+    rng = random.Random(20261103)
+    wide = [Ratio(2**62 + 3, 2**61), Ratio(2**64 - 1), Ratio(2**64 - 1, 2**64 - 2)]
+    for i in range(300):
+        r = wide[i % 3] if i < 60 else Ratio(rng.randrange(1, 10**6), rng.choice([1, 2, 7, 1000]))
+        if r.num < r.den:
+            r = Ratio(r.den, r.num)
+        limit = int(math.exp(rng.uniform(0, math.log(2**20))))
+        # x <= limit, or isqrt(floor(r*x)) <= limit: _required_limit(x, r) <= limit
+        x = rng.randrange(max(limit, ((limit + 1) ** 2 * r.den - 1) // r.num) + 1)
+        primes = plist[: t10m.prime_count(_required_limit(x, r))]
+        assert count_brute(x, r, t10m) == count_brute_list(primes, x, r), (x, r)
+
+
+@pytest.mark.parametrize("x,r", [(10**12, Ratio(2)), ((2**20 - 1) ** 2, Ratio(1))], ids=str)
+def test_count_brute_stays_within_its_tables_admitted_peak(x, r, traced_peak):
+    # the CLI admits a brute count on its table's peak alone; count_brute's
+    # bounds and pi answers over every prime up to sqrt(x) at once (about
+    # 2.5 MB at 10^12) would pass it, a slice of them stays well within
+    limit = _required_limit(x, r)
+    table = rsad.primes.build_table(limit)
+    peak = traced_peak(count_brute, x, r, table)
+    assert table.primes.nbytes + peak <= rsad.primes._peak_estimate_bytes(limit)
+
+
 def test_count_brute_known_small_values(t10k):
     # r=2 RSA integers: 6, 15, 35, 77, 91, 143, 187, ...
     assert count_brute(5, Ratio(2), t10k) == 0

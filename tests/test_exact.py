@@ -1,25 +1,50 @@
 """The list counters of rsad.exact against the table counters and the sweep.
 
-count's integer path (cli._integer_count) runs count_brute_list and
+count's integer path (cli._integer_path) runs count_brute_list and
 count_identity_list on primes_upto's list wherever its limit is below
 cli._INT_COUNT_BELOW; these tests hold them to count_brute and
 count_identity on a built table and to count_sweep, at every small x, at
 random x whose limits lie just below that bound, and at the x where a
-prime enters s1 or s2.
+prime enters s1 or s2.  verify's integer path, below cli._INT_VERIFY_BELOW,
+runs brute_counts_list, identity_counts_list and check_pi_sums_list, which
+are held to counting's brute_counts_upto and identity_counts_upto and to
+diagnostics.check_pi_sums.
 """
 
+import itertools
 import math
 import random
+import subprocess
+import sys
+from array import array
 from bisect import bisect_right
 
+import numpy as np
 import pytest
 
 import rsad.primes
-from rsad import Ratio, build_table, cli, count_brute, count_identity, count_sweep, count_sweep_grid
+from rsad import (
+    IdentityViolationError,
+    PrimeTable,
+    Ratio,
+    brute_counts_upto,
+    build_table,
+    check_pi_sums,
+    cli,
+    count_brute,
+    count_identity,
+    count_sweep,
+    count_sweep_grid,
+    identity_counts_upto,
+)
 from rsad.exact import (
+    _prefix_sum,
     _required_limit,
+    brute_counts_list,
+    check_pi_sums_list,
     count_brute_list,
     count_identity_list,
+    identity_counts_list,
     list_report,
     primes_upto,
 )
@@ -59,7 +84,7 @@ def test_primes_upto_is_the_table(below_bound):
 
 
 def test_the_integer_path_takes_every_table_below_its_bound():
-    # _integer_count admits a count only under a budget that admits every
+    # _integer_path admits a count only under a budget that admits every
     # table the numpy path would build for it, so neither path refuses alone
     assert cli._INT_COUNT_PEAK_BYTES == rsad.primes._peak_estimate_bytes(BOUND - 1)
     peaks = [rsad.primes._peak_estimate_bytes(limit) for limit in range(0, BOUND, 997)]
@@ -126,3 +151,116 @@ def test_parity_sweep_below_the_bound(below_bound):
         limit = int(math.exp(rng.uniform(0, math.log(BOUND - 1))))
         x = rng.randrange(((limit + 1) ** 2 * r.den - 1) // r.num + 1)
         assert_paths_agree(table, plist, x, r)
+
+
+# --- verify's integer path --------------------------------------------------
+
+VERIFY_BOUND = cli._INT_VERIFY_BELOW
+VERIFY_RATIOS = SMALL_RATIOS + [Ratio(5), Ratio(101, 100), Ratio(10**14), Ratio(2**64 - 1)]
+
+
+def test_verify_takes_the_integer_path_only_where_the_numpy_path_admits_it():
+    # the floor is the numpy path's need at the largest --max-x below the
+    # bound, whose table reaches --max-x at most (r >= --max-x)
+    floor = rsad.primes._peak_estimate_bytes(VERIFY_BOUND - 1) + cli._VERIFY_BYTES_PER_X * VERIFY_BOUND
+    assert cli._INT_VERIFY_PEAK_BYTES == floor
+    for max_x in [0, 1, 2, 10**4, 10**5, *range(2, VERIFY_BOUND, 4099), VERIFY_BOUND - 1]:
+        need = (rsad.primes._peak_estimate_bytes(max(max_x, 2))
+                + cli._VERIFY_BYTES_PER_X * (max_x + 1))
+        assert need <= floor, max_x
+
+
+def test_prefix_sum_runs_in_place_across_its_steps():
+    rng = random.Random(20261101)
+    for n in [0, 1, 1023, 1024, 1025, 5000]:
+        values = [rng.randrange(-5, 6) for _ in range(n)]
+        counts = array("q", values)
+        assert _prefix_sum(counts) is counts
+        assert counts.tolist() == list(itertools.accumulate(values))
+
+
+@pytest.mark.parametrize("r", VERIFY_RATIOS, ids=str)
+def test_list_counts_are_the_tables_at_every_x(t10k, r):
+    plist = t10k.primes.tolist()
+    for max_x in [0, 1, 3, 4, 5, 6, 9, 10, 100, 1000, 3000, 9999]:
+        primes = upto(plist, max(_required_limit(max_x, r), 2))
+        want = brute_counts_upto(t10k, max_x, r)
+        assert np.array_equal(identity_counts_upto(t10k, max_x, r), want)
+        for counter in (brute_counts_list, identity_counts_list):
+            counts = counter(primes, max_x, r)
+            assert (counts.typecode, counts.tolist()) == ("q", want.tolist()), (counter, max_x)
+
+
+def test_list_counts_at_random_max_x(t100k):
+    rng = random.Random(20261102)
+    plist = t100k.primes.tolist()
+    for _ in range(20):
+        max_x = rng.randrange(10**5)
+        r = rng.choice(VERIFY_RATIOS[:-1] + [Ratio(max_x + 1)])
+        want = brute_counts_upto(t100k, max_x, r).tolist()
+        assert brute_counts_list(plist, max_x, r).tolist() == want, (max_x, r)
+        assert identity_counts_list(plist, max_x, r).tolist() == want, (max_x, r)
+
+
+def _mutated(plist, where):
+    """plist with its entry at where repeated, as test_diagnostics corrupts a table."""
+    return plist[: where + 1] + plist[where:]
+
+
+def test_check_pi_sums_list_is_check_pi_sums(t10k):
+    plist = t10k.primes.tolist()
+    for z_max in [0, 1, 2, 3, 10, 1000, 10**4]:
+        assert check_pi_sums_list(plist, z_max) == check_pi_sums(t10k, z_max)
+    small = upto(plist, 1000)
+    for primes in [_mutated(small, w) for w in (0, 1, 5, 100)] + [
+        [{37: 31, 97: 103}.get(p, p) for p in small],  # test_cli's doubled 31
+        [38 if p == 37 else p for p in small],
+        [p for p in small if p != 13],
+    ]:
+        table = PrimeTable(1000, np.array(primes, dtype=np.uint64))
+        want = got = None
+        try:
+            check_pi_sums(table, 1000)
+        except IdentityViolationError as exc:
+            want = str(exc), exc.z
+        try:
+            check_pi_sums_list(primes, 1000)
+        except IdentityViolationError as exc:
+            got = str(exc), exc.z
+        assert got == want
+
+
+# Runs rsad.cli.main at argv[1:] under the finder of test_lazy_imports (no
+# numpy) with tracemalloc on, and prints its exit code and traced peak.
+TRACED_MAIN = """
+import contextlib, io, sys, tracemalloc
+
+class RefuseNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "numpy":
+            raise ImportError(f"{name} refused")
+
+sys.meta_path.insert(0, RefuseNumpy())
+import rsad.cli
+
+tracemalloc.start()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = rsad.cli.main(sys.argv[1:])
+print(code, tracemalloc.get_traced_memory()[1])
+"""
+
+
+@pytest.mark.parametrize("ratios", ["3/2,2,5,10", "100000000000000"])
+def test_verify_lists_stay_within_the_numpy_paths_admitted_need(ratios, child_env):
+    # at the largest --max-x below the bound; r = 10^14 reads primes to --max-x
+    max_x = VERIFY_BOUND - 1
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_MAIN, "verify", "--max-x", str(max_x), "--r", ratios],
+        capture_output=True, text=True, timeout=120, env=child_env,
+    )
+    code, peak = map(int, proc.stdout.split())
+    assert (code, proc.stderr) == (0, "")
+    limit = max(_required_limit(max_x, Ratio.parse(r)) for r in ratios.split(","))
+    limit = max(limit, 10**4)  # the pi-sum check's
+    need = rsad.primes._peak_estimate_bytes(limit) + cli._VERIFY_BYTES_PER_X * (max_x + 1)
+    assert peak <= need

@@ -1,10 +1,12 @@
 """Module loading follows the subcommand.
 
 `import rsad`, `import rsad.cli`, `rsad --help`, `rsad li`, `rsad pi`
-below 2^27 and `rsad count` below a limit of 2^20 need only the standard
-library, and so does parsing every option; numpy and the sieving modules
-load on first use of one of their names.  A name a caller set on rsad.cli
-before main ran, as a tracer or a test does, is the one main calls.
+below 2^27, `rsad count` below a limit of 2^20 and `rsad verify` below a
+--max-x of 2^17 need only the standard library, and so does parsing every
+option; numpy and the sieving modules load on first use of one of their
+names.  Each integer path gives the numpy path's exit code, stdout and
+stderr.  A name a caller set on rsad.cli before main ran, as a tracer or
+a test does, is the one main calls.
 """
 
 import json
@@ -121,8 +123,9 @@ def in_process(argvs, capsys):
     return runs
 
 
-GOLDEN_COUNTS = [c for c in json.loads((Path(__file__).parent / "cli_golden.json").read_text())
-                 if c["argv"].startswith("count")]
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+GOLDEN_COUNTS = [c for c in GOLDEN if c["argv"].startswith("count")]
+GOLDEN_VERIFIES = [c for c in GOLDEN if c["argv"].startswith("verify")]
 
 
 def test_golden_counts_run_without_numpy(child_env):
@@ -170,19 +173,103 @@ def test_the_paths_refuse_a_count_over_the_memory_budget_alike(child_env, capsys
     assert "ImportError: numpy refused" in proc.stderr  # below the peak: the numpy path
 
 
-# Runs `rsad ARGV...` under the finder with rsad.cli.primes_upto replaced by
-# a sieve that makes the mistake sys.argv[1] names.
+def test_golden_verifies_run_without_numpy(child_env):
+    # all below the bound, the default --max-x of 10^5 among them
+    runs = mains_without_numpy(child_env, [c["argv"] for c in GOLDEN_VERIFIES])
+    assert runs == [(0, c["stdout"], "") for c in GOLDEN_VERIFIES]
+
+
+def test_verify_runs_without_numpy_and_prints_the_same(child_env, capsys):
+    bound = cli._INT_VERIFY_BELOW
+    argvs = [f"verify --max-x {m} --threads 2" for m in (900, 950, 1000, 1050, 1100)]
+    argvs += ["verify --max-x 300",
+              "verify --max-x 1000 --r 100000000000000",
+              f"verify --max-x {bound - 1}",
+              f"verify --max-x {bound - 1} --r 100000000000000"]
+    want = in_process(argvs, capsys)
+    assert all(code == 0 for code, _, _ in want)
+    assert mains_without_numpy(child_env, argvs) == want
+    proc = run_without_numpy(child_env, "verify", "--max-x", str(bound))  # numpy's path
+    assert proc.returncode == 1
+    assert "ImportError: numpy refused" in proc.stderr
+
+
+def test_the_paths_refuse_a_verify_over_the_brute_budget_alike(child_env, capsys):
+    argvs = ["verify --max-x 1000 --brute-budget 999",
+             "verify --max-x 1000 --brute-budget 1000",
+             "verify --max-x 1e5 --brute-budget 99999 --r 100000000000000"]
+    want = in_process(argvs, capsys)
+    assert [code for code, _, _ in want] == [3, 0, 3]
+    assert want[0][2] == "error: x=1000 exceeds brute-force budget 999\n"
+    assert mains_without_numpy(child_env, argvs) == want
+
+
+def test_the_paths_refuse_a_verify_over_the_memory_budget_alike(child_env, capsys):
+    # below _INT_VERIFY_PEAK_BYTES a verify takes the numpy path, which
+    # refuses or admits it on its own table and arrays; at it and above, the
+    # integer path, where the numpy path admits every verify below the bound
+    need = rsad.primes._peak_estimate_bytes(1000) + cli._VERIFY_BYTES_PER_X * 1001
+    floor = cli._INT_VERIFY_PEAK_BYTES
+    budgets = [need - 1, need, floor - 1, floor, floor + 1]
+    argvs = [f"verify --max-x 1000 --memory-budget-bytes {b}" for b in budgets]
+    want = in_process(argvs, capsys)
+    assert [code for code, _, _ in want] == [3, 0, 0, 0, 0]
+    assert want[0][2] == (f"error: x=1000 with a prime table to 1000 needs up to {need} bytes "
+                          f"at peak, over the {need - 1}-byte budget\n")
+    for argv, run in zip(argvs, want):  # fresh processes, numpy allowed
+        proc = subprocess.run([sys.executable, "-m", "rsad", *argv.split()],
+                              capture_output=True, text=True, timeout=60, env=child_env)
+        assert (proc.returncode, proc.stdout, proc.stderr) == run, argv
+    assert mains_without_numpy(child_env, argvs[3:]) == want[3:]
+    proc = run_without_numpy(child_env, *argvs[2].split())
+    assert "ImportError: numpy refused" in proc.stderr  # below the floor: the numpy path
+
+
+# Runs `rsad ARGV...` under the finder with the mistake sys.argv[1] names:
+# rsad.cli.primes_upto replaced by a sieve that makes it, or one of exact's
+# verify counters adding 1 at x = 77 (at the ratio Ratio(100) alone, the
+# pi2 check's at --max-x 100, for pi2_at_77).
 WRONG_LIST = FINDER + """
-import rsad.cli
+import rsad.cli, rsad.exact
 
 real = rsad.cli.primes_upto
-mistakes = {
+lists = {
     "without_13": lambda limit: [p for p in real(limit) if p != 13],
     "with_38": lambda limit: [38 if p == 37 else p for p in real(limit)],
+    # count and sum kept: 31 + 103 = 37 + 97
+    "doubled_31": lambda limit: [{37: 31, 97: 103}.get(p, p) for p in real(limit)],
 }
-rsad.cli.primes_upto = mistakes[sys.argv.pop(1)]
+
+
+def one_more_at_77(name, ratio=None):
+    counter = getattr(rsad.exact, name)
+
+    def broken(primes, max_x, r):
+        counts = counter(primes, max_x, r)
+        if ratio in (None, r):
+            counts[77] += 1
+        return counts
+
+    setattr(rsad.exact, name, broken)
+
+
+mistake = sys.argv.pop(1)
+if mistake in lists:
+    rsad.cli.primes_upto = lists[mistake]
+elif mistake == "identity_at_77":
+    one_more_at_77("identity_counts_list")
+else:
+    one_more_at_77("brute_counts_list", rsad.exact.Ratio(100))
 sys.exit(rsad.cli.main(sys.argv[1:]))
 """
+
+
+def run_wrong(child_env, mistake, argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", WRONG_LIST, mistake, *argv.split()],
+        capture_output=True, text=True, timeout=60, env=child_env,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 @pytest.mark.parametrize("mistake,stderr", [
@@ -192,12 +279,30 @@ sys.exit(rsad.cli.main(sys.argv[1:]))
 ])
 def test_a_wrong_list_exits_4_through_the_integer_path(mistake, stderr, child_env):
     # the same lines as test_cli's wrong tables on the numpy path
-    proc = subprocess.run(
-        [sys.executable, "-c", WRONG_LIST, mistake, "count", "--x", "1000", "--r", "2",
-         "--method", "brute"],
-        capture_output=True, text=True, timeout=60, env=child_env,
-    )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (4, "", stderr)
+    run = run_wrong(child_env, mistake, "count --x 1000 --r 2 --method brute")
+    assert run == (4, "", stderr)
+
+
+@pytest.mark.parametrize("mistake,argv,stdout,stderr", [
+    ("without_13", "verify --max-x 1000", "",
+     "table check failed: the prime table to 1000 holds 167 primes, pi(1000) = 168\n"),
+    ("with_38", "verify --max-x 1000", "",
+     "table check failed: the primes of the prime table to 1000 sum to 76128 mod 2^64, "
+     "the primes up to 1000 to 76127\n"),
+    ("doubled_31", "verify --max-x 100 --r 2",
+     "identity-vs-brute for r=2: all 101 x values agree\n",
+     "pi-sum closed form failed at z=31: sum of pi(p) for p <= 31 gave 79, closed form 78\n"),
+    ("identity_at_77", "verify --max-x 100 --r 2", "",
+     "mismatch at x=77, r=2: brute=4, identity=5\n"),
+    ("pi2_at_77", "verify --max-x 100 --r 2",
+     "identity-vs-brute for r=2: all 101 x values agree\n"
+     "pi-sum closed form: verified for all z <= 100\n",
+     "pi2 cross-check failed at x=77: C_x(x)=22, pi2=23\n"),
+])
+def test_a_wrong_list_or_counter_fails_verify_through_the_integer_path(
+        mistake, argv, stdout, stderr, child_env):
+    # the lines of test_cli's wrong tables and broken counters on the numpy path
+    assert run_wrong(child_env, mistake, argv) == (4, stdout, stderr)
 
 
 @pytest.mark.parametrize("name", rsad.__all__)
