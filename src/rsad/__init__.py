@@ -24,10 +24,9 @@ _NAMES = {
         "count_report",
         "count_sweep",
         "count_sweep_grid",
-        "identity_counts_upto",
     ),
     "exact": ("CountReport", "Decomposition", "IdentityViolationError", "Ratio"),
-    "diagnostics": ("check_pi_sums", "convergence_table", "sum_pi_p"),
+    "diagnostics": ("convergence_table", "sum_pi_p"),
     "primes": (
         "CacheFormatError",
         "PrimeTable",

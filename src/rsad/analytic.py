@@ -7,7 +7,9 @@ streamed from one sieve to z with no prime table, and the estimate
 which counts primes by Lucy_Hedgehog's recursion with no sieve.  Li, the
 estimate and prime_pi below 2^27 need no numpy: numpy and the sieve are
 imported by the Mertens sum and by prime_pi's numpy recursion, so `rsad li`
-and `rsad pi` below 2^27 start without them.
+and `rsad pi` below 2^27 start without them.  The recursion on Python
+integers, _int_lucy, also sums the primes, which checks the lists of
+primes that count and verify sieve without numpy.
 """
 
 from __future__ import annotations
@@ -148,31 +150,40 @@ def prime_pi(n: int) -> int:
     no table and no sieve.
 
     Below _INT_PI_BELOW, while numpy is not imported, it runs on Python
-    integers (_int_prime_pi); otherwise numpy runs it (primes.lucy), which
+    integers (_int_lucy); otherwise numpy runs it (primes.lucy), which
     raises SieveWorkError when n exceeds primes.SIEVE_WORK_LIMIT.  Once
     numpy is loaded its recursion is the faster one at every n.
     """
     if n < _INT_PI_BELOW and "numpy" not in sys.modules:
-        return _int_prime_pi(n)
+        return _int_lucy(n)
     from .primes import lucy
 
     return lucy(n)
 
 
-def _int_prime_pi(n: int) -> int:
-    """pi(n) by primes.lucy's count recursion, one Python integer at a time.
+def _int_lucy(n: int, with_sum: bool = False):
+    """pi(n), or with with_sum the pair (pi(n), the sum of the primes <= n
+    mod 2^64): primes.lucy's recursion, one Python integer at a time, which
+    shares no code with either sieve.
 
     small[v] = S(v) for v <= r = isqrt(n) and large[i] = S(n // i) for
     1 <= i <= r.  For each prime p, large is updated in ascending i, which
     reads each large[i*p] before its own update, and small in descending v,
-    which reads each small[v // p] before its own.
+    which reads each small[v // p] before its own.  with_sum repeats those
+    steps on the sum's wsmall and wlarge with weight p, after the count's,
+    so the count alone runs only its own; the sums stay exact and are
+    reduced at the end.
     """
     if n < 2:
-        return 0
+        return (0, 0) if with_sum else 0
     r = math.isqrt(n)
     small = list(range(-1, r))
     small[0] = 0
     large = [0] + [n // i - 1 for i in range(1, r + 1)]
+    if with_sum:
+        wsmall = [v * (v + 1) // 2 - 1 for v in range(r + 1)]
+        wsmall[0] = 0
+        wlarge = [0] + [(n // i) * (n // i + 1) // 2 - 1 for i in range(1, r + 1)]
     for p in range(2, r + 1):
         sp = small[p - 1]
         if small[p] == sp:
@@ -186,7 +197,15 @@ def _int_prime_pi(n: int) -> int:
             large[i] -= small[q // i] - sp
         for v in range(r, p * p - 1, -1):
             small[v] -= small[v // p] - sp
-    return large[1]
+        if with_sum:
+            wp = wsmall[p - 1]
+            for i in range(1, j + 1):
+                wlarge[i] -= p * (wlarge[i * p] - wp)
+            for i in range(j + 1, k + 1):
+                wlarge[i] -= p * (wsmall[q // i] - wp)
+            for v in range(r, p * p - 1, -1):
+                wsmall[v] -= p * (wsmall[v // p] - wp)
+    return (large[1], wlarge[1] % 2**64) if with_sum else large[1]
 
 
 def rsa_count_estimate(x: int, r: Ratio) -> float:

@@ -8,9 +8,9 @@ need in the same run; no subcommand reads or writes a cache.  Exit codes:
 stdout that cannot be written or a sweep worker that died, 4 a
 cross-check failed (a built table's prime count or prime sum among them),
 130 interrupted (Ctrl-C).  li, pi below 2^27, count below a limit of 2^20
-and verify below a --max-x of 2^17 run without numpy: count and verify
-then sieve a Python list of the primes, check it as a table is checked,
-and count on it with bisect (_integer_path).  main returns the code to
+(_integer_path) and every verify run without numpy: count and verify then
+sieve a Python list of the primes, check it as a table is checked, and
+count on it with bisect (_admitted_list).  main returns the code to
 its caller; the console script, entry(), ends the process with it by
 os._exit, skipping the interpreter's teardown.
 """
@@ -32,11 +32,11 @@ from .analytic import prime_pi  # bound here, so tests and tracers replace it on
 # build_table and load_table.  Each is bound on first access (PEP 562) or
 # by _bind, one module's names at a time, when a run first reads them: li
 # needs only math and pi only prime_pi (analytic.prime_pi imports numpy from
-# 2^27); _parse_ratio binds exact, which needs no numpy, and count and
-# verify on their integer paths (_integer_path) read nothing else.
-# Importing counting, diagnostics or primes loads numpy, so each command
-# binds them (_bind_sieving_names) only on the path that reads them.  A
-# name a tracer or test set is kept.
+# 2^27); _parse_ratio binds exact, which needs no numpy, and verify and
+# count on its integer path (_integer_path) read nothing else.  Importing
+# counting, diagnostics or primes loads numpy, so each command binds them
+# (_bind_sieving_names) only on the path that reads them.  A name a tracer
+# or test set is kept.
 _LAZY = {
     "exact": "exact",
     "primes_upto": "exact",
@@ -197,44 +197,39 @@ def _check_primes(limit: int, held: tuple[int, int], lucy: tuple[int, int]) -> N
         )
 
 
-def _admitted_table(args, max_x: int, limit: int, bytes_per_x: int = 0) -> primes.PrimeTable:
-    """The prime table to limit, built only once the run is admitted, and checked.
-
-    Raises Refused, before any sieving, when the table's peak to limit plus
-    bytes_per_x for each x in [0, max_x] exceeds --memory-budget-bytes; its
-    callers have checked --brute-budget first.  Raises CheckFailed when the
-    table's prime count or its prime sum mod 2^64 is not what primes.lucy
-    gives at limit (_check_primes).
-    """
-    need = primes._peak_estimate_bytes(limit) + bytes_per_x * (max_x + 1)
+def _admit(args, max_x: int, limit: int, need: int) -> None:
+    """Raise Refused, before any sieving, when a run at max_x on the primes
+    to limit needs more than --memory-budget-bytes at peak."""
     if need > args.memory_budget_bytes:
         raise Refused(
             f"x={max_x} with a prime table to {limit} needs up to {need} bytes "
             f"at peak, over the {args.memory_budget_bytes}-byte budget"
         )
+
+
+def _admitted_table(args, x: int, limit: int) -> primes.PrimeTable:
+    """The prime table to limit, built only once the run is admitted on the
+    table's peak (_admit), and checked.
+
+    Its callers have checked --brute-budget first.  Raises CheckFailed when
+    the table's prime count or its prime sum mod 2^64 is not what
+    primes.lucy gives at limit (_check_primes).
+    """
+    _admit(args, x, limit, primes._peak_estimate_bytes(limit))
     table = build_table(limit)
     # the uint64 sum wraps mod 2^64, as lucy's does
     _check_primes(limit, (table.count, int(table.primes.sum())), primes.lucy(limit, with_sum=True))
     return table
 
 
-def _integer_path(args, size: int, below: int, floor: int) -> bool:
-    """Whether a run takes exact's Python lists, not numpy.
-
-    Only in a process without numpy, for a size below the subcommand's
-    bound, and under a --memory-budget-bytes of at least floor, the numpy
-    path's admitted need at that bound: there the numpy path refuses no run
-    below the bound on memory either, and under a smaller budget it decides,
-    so both paths refuse the same runs with the same bytes.
-    """
-    return "numpy" not in sys.modules and size < below and args.memory_budget_bytes >= floor
-
-
-def _checked_list(limit: int) -> list[int]:
-    """The primes to limit in a Python list, checked against
-    exact._int_pi_and_sum as _admitted_table checks a table."""
+def _admitted_list(args, max_x: int, limit: int, bytes_per_x: int = 0) -> list[int]:
+    """The primes to limit in a Python list, sieved only once the run is
+    admitted on the list's peak (exact._list_peak_bytes) plus bytes_per_x
+    for each x in [0, max_x], and checked against analytic._int_lucy's
+    count and sum as _admitted_table checks a table."""
+    _admit(args, max_x, limit, exact._list_peak_bytes(limit) + bytes_per_x * (max_x + 1))
     plist = primes_upto(limit)
-    _check_primes(limit, (len(plist), sum(plist) % 2**64), exact._int_pi_and_sum(limit))
+    _check_primes(limit, (len(plist), sum(plist) % 2**64), analytic._int_lucy(limit, with_sum=True))
     return plist
 
 
@@ -245,9 +240,19 @@ def _checked_list(limit: int) -> list[int]:
 # brute and both took 134, 151 and 190 ms on lists and 177, 413 and 363 ms
 # with numpy; at 2^21 - 1 the identity took 213 ms on lists, 183 with numpy.
 _INT_COUNT_BELOW = 2**20
-# primes._peak_estimate_bytes(_INT_COUNT_BELOW - 1), the estimated peak of
-# the largest table a numpy count below the bound builds: _integer_path's floor.
-_INT_COUNT_PEAK_BYTES = 1770014
+# exact._list_peak_bytes(_INT_COUNT_BELOW - 1), what a count on the largest
+# list below the bound holds: under a smaller budget count takes numpy's
+# path, which admits or refuses it on its own table, and at it and above
+# both paths admit every count below the bound.
+_INT_COUNT_PEAK_BYTES = 3893904
+
+
+def _integer_path(args, limit: int) -> bool:
+    """Whether a count takes exact's Python lists, not numpy: only in a
+    process without numpy, below _INT_COUNT_BELOW and at a budget of at
+    least _INT_COUNT_PEAK_BYTES, so both paths refuse the same runs."""
+    return ("numpy" not in sys.modules and limit < _INT_COUNT_BELOW
+            and args.memory_budget_bytes >= _INT_COUNT_PEAK_BYTES)
 
 
 def _cmd_count(args) -> int:
@@ -256,8 +261,8 @@ def _cmd_count(args) -> int:
     limit = exact._required_limit(x, r)
     if "brute" in methods:
         _check_brute_budget(args, x)
-    if _integer_path(args, limit, _INT_COUNT_BELOW, _INT_COUNT_PEAK_BYTES):
-        plist = _checked_list(limit)
+    if _integer_path(args, limit):
+        plist = _admitted_list(args, x, limit)
         rows = [exact.list_report(plist, x, r, m) for m in methods]
     else:
         _bind_sieving_names()
@@ -359,36 +364,11 @@ def _cmd_li(args) -> int:
 
 
 def _first_mismatch(brute, ident) -> tuple[int, int, int] | None:
-    """The least x where two count arrays differ, as (x, brute[x], ident[x]),
-    or None: numpy's arrays, or the array('q')s of exact's list counters."""
-    if hasattr(brute, "argmax"):  # numpy's
-        x = int((brute != ident).argmax())  # 0 when none differs
-    elif brute == ident:  # compared in C
+    """The least x where two array('q')s of counts differ, as (x, brute[x],
+    ident[x]), or None."""
+    if brute == ident:  # compared in C
         return None
-    else:
-        x = next(x for x, pair in enumerate(zip(brute, ident)) if pair[0] != pair[1])
-    return (x, int(brute[x]), int(ident[x])) if brute[x] != ident[x] else None
-
-
-# verify's arrays, admitted with its table's peak, in bytes per x of [0, max_x]:
-# the brute and identity counts of one ratio, and brute's products.  Peak RSS
-# above the interpreter's, at max_x = 1e6, 4e6 and 8e6, gave 17.2-18.5 at the
-# default ratios and at most 19.1 at r >= 10^6, where nearly every semiprime
-# counts.  The integer path holds 16: two array('q')s of counts.
-_VERIFY_BYTES_PER_X = 24
-# verify runs on a Python list of the primes (exact) when --max-x is below
-# this, in a process without numpy.  Medians of 9-15 alternating fresh
-# processes (2 vCPUs, Python 3.11.7, numpy 2.4.6), lists against numpy: at
-# the default ratios 53 against 119 ms at max_x = 1000, 113 against 148 at
-# 2^17 - 1, 134 against 151 at 2e5 and 189 against 178 at 3e5; at
-# r = 10^14, where nearly every semiprime counts, 76 against 134 at 2^17 - 1
-# and 104 against 160 at 3e5.  Each ratio costs the lists two passes over
-# [0, max_x], so with ten ratios they broke even at 2^17 - 1 (207 against 205).
-_INT_VERIFY_BELOW = 2**17
-# primes._peak_estimate_bytes(_INT_VERIFY_BELOW - 1) + _VERIFY_BYTES_PER_X *
-# _INT_VERIFY_BELOW, the numpy path's need at the largest --max-x below the
-# bound, whose table reaches at most --max-x: _integer_path's floor.
-_INT_VERIFY_PEAK_BYTES = 3881998
+    return next((x, b, i) for x, (b, i) in enumerate(zip(brute, ident)) if b != i)
 
 
 def _cmd_verify(args) -> int:
@@ -399,20 +379,13 @@ def _cmd_verify(args) -> int:
     # sum_check_max >= pi2_sample_max, the pi2 check's largest pi argument
     required = max([exact._required_limit(max_x, r) for r in ratios] + [sum_check_max, 2])
     _check_brute_budget(args, max_x)
-    # the same checks on a list of the primes or on a table
-    if _integer_path(args, max_x, _INT_VERIFY_BELOW, _INT_VERIFY_PEAK_BYTES):
-        held = _checked_list(required)
-        brute, identity = exact.brute_counts_list, exact.identity_counts_list
-        check_pi_sums = exact.check_pi_sums_list
-    else:
-        _bind_sieving_names()
-        held = _admitted_table(args, max_x, required, _VERIFY_BYTES_PER_X)
-        brute, identity = counting.brute_counts_upto, counting.identity_counts_upto
-        check_pi_sums = diagnostics.check_pi_sums
+    # beside the primes, one ratio's brute and identity counts: two array('q')s
+    held = _admitted_list(args, max_x, required, 16)
 
     def first_mismatch(upto: int, r: exact.Ratio):
         # each ratio's counts are dropped before the next ratio's are made
-        return _first_mismatch(brute(held, upto, r), identity(held, upto, r))
+        return _first_mismatch(exact.brute_counts_list(held, upto, r),
+                               exact.identity_counts_list(held, upto, r))
 
     checks = 0
     for r in ratios:
@@ -424,7 +397,7 @@ def _cmd_verify(args) -> int:
         _emit(f"identity-vs-brute for r={r}: all {max_x + 1} x values agree\n", None)
 
     try:
-        checks += check_pi_sums(held, sum_check_max)
+        checks += exact.check_pi_sums_list(held, sum_check_max)
     except exact.IdentityViolationError as exc:
         raise CheckFailed(f"pi-sum closed form failed at z={exc.z}: {exc}") from None
     _emit(f"pi-sum closed form: verified for all z <= {sum_check_max}\n", None)
@@ -443,7 +416,7 @@ def _cmd_verify(args) -> int:
 
 
 DEFAULT_BRUTE_BUDGET = 10**8
-# Refuse a run whose table and arrays (see _admitted_table) would need more than this.
+# Refuse a run whose primes and counts (_admit) would need more than this.
 DEFAULT_MEMORY_BUDGET_BYTES = 8 * 2**30
 
 # Every option, defined once.  Each subcommand lists the options its _cmd_*

@@ -30,7 +30,9 @@ Ratio, Decomposition, CountReport and _required_limit are defined in
 exact, which needs no numpy, and re-exported here.  exact also holds
 count_brute_list and count_identity_list, this module's enumeration and
 decomposition on a Python list of primes, which the CLI runs for a small
-count in a process without numpy.
+count in a process without numpy, and the list counters verify runs at
+every x.  brute_counts_upto, the enumeration at every x on a table, serves
+the tests and the benchmark's tracer; no command calls it.
 """
 
 from __future__ import annotations
@@ -106,8 +108,8 @@ def brute_counts_upto(table: PrimeTable, max_x: int, r: Ratio) -> np.ndarray:
         [np.empty(0, dtype=np.uint64)]
         + [qs * np.uint64(p) for p, qs in _cofactor_slices(table, max_x, r)]
     )
-    # products <= max_x < 2^63 (the CLI admits 24*(max_x + 1) bytes under a
-    # budget below 2^64), so reading them as int64 in place is exact
+    # products <= max_x < 2^63 (counts of max_x + 1 entries would not fit
+    # in memory otherwise), so reading them as int64 in place is exact
     counts = np.bincount(products.view(np.int64), minlength=max_x + 1)
     return np.cumsum(counts, out=counts)
 
@@ -131,44 +133,6 @@ def count_identity(table: PrimeTable, x: int, r: Ratio) -> Decomposition:
     s2 = int(table.pi(r.floor_mul(table.primes[:k2])).sum())
     s3 = int(table.pi(np.uint64(x) // table.primes[k2:k1]).sum())
     return Decomposition(s1=s1, s2=s2, s3=s3)
-
-
-# quotients per slice of an s3 band in identity_counts_upto: 1 MiB of temporaries
-_BAND_SLICE = 2**16
-
-
-def identity_counts_upto(table: PrimeTable, max_x: int, r: Ratio) -> np.ndarray:
-    """count_identity's total at every x at once: counts[x] = C_r(x), 0 <= x <= max_x.
-
-    Each prime p <= sqrt(max_x) enters the sums at fixed x: s1 gains pi(p)
-    from x = p^2 on, and s2 gains pi(floor(r*p)) from b = ceil(p^2*num/den)
-    on, the least x with p <= sqrt(x/r).  Both are steps of one cumsum.  In
-    between, p^2 <= x < b, p lies in x's band and s3 gains pi(floor(x/p)),
-    which runs through the quotients p, p+1, ... p times each: each pi is
-    answered once and added in place to p counts, _BAND_SLICE quotients at a
-    time.  Same table requirement as count_identity at max_x.
-    """
-    _check_u64(max_x, "x")
-    table.check_range(_required_limit(max_x, r))
-    counts = np.zeros(max_x + 1, dtype=np.int64)
-    bands = []
-    for k, p in enumerate(table.primes[: table.prime_count(math.isqrt(max_x))].tolist(), 1):
-        b = -(-p * p * r.num // r.den)
-        counts[p * p] -= k
-        if b <= max_x:
-            counts[b] += table.prime_count(r.floor_mul(p))
-        bands.append((p, min(b, max_x + 1)))
-    np.cumsum(counts, out=counts)
-    for p, hi in bands:
-        # x in [q*p, q*p + p) gains pi(q): whole rows up to hi // p, then the rest
-        top = hi // p
-        for q0 in range(p, top, _BAND_SLICE):
-            q = np.arange(q0, min(q0 + _BAND_SLICE, top), dtype=np.uint64)
-            rows = counts[q0 * p : (q0 + q.size) * p].reshape(q.size, p)
-            rows += table.pi(q)[:, None]
-        if top * p < hi:
-            counts[top * p : hi] += table.prime_count(top)
-    return counts
 
 
 class _Queries:

@@ -8,13 +8,13 @@ dataclasses and building the three classes with it took about 12 ms
 primes_upto, count_brute_list and count_identity_list count C_r(x) the way
 counting's table counters do, with the same exact integer tests, on a
 Python list of the primes up to _required_limit(x, r) and with bisect for
-pi; _int_pi_and_sum, Lucy_Hedgehog's count and prime sum on Python
-integers, checks that list.  brute_counts_list, identity_counts_list and
-check_pi_sums_list do verify's checks, those of counting's
-brute_counts_upto and identity_counts_upto and of diagnostics.check_pi_sums,
-on such a list, holding the counts at every x in array('q')s.  Nothing
-here imports numpy, so a `rsad count` whose limit is small and a small
-`rsad verify` run without it (cli._integer_path).
+pi; analytic._int_lucy, Lucy_Hedgehog's count and prime sum on Python
+integers, checks that list, and _list_peak_bytes is what a run on it
+holds.  brute_counts_list, identity_counts_list and check_pi_sums_list are
+verify's checks: the counts at every x by enumeration and by the identity,
+each in an array('q'), and the pi-sum closed form.  Nothing here imports
+numpy, so every `rsad verify`, and a `rsad count` whose limit is small
+(cli._integer_path), run without it.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ import sys
 import time
 from array import array
 from bisect import bisect_right
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, compress, islice, repeat
+from operator import floordiv
 from typing import NamedTuple
 
 from .analytic import rsa_count_estimate
@@ -202,6 +203,21 @@ def _required_limit(x: int, r: Ratio) -> int:
     return min(math.isqrt(r.num * x // r.den), x)
 
 
+def _prime_count_bound(limit: int) -> int:
+    """An upper bound on pi(limit): L/ln L * (1 + 1.2762/ln L) (Dusart), for L > 1."""
+    log = math.log(limit)
+    return int(limit / log * (1 + 1.2762 / log)) + 1
+
+
+def _list_peak_bytes(limit: int) -> int:
+    """Bytes a run on primes_upto(limit) holds at its peak beside any counts:
+    40 a prime at Dusart's bound (an int's 28 to 32 and its list slot's 8),
+    primes_upto's flags, one per odd number, and 2^16 for Lucy's lists and
+    the counters' temporaries.  Under tracemalloc, count and verify stayed
+    below it at every size tried up to a --max-x of 10^6 (tests/test_exact.py)."""
+    return 40 * _prime_count_bound(max(limit, 2)) + (limit + 1) // 2 + 2**16
+
+
 def primes_upto(limit: int) -> list[int]:
     """The primes <= limit, ascending, by a bytearray sieve of the odd numbers.
 
@@ -221,45 +237,6 @@ def primes_upto(limit: int) -> list[int]:
     return [2, *compress(range(1, 2 * n, 2), flags)]
 
 
-def _int_pi_and_sum(n: int) -> tuple[int, int]:
-    """(pi(n), the sum of the primes <= n mod 2^64): primes.lucy's count and
-    sum in one loop on Python integers, which shares no code with primes_upto.
-
-    Each count update of analytic._int_prime_pi is followed by the sum's at
-    the same index, with weight p; the sums stay exact and are reduced at
-    the end.  It lives here, not beside _int_prime_pi, so that `rsad li` and
-    `rsad pi`, which import analytic but not this module, do not compile it.
-    """
-    if n < 2:
-        return 0, 0
-    r = math.isqrt(n)
-    small = list(range(-1, r))
-    small[0] = 0
-    large = [0] + [n // i - 1 for i in range(1, r + 1)]
-    wsmall = [v * (v + 1) // 2 - 1 for v in range(r + 1)]
-    wsmall[0] = 0
-    wlarge = [0] + [(n // i) * (n // i + 1) // 2 - 1 for i in range(1, r + 1)]
-    for p in range(2, r + 1):
-        sp, wp = small[p - 1], wsmall[p - 1]
-        if small[p] == sp:
-            continue  # p is composite
-        k = min(r, n // (p * p))
-        j = min(k, r // p)
-        for i in range(1, j + 1):
-            large[i] -= large[i * p] - sp
-            wlarge[i] -= p * (wlarge[i * p] - wp)
-        q = n // p
-        for i in range(j + 1, k + 1):
-            m = q // i
-            large[i] -= small[m] - sp
-            wlarge[i] -= p * (wsmall[m] - wp)
-        for v in range(r, p * p - 1, -1):
-            m = v // p
-            small[v] -= small[m] - sp
-            wsmall[v] -= p * (wsmall[m] - wp)
-    return large[1], wlarge[1] % 2**64
-
-
 def count_brute_list(primes: list[int], x: int, r: Ratio) -> int:
     """C_r(x) by counting.count_brute's enumeration on a list of the primes.
 
@@ -268,8 +245,9 @@ def count_brute_list(primes: list[int], x: int, r: Ratio) -> int:
     prime up to _required_limit(x, r), which bounds every pi argument here.
     """
     k1 = bisect_right(primes, math.isqrt(x))
-    ps = primes[:k1]
-    bounds = map(min, [r.num * p // r.den for p in ps], [x // p for p in ps])
+    # bisect reads the bounds as they are made: no list of them is held
+    bounds = map(min, (r.num * p // r.den for p in islice(primes, k1)),
+                 map(floordiv, repeat(x), islice(primes, k1)))
     # the sum of i + 1 over i < k1 is k1*(k1 + 1)/2
     return sum(map(bisect_right, repeat(primes), bounds)) - k1 * (k1 + 1) // 2
 
@@ -283,8 +261,8 @@ def count_identity_list(primes: list[int], x: int, r: Ratio) -> Decomposition:
     """
     k1 = bisect_right(primes, math.isqrt(x))
     k2 = bisect_right(primes, math.isqrt(x * r.den // r.num))
-    s2 = sum(map(bisect_right, repeat(primes), [r.num * p // r.den for p in primes[:k2]]))
-    s3 = sum(map(bisect_right, repeat(primes), [x // p for p in primes[k2:k1]]))
+    s2 = sum(map(bisect_right, repeat(primes), (r.num * p // r.den for p in islice(primes, k2))))
+    s3 = sum(map(bisect_right, repeat(primes), map(floordiv, repeat(x), islice(primes, k2, k1))))
     return Decomposition(s1=k1 * (k1 + 1) // 2, s2=s2, s3=s3)
 
 
@@ -322,8 +300,8 @@ def _prefix_sum(counts: array) -> array:
 
 
 def brute_counts_list(primes: list[int], max_x: int, r: Ratio) -> array:
-    """counting.brute_counts_upto on a list of the primes: counts[n] = C_r(n)
-    for every 0 <= n <= max_x, as an array('q'), 8 bytes an n.
+    """count_brute_list at every n at once: counts[n] = C_r(n) for every
+    0 <= n <= max_x, as an array('q'), 8 bytes an n.
 
     Tallies every product p*q <= max_x of a prime p and one of its
     count_brute_list cofactors q in (p, min(r*p, max_x/p)], then sums the
@@ -337,7 +315,7 @@ def brute_counts_list(primes: list[int], max_x: int, r: Ratio) -> array:
 
 
 def identity_counts_list(primes: list[int], max_x: int, r: Ratio) -> array:
-    """counting.identity_counts_upto on a list of the primes: counts[x] = C_r(x)
+    """count_identity_list's total at every x at once: counts[x] = C_r(x)
     for every 0 <= x <= max_x, as an array('q'), from one difference list.
 
     The k-th prime p <= sqrt(max_x) takes k from s1 at x = p^2 and adds
@@ -367,12 +345,13 @@ def identity_counts_list(primes: list[int], max_x: int, r: Ratio) -> array:
 
 
 def check_pi_sums_list(primes: list[int], z_max: int) -> int:
-    """diagnostics.check_pi_sums on a list of the primes; returns the number of z checked.
+    """diagnostics.sum_pi_p's check at every z in 2..z_max, on a list of the
+    primes; returns the number of z checked.
 
-    totals[k] sums pi(p) over the first k entries, so each z in 2..z_max
-    checks totals[pi(z)] against pi(z)*(pi(z) + 1)/2.  Only when some k
-    misses it are the z walked, to raise IdentityViolationError at the
-    least z whose pi(z) is such a k, as check_pi_sums does.
+    totals[k] sums pi(p) over the first k entries, so each z checks
+    totals[pi(z)] against pi(z)*(pi(z) + 1)/2.  Only when some k misses it
+    are the z walked, to raise IdentityViolationError at the least z whose
+    pi(z) is such a k, the least z where sum_pi_p raises on the same primes.
     """
     if z_max < 2:
         return 0

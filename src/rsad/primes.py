@@ -10,8 +10,8 @@ lucy counts primes, or counts them and sums them mod 2^64 in one loop,
 with no sieve at all: Lucy_Hedgehog's recursion takes O(n^(3/4)) time and
 O(sqrt(n)) memory and shares no code with the sieve, so it can check a
 built table's count and sum.  analytic.prime_pi runs it, or the same count
-on Python integers; exact._int_pi_and_sum is the count and sum on Python
-integers.
+on Python integers (analytic._int_lucy, which also sums, to check the CLI's
+lists of primes).
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from .exact import _prime_count_bound
 
 U64_MAX = 2**64 - 1
 
@@ -70,12 +72,6 @@ def _check_u64(value, name: str) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < 0 or value > U64_MAX:
         raise ValueError(f"{name} must be in [0, 2^64), got {value}")
-
-
-def _prime_count_bound(limit: int) -> int:
-    """An upper bound on pi(limit): L/ln L * (1 + 1.2762/ln L) (Dusart), for L > 1."""
-    log = math.log(limit)
-    return int(limit / log * (1 + 1.2762 / log)) + 1
 
 
 def _peak_estimate_bytes(limit: int) -> int:

@@ -288,33 +288,35 @@ def test_brute_budget_checked_before_any_table(capsys, monkeypatch, argv):
         raise AssertionError("a table was built")
 
     monkeypatch.setattr(cli, "build_table", no_table)
+    monkeypatch.setattr(cli, "primes_upto", no_table)
     assert run_cli(*argv.split()) == 3
     assert "exceeds brute-force budget" in capsys.readouterr().err
 
 
 def test_verify_arrays_checked_against_the_memory_budget(capsys, monkeypatch):
-    # the int64 count arrays over [0, max_x] dwarf the table at this size
+    # the two arrays of counts over [0, max_x] dwarf the primes at this size
     def no_table(*args, **kwargs):
         raise AssertionError("a table was built")
 
-    monkeypatch.setattr(cli, "build_table", no_table)
+    monkeypatch.setattr(cli, "primes_upto", no_table)
     assert run_cli("verify", "--max-x", "1e6", "--memory-budget-bytes", "1e6") == 3
     assert "over the 1000000-byte budget" in capsys.readouterr().err
 
 
 def test_verify_admitted_on_its_table_and_arrays_together(capsys, monkeypatch):
-    # the default max-x 1e5 and ratios read a table to 1e4 (96702 bytes at
-    # peak) beside 24 bytes per x of arrays
-    need = rsad.primes._peak_estimate_bytes(10**4) + cli._VERIFY_BYTES_PER_X * (10**5 + 1)
-    real = cli.build_table
+    # the default max-x 1e5 and ratios read the primes to 1e4 (120016 bytes
+    # at peak as a list) beside two arrays of counts, 16 bytes per x
+    need = 120016 + 16 * (10**5 + 1)
+    assert need == rsad.exact._list_peak_bytes(10**4) + 16 * (10**5 + 1)
+    real = cli.primes_upto
 
     def no_table(*args, **kwargs):
         raise AssertionError("a table was built")
 
-    monkeypatch.setattr(cli, "build_table", no_table)
+    monkeypatch.setattr(cli, "primes_upto", no_table)
     assert run_cli("verify", "--memory-budget-bytes", str(need - 1)) == 3
     assert "at peak" in capsys.readouterr().err
-    monkeypatch.setattr(cli, "build_table", real)
+    monkeypatch.setattr(cli, "primes_upto", real)
     assert run_cli("verify", "--memory-budget-bytes", str(need)) == 0
 
 
@@ -382,6 +384,7 @@ def _record_builds(monkeypatch):
 
     monkeypatch.setattr(rsad.primes, "build_table", recorder(rsad.primes.build_table))
     monkeypatch.setattr(cli, "build_table", recorder(cli.build_table))
+    monkeypatch.setattr(cli, "primes_upto", recorder(cli.primes_upto))  # verify's list
     return limits
 
 
@@ -538,17 +541,30 @@ def test_verify_multiple_ratios(capsys):
 
 
 def test_verify_catches_broken_counter(capsys, monkeypatch):
-    from rsad import counting
+    from rsad import exact
 
-    real = counting.identity_counts_upto
-    def broken(table, max_x, r):
-        counts = real(table, max_x, r)
+    real = exact.identity_counts_list
+    def broken(primes, max_x, r):
+        counts = real(primes, max_x, r)
         counts[77] += 1
         return counts
 
-    monkeypatch.setattr(cli.counting, "identity_counts_upto", broken)
+    monkeypatch.setattr(exact, "identity_counts_list", broken)
     assert run_cli("verify", "--max-x", "100", "--r", "2") == 4
     assert capsys.readouterr().err == "mismatch at x=77, r=2: brute=4, identity=5\n"
+
+
+def _make_in_the_cli_primes(monkeypatch, mistake):
+    """Apply mistake, a function of a list of primes, to every table and
+    list of the primes the CLI builds: count's tables here, verify's lists."""
+    real_table, real_list = cli.build_table, cli.primes_upto
+
+    def table(limit, **kw):
+        primes = mistake(real_table(limit, **kw).primes.tolist())
+        return PrimeTable(limit, np.array(primes, dtype=np.uint64))
+
+    monkeypatch.setattr(cli, "build_table", table)
+    monkeypatch.setattr(cli, "primes_upto", lambda limit: mistake(real_list(limit)))
 
 
 def test_verify_catches_a_table_that_breaks_the_pi_sum(capsys, monkeypatch):
@@ -556,14 +572,7 @@ def test_verify_catches_a_table_that_breaks_the_pi_sum(capsys, monkeypatch):
     # check at x <= 100, r = 2, and keeps the table's prime count; 103 in
     # place of 97 (above them too) cancels its shift of the table's prime
     # sum, so only the pi-sum closed form sees it
-    real = cli.build_table
-    def doubled_31(limit, **kw):
-        primes = real(limit, **kw).primes.copy()
-        primes[primes == 37] = 31
-        primes[primes == 97] = 103
-        return PrimeTable(limit, primes)
-
-    monkeypatch.setattr(cli, "build_table", doubled_31)
+    _make_in_the_cli_primes(monkeypatch, lambda ps: [{37: 31, 97: 103}.get(p, p) for p in ps])
     assert run_cli("verify", "--max-x", "100", "--r", "2") == 4
     captured = capsys.readouterr()
     assert captured.out == "identity-vs-brute for r=2: all 101 x values agree\n"
@@ -579,12 +588,7 @@ def test_verify_catches_a_table_that_breaks_the_pi_sum(capsys, monkeypatch):
 def test_a_table_that_drops_a_prime_exits_4(argv, capsys, monkeypatch):
     # brute, the identity and the pi-sum closed form all read the table, so
     # without the check against prime_pi they agree on it and exit 0
-    real = cli.build_table
-    def without_13(limit, **kw):
-        primes = real(limit, **kw).primes
-        return PrimeTable(limit, primes[primes != 13])
-
-    monkeypatch.setattr(cli, "build_table", without_13)
+    _make_in_the_cli_primes(monkeypatch, lambda ps: [p for p in ps if p != 13])
     assert run_cli(*argv.split()) == 4
     captured = capsys.readouterr()
     limit, pi = (1000, 168) if argv.startswith("verify") else (44, 14)
@@ -601,13 +605,7 @@ def test_a_table_that_drops_a_prime_exits_4(argv, capsys, monkeypatch):
 def test_a_table_with_a_wrong_prime_exits_4(argv, limit, total, capsys, monkeypatch):
     # 38 in place of 37 keeps the count; every other check reads the same
     # table, so only the prime sum sees it
-    real = cli.build_table
-    def with_38(limit, **kw):
-        primes = real(limit, **kw).primes.copy()
-        primes[primes == 37] = 38
-        return PrimeTable(limit, primes)
-
-    monkeypatch.setattr(cli, "build_table", with_38)
+    _make_in_the_cli_primes(monkeypatch, lambda ps: [38 if p == 37 else p for p in ps])
     assert run_cli(*argv.split()) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -618,20 +616,41 @@ def test_a_table_with_a_wrong_prime_exits_4(argv, limit, total, capsys, monkeypa
 
 
 def test_verify_catches_a_broken_pi2(capsys, monkeypatch):
-    from rsad import Ratio, counting
+    from rsad import Ratio, exact
 
-    real = counting.brute_counts_upto
-    def broken(table, max_x, r):
-        counts = real(table, max_x, r)
+    real = exact.brute_counts_list
+    def broken(primes, max_x, r):
+        counts = real(primes, max_x, r)
         if r == Ratio(100):  # the pi2 check's ratio M = max_x
             counts[77] += 1
         return counts
 
-    monkeypatch.setattr(cli.counting, "brute_counts_upto", broken)
+    monkeypatch.setattr(exact, "brute_counts_list", broken)
     assert run_cli("verify", "--max-x", "100", "--r", "2") == 4
     captured = capsys.readouterr()
     assert captured.out.endswith("pi-sum closed form: verified for all z <= 100\n")
     assert captured.err == "pi2 cross-check failed at x=77: C_x(x)=22, pi2=23\n"
+
+
+# verify --max-x 1e6 at the default ratios and at r = 10^14, recorded when
+# verify ran at this size on a numpy prime table; both now run on lists
+_VERIFY_1E6 = {
+    "3/2,2,5,10": "".join(
+        f"identity-vs-brute for r={r}: all 1000001 x values agree\n" for r in ("3/2", "2", "5", "10")
+    ) + "pi-sum closed form: verified for all z <= 10000\n"
+        "pi2 cross-check: verified for all x <= 1000\n"
+        "all checks passed (4011003 total)\n",
+    "100000000000000": "identity-vs-brute for r=100000000000000: all 1000001 x values agree\n"
+                       "pi-sum closed form: verified for all z <= 10000\n"
+                       "pi2 cross-check: verified for all x <= 1000\n"
+                       "all checks passed (1011000 total)\n",
+}
+
+
+@pytest.mark.parametrize("ratios", _VERIFY_1E6)
+def test_verify_at_1e6_prints_what_the_table_path_printed(ratios, capsys):
+    assert run_cli("verify", "--max-x", "1e6", "--r", ratios) == 0
+    assert capsys.readouterr() == (_VERIFY_1E6[ratios], "")
 
 
 def test_verify_makes_no_pointwise_calls(capsys, monkeypatch):

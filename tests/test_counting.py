@@ -24,12 +24,12 @@ from rsad import (
     count_report,
     count_sweep,
     count_sweep_grid,
-    identity_counts_upto,
     rsa_count_estimate,
 )
 import rsad.primes
 from rsad import counting
 from rsad.counting import _required_limit
+from rsad.exact import identity_counts_list
 from rsad.primes import SWEEP_SEGMENT_BYTES
 
 from oracles import prime_list, rsa_count_pairs, semiprime_count
@@ -761,49 +761,45 @@ def test_brute_counts_upto_sums_its_tally_in_place(r, traced_peak):
     assert traced_peak(brute_counts_upto, table, max_x, r) < 10.5 * (max_x + 1)
 
 
-# t100k stops at 10^5 + 64, so r = 10^14 runs on a table that stops at x + 64
+# The identity at every x runs on a list of the primes (exact), verify's
+# counter, held here to brute_counts_upto on a table.  t100k stops at
+# 10^5 + 64, so r = 10^14 runs on primes that stop at x + 64.
 @pytest.mark.parametrize("r", RATIOS + [
     Ratio(1), Ratio(7, 3), Ratio(2**64 - 1, 2**64 - 2), Ratio(10**14),
 ], ids=str)
 def test_identity_counts_upto_matches_brute_counts_upto(t100k, r):
-    counts = identity_counts_upto(t100k, 10**5, r)
-    assert counts.dtype == np.int64
-    assert np.array_equal(counts, brute_counts_upto(t100k, 10**5, r))
+    counts = identity_counts_list(t100k.primes.tolist(), 10**5, r)
+    assert counts.typecode == "q"
+    assert counts.tolist() == brute_counts_upto(t100k, 10**5, r).tolist()
 
 
 def test_identity_counts_upto_matches_count_identity(t10k):
-    counts = identity_counts_upto(t10k, 2999, Ratio(2))
+    counts = identity_counts_list(t10k.primes.tolist(), 2999, Ratio(2))
     assert counts.tolist() == [count_identity(t10k, x, Ratio(2)).total for x in range(3000)]
 
 
 @pytest.mark.parametrize("max_x", [0, 1, 2, 3])
 def test_identity_counts_upto_tiny(t10k, max_x):
+    plist = t10k.primes.tolist()
     for r in RATIOS:
-        assert identity_counts_upto(t10k, max_x, r).tolist() == [0] * (max_x + 1)
-
-
-def test_identity_counts_upto_table_too_small():
-    from rsad import build_table
-
-    with pytest.raises(TableLimitError) as info:
-        identity_counts_upto(build_table(100), 10**4, Ratio(2))
-    assert (info.value.required, info.value.limit) == (math.isqrt(2 * 10**4), 100)
+        assert identity_counts_list(plist, max_x, r).tolist() == [0] * (max_x + 1)
 
 
 def test_identity_counts_upto_memory_is_a_few_result_arrays(t10k, traced_peak):
     max_x = 10**6
-    assert traced_peak(identity_counts_upto, t10k, max_x, Ratio(10)) <= 4 * 8 * (max_x + 1)
+    plist = t10k.primes.tolist()
+    assert traced_peak(identity_counts_list, plist, max_x, Ratio(10)) <= 4 * 8 * (max_x + 1)
 
 
 def test_identity_counts_upto_band_temporaries_do_not_grow_with_the_band(traced_peak):
-    from rsad import build_table
+    from rsad.exact import primes_upto
 
-    # at r = 10^14 the band of p = 2 spans nearly every x: adding it through
-    # np.repeat held about 15 MiB beside the 7.6 MiB result, slices about 1 MiB
+    # at r = 10^14 the band of p = 2 spans nearly every x: its cofactors,
+    # a slice of the list, held about 0.3 MiB beside the 7.6 MiB result
     max_x = 10**6
-    table = build_table(max_x)
-    peak = traced_peak(identity_counts_upto, table, max_x, Ratio(10**14))
-    assert peak - 8 * (max_x + 1) < 2 * 2**20  # less the int64 counts it returns
+    plist = primes_upto(max_x)
+    peak = traced_peak(identity_counts_list, plist, max_x, Ratio(10**14))
+    assert peak - 8 * (max_x + 1) < 2 * 2**20  # less the counts it returns
 
 
 # --- semiprime counts ----------------------------------------------------

@@ -7,7 +7,6 @@ from rsad import (
     IdentityViolationError,
     PrimeTable,
     Ratio,
-    check_pi_sums,
     convergence_table,
     count_identity,
     count_sweep,
@@ -16,6 +15,7 @@ from rsad import (
 )
 
 from rsad.analytic import _recip_sum
+from rsad.exact import check_pi_sums_list
 
 from oracles import prime_list, pi_td
 
@@ -45,9 +45,11 @@ def test_sum_pi_p_detects_corrupt_table():
         sum_pi_p(bad, 10)
 
 
+# verify checks sum_pi_p's closed form at every z at once, on its list of the primes
 def test_check_pi_sums_checks_every_z(t10k):
-    assert check_pi_sums(t10k, 10**4) == 10**4 - 1
-    assert [check_pi_sums(t10k, z) for z in range(4)] == [0, 0, 1, 2]
+    plist = t10k.primes.tolist()
+    assert check_pi_sums_list(plist, 10**4) == 10**4 - 1
+    assert [check_pi_sums_list(plist, z) for z in range(4)] == [0, 0, 1, 2]
 
 
 @pytest.mark.parametrize("where", [0, 1, 5, 100])
@@ -56,7 +58,7 @@ def test_check_pi_sums_fails_where_sum_pi_p_first_fails(t10k, where):
     bad = PrimeTable(limit=1000, primes=np.insert(primes, where, primes[where]))
     first = next(z for z in range(2, 1001) if _violation(bad, z))
     with pytest.raises(IdentityViolationError) as info:
-        check_pi_sums(bad, 1000)
+        check_pi_sums_list(bad.primes.tolist(), 1000)
     assert info.value.z == first
     assert str(info.value) == str(_violation(bad, first))
 

@@ -5,10 +5,10 @@ count_identity_list on primes_upto's list wherever its limit is below
 cli._INT_COUNT_BELOW; these tests hold them to count_brute and
 count_identity on a built table and to count_sweep, at every small x, at
 random x whose limits lie just below that bound, and at the x where a
-prime enters s1 or s2.  verify's integer path, below cli._INT_VERIFY_BELOW,
-runs brute_counts_list, identity_counts_list and check_pi_sums_list, which
-are held to counting's brute_counts_upto and identity_counts_upto and to
-diagnostics.check_pi_sums.
+prime enters s1 or s2.  Every verify runs brute_counts_list and
+identity_counts_list, which are held to counting's brute_counts_upto, and
+check_pi_sums_list (tests/test_diagnostics.py).  Both commands admit a run
+on what its list holds (exact._list_peak_bytes), which tracemalloc checks.
 """
 
 import itertools
@@ -24,24 +24,20 @@ import pytest
 
 import rsad.primes
 from rsad import (
-    IdentityViolationError,
-    PrimeTable,
     Ratio,
     brute_counts_upto,
     build_table,
-    check_pi_sums,
     cli,
     count_brute,
     count_identity,
     count_sweep,
     count_sweep_grid,
-    identity_counts_upto,
 )
 from rsad.exact import (
+    _list_peak_bytes,
     _prefix_sum,
     _required_limit,
     brute_counts_list,
-    check_pi_sums_list,
     count_brute_list,
     count_identity_list,
     identity_counts_list,
@@ -85,10 +81,11 @@ def test_primes_upto_is_the_table(below_bound):
 
 def test_the_integer_path_takes_every_table_below_its_bound():
     # _integer_path admits a count only under a budget that admits every
-    # table the numpy path would build for it, so neither path refuses alone
-    assert cli._INT_COUNT_PEAK_BYTES == rsad.primes._peak_estimate_bytes(BOUND - 1)
-    peaks = [rsad.primes._peak_estimate_bytes(limit) for limit in range(0, BOUND, 997)]
-    assert max(peaks) <= cli._INT_COUNT_PEAK_BYTES
+    # list below the bound, and every table the numpy path would build for
+    # it, so neither path refuses alone
+    assert cli._INT_COUNT_PEAK_BYTES == _list_peak_bytes(BOUND - 1)
+    for need in (_list_peak_bytes, rsad.primes._peak_estimate_bytes):
+        assert max(map(need, range(0, BOUND, 997))) <= cli._INT_COUNT_PEAK_BYTES
 
 
 @pytest.mark.parametrize("r", SMALL_RATIOS, ids=str)
@@ -153,21 +150,9 @@ def test_parity_sweep_below_the_bound(below_bound):
         assert_paths_agree(table, plist, x, r)
 
 
-# --- verify's integer path --------------------------------------------------
+# --- verify's lists -------------------------------------------------------
 
-VERIFY_BOUND = cli._INT_VERIFY_BELOW
 VERIFY_RATIOS = SMALL_RATIOS + [Ratio(5), Ratio(101, 100), Ratio(10**14), Ratio(2**64 - 1)]
-
-
-def test_verify_takes_the_integer_path_only_where_the_numpy_path_admits_it():
-    # the floor is the numpy path's need at the largest --max-x below the
-    # bound, whose table reaches --max-x at most (r >= --max-x)
-    floor = rsad.primes._peak_estimate_bytes(VERIFY_BOUND - 1) + cli._VERIFY_BYTES_PER_X * VERIFY_BOUND
-    assert cli._INT_VERIFY_PEAK_BYTES == floor
-    for max_x in [0, 1, 2, 10**4, 10**5, *range(2, VERIFY_BOUND, 4099), VERIFY_BOUND - 1]:
-        need = (rsad.primes._peak_estimate_bytes(max(max_x, 2))
-                + cli._VERIFY_BYTES_PER_X * (max_x + 1))
-        assert need <= floor, max_x
 
 
 def test_prefix_sum_runs_in_place_across_its_steps():
@@ -185,7 +170,6 @@ def test_list_counts_are_the_tables_at_every_x(t10k, r):
     for max_x in [0, 1, 3, 4, 5, 6, 9, 10, 100, 1000, 3000, 9999]:
         primes = upto(plist, max(_required_limit(max_x, r), 2))
         want = brute_counts_upto(t10k, max_x, r)
-        assert np.array_equal(identity_counts_upto(t10k, max_x, r), want)
         for counter in (brute_counts_list, identity_counts_list):
             counts = counter(primes, max_x, r)
             assert (counts.typecode, counts.tolist()) == ("q", want.tolist()), (counter, max_x)
@@ -202,38 +186,14 @@ def test_list_counts_at_random_max_x(t100k):
         assert identity_counts_list(plist, max_x, r).tolist() == want, (max_x, r)
 
 
-def _mutated(plist, where):
-    """plist with its entry at where repeated, as test_diagnostics corrupts a table."""
-    return plist[: where + 1] + plist[where:]
-
-
-def test_check_pi_sums_list_is_check_pi_sums(t10k):
-    plist = t10k.primes.tolist()
-    for z_max in [0, 1, 2, 3, 10, 1000, 10**4]:
-        assert check_pi_sums_list(plist, z_max) == check_pi_sums(t10k, z_max)
-    small = upto(plist, 1000)
-    for primes in [_mutated(small, w) for w in (0, 1, 5, 100)] + [
-        [{37: 31, 97: 103}.get(p, p) for p in small],  # test_cli's doubled 31
-        [38 if p == 37 else p for p in small],
-        [p for p in small if p != 13],
-    ]:
-        table = PrimeTable(1000, np.array(primes, dtype=np.uint64))
-        want = got = None
-        try:
-            check_pi_sums(table, 1000)
-        except IdentityViolationError as exc:
-            want = str(exc), exc.z
-        try:
-            check_pi_sums_list(primes, 1000)
-        except IdentityViolationError as exc:
-            got = str(exc), exc.z
-        assert got == want
-
-
 # Runs rsad.cli.main at argv[1:] under the finder of test_lazy_imports (no
-# numpy) with tracemalloc on, and prints its exit code and traced peak.
+# numpy) with tracemalloc on, and prints its exit code ("numpy" when the run
+# took numpy's path and the finder refused it) and the bytes it held at its
+# traced peak, less the peak of a run that holds nothing (the parser and
+# other objects every run makes).  rsad.exact is imported, and a first run
+# fills the caches of argparse and re, untraced.
 TRACED_MAIN = """
-import contextlib, io, sys, tracemalloc
+import contextlib, gc, io, sys, tracemalloc
 
 class RefuseNumpy:
     def find_spec(self, name, path=None, target=None):
@@ -241,26 +201,60 @@ class RefuseNumpy:
             raise ImportError(f"{name} refused")
 
 sys.meta_path.insert(0, RefuseNumpy())
-import rsad.cli
+import rsad.cli, rsad.exact
 
-tracemalloc.start()
-with contextlib.redirect_stdout(io.StringIO()):
-    code = rsad.cli.main(sys.argv[1:])
-print(code, tracemalloc.get_traced_memory()[1])
+
+def traced(argv):
+    gc.collect()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = rsad.cli.main(argv)
+    except ImportError:
+        code = "numpy"
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return code, peak
+
+
+traced(["verify", "--max-x", "0"])
+base = traced(["verify", "--max-x", "0"])[1]
+code, peak = traced(sys.argv[1:])
+print(code, peak - base)
 """
 
 
+def traced_run(child_env, argv):
+    """(exit code or "numpy", bytes held at peak) of main at argv in a child without numpy."""
+    proc = subprocess.run([sys.executable, "-c", TRACED_MAIN, *argv.split()],
+                          capture_output=True, text=True, timeout=120, env=child_env)
+    assert proc.stderr == ""
+    code, held = proc.stdout.split()
+    return code, int(held)
+
+
 @pytest.mark.parametrize("ratios", ["3/2,2,5,10", "100000000000000"])
-def test_verify_lists_stay_within_the_numpy_paths_admitted_need(ratios, child_env):
-    # at the largest --max-x below the bound; r = 10^14 reads primes to --max-x
-    max_x = VERIFY_BOUND - 1
-    proc = subprocess.run(
-        [sys.executable, "-c", TRACED_MAIN, "verify", "--max-x", str(max_x), "--r", ratios],
-        capture_output=True, text=True, timeout=120, env=child_env,
-    )
-    code, peak = map(int, proc.stdout.split())
-    assert (code, proc.stderr) == (0, "")
-    limit = max(_required_limit(max_x, Ratio.parse(r)) for r in ratios.split(","))
-    limit = max(limit, 10**4)  # the pi-sum check's
-    need = rsad.primes._peak_estimate_bytes(limit) + cli._VERIFY_BYTES_PER_X * (max_x + 1)
-    assert peak <= need
+def test_verify_lists_stay_within_their_admitted_need(ratios, child_env):
+    # r = 10^14 reads primes to --max-x; the default ratios to 10^4, the
+    # pi-sum check's.  The need is tracemalloc's peak, give or take 2^17.
+    max_x = 3 * 10**5
+    code, held = traced_run(child_env, f"verify --max-x {max_x} --r {ratios}")
+    assert code == "0"
+    limit = max([_required_limit(max_x, Ratio.parse(r)) for r in ratios.split(",")] + [10**4])
+    need = _list_peak_bytes(limit) + 16 * (max_x + 1)
+    assert 0 <= need - held < 2**17
+
+
+@pytest.mark.parametrize("budget", [2 * 10**6, cli._INT_COUNT_PEAK_BYTES - 1,
+                                    cli._INT_COUNT_PEAK_BYTES])
+def test_a_count_on_lists_stays_within_its_budget(budget, child_env):
+    # at r = 1, x = (2^20 - 1)^2 reads every prime of the largest list below
+    # the bound; under a smaller budget than that list's need a count takes
+    # numpy's path, which admits it on its own table
+    x = (BOUND - 1) ** 2
+    code, held = traced_run(child_env, f"count --x {x} --r 1 --method both "
+                                       f"--brute-budget {x} --memory-budget-bytes {budget}")
+    if budget < cli._INT_COUNT_PEAK_BYTES:
+        assert code == "numpy"
+    else:
+        assert code == "0" and held <= budget

@@ -1,12 +1,13 @@
 """Module loading follows the subcommand.
 
 `import rsad`, `import rsad.cli`, `rsad --help`, `rsad li`, `rsad pi`
-below 2^27, `rsad count` below a limit of 2^20 and `rsad verify` below a
---max-x of 2^17 need only the standard library, and so does parsing every
-option; numpy and the sieving modules load on first use of one of their
-names.  Each integer path gives the numpy path's exit code, stdout and
-stderr.  A name a caller set on rsad.cli before main ran, as a tracer or
-a test does, is the one main calls.
+below 2^27, `rsad count` below a limit of 2^20 and every `rsad verify`
+need only the standard library, and so does parsing every option; numpy
+and the sieving modules load on first use of one of their names.  count's
+integer path gives the numpy path's exit code, stdout and stderr, and
+verify, which has only its lists, prints the bytes it printed on a numpy
+table when it took one from a --max-x of 2^17.  A name a caller set on
+rsad.cli before main ran, as a tracer or a test does, is the one main calls.
 """
 
 import json
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import rsad
+import rsad.exact
 import rsad.primes
 from rsad import cli
 from rsad.cli import main
@@ -126,6 +128,7 @@ def in_process(argvs, capsys):
 GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
 GOLDEN_COUNTS = [c for c in GOLDEN if c["argv"].startswith("count")]
 GOLDEN_VERIFIES = [c for c in GOLDEN if c["argv"].startswith("verify")]
+GOLDEN_OUT = {c["argv"]: c["stdout"] for c in GOLDEN}
 
 
 def test_golden_counts_run_without_numpy(child_env):
@@ -174,24 +177,34 @@ def test_the_paths_refuse_a_count_over_the_memory_budget_alike(child_env, capsys
 
 
 def test_golden_verifies_run_without_numpy(child_env):
-    # all below the bound, the default --max-x of 10^5 among them
+    # the default --max-x of 10^5 among them
     runs = mains_without_numpy(child_env, [c["argv"] for c in GOLDEN_VERIFIES])
     assert runs == [(0, c["stdout"], "") for c in GOLDEN_VERIFIES]
 
 
+# verify's stdout at --max-x 2^17 and 3*10^5 and the default ratios,
+# recorded when verify ran from a --max-x of 2^17 on a numpy table
+_TABLE_PATH_VERIFIES = {
+    max_x: "".join(f"identity-vs-brute for r={r}: all {max_x + 1} x values agree\n"
+                   for r in ("3/2", "2", "5", "10"))
+    + "pi-sum closed form: verified for all z <= 10000\n"
+      "pi2 cross-check: verified for all x <= 1000\n"
+      f"all checks passed ({total} total)\n"
+    for max_x, total in [(2**17, 535291), (3 * 10**5, 1211003)]
+}
+
+
 def test_verify_runs_without_numpy_and_prints_the_same(child_env, capsys):
-    bound = cli._INT_VERIFY_BELOW
     argvs = [f"verify --max-x {m} --threads 2" for m in (900, 950, 1000, 1050, 1100)]
     argvs += ["verify --max-x 300",
               "verify --max-x 1000 --r 100000000000000",
-              f"verify --max-x {bound - 1}",
-              f"verify --max-x {bound - 1} --r 100000000000000"]
+              "verify --max-x 131071 --r 100000000000000"]
     want = in_process(argvs, capsys)
     assert all(code == 0 for code, _, _ in want)
     assert mains_without_numpy(child_env, argvs) == want
-    proc = run_without_numpy(child_env, "verify", "--max-x", str(bound))  # numpy's path
-    assert proc.returncode == 1
-    assert "ImportError: numpy refused" in proc.stderr
+    for max_x, stdout in _TABLE_PATH_VERIFIES.items():  # fresh processes
+        proc = run_without_numpy(child_env, "verify", "--max-x", str(max_x))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, stdout, "")
 
 
 def test_the_paths_refuse_a_verify_over_the_brute_budget_alike(child_env, capsys):
@@ -205,24 +218,19 @@ def test_the_paths_refuse_a_verify_over_the_brute_budget_alike(child_env, capsys
 
 
 def test_the_paths_refuse_a_verify_over_the_memory_budget_alike(child_env, capsys):
-    # below _INT_VERIFY_PEAK_BYTES a verify takes the numpy path, which
-    # refuses or admits it on its own table and arrays; at it and above, the
-    # integer path, where the numpy path admits every verify below the bound
-    need = rsad.primes._peak_estimate_bytes(1000) + cli._VERIFY_BYTES_PER_X * 1001
-    floor = cli._INT_VERIFY_PEAK_BYTES
-    budgets = [need - 1, need, floor - 1, floor, floor + 1]
-    argvs = [f"verify --max-x 1000 --memory-budget-bytes {b}" for b in budgets]
+    # verify is admitted on its list of the primes to 1000, which r = 10^14
+    # reads, and its two arrays of counts; numpy loaded or not, it takes
+    # that one path
+    argv = "verify --max-x 1000 --r 100000000000000"
+    need = rsad.exact._list_peak_bytes(1000) + 16 * 1001
+    argvs = [f"{argv} --memory-budget-bytes {b}" for b in (need - 1, need)]
     want = in_process(argvs, capsys)
-    assert [code for code, _, _ in want] == [3, 0, 0, 0, 0]
-    assert want[0][2] == (f"error: x=1000 with a prime table to 1000 needs up to {need} bytes "
-                          f"at peak, over the {need - 1}-byte budget\n")
-    for argv, run in zip(argvs, want):  # fresh processes, numpy allowed
-        proc = subprocess.run([sys.executable, "-m", "rsad", *argv.split()],
-                              capture_output=True, text=True, timeout=60, env=child_env)
-        assert (proc.returncode, proc.stdout, proc.stderr) == run, argv
-    assert mains_without_numpy(child_env, argvs[3:]) == want[3:]
-    proc = run_without_numpy(child_env, *argvs[2].split())
-    assert "ImportError: numpy refused" in proc.stderr  # below the floor: the numpy path
+    assert want == [
+        (3, "", f"error: x=1000 with a prime table to 1000 needs up to {need} bytes "
+                f"at peak, over the {need - 1}-byte budget\n"),
+        (0, GOLDEN_OUT[argv], ""),
+    ]
+    assert mains_without_numpy(child_env, argvs) == want
 
 
 # Runs `rsad ARGV...` under the finder with the mistake sys.argv[1] names:
@@ -301,7 +309,7 @@ def test_a_wrong_list_exits_4_through_the_integer_path(mistake, stderr, child_en
 ])
 def test_a_wrong_list_or_counter_fails_verify_through_the_integer_path(
         mistake, argv, stdout, stderr, child_env):
-    # the lines of test_cli's wrong tables and broken counters on the numpy path
+    # the lines of test_cli's wrong tables and broken counters, run where numpy is loaded
     assert run_wrong(child_env, mistake, argv) == (4, stdout, stderr)
 
 

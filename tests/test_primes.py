@@ -20,8 +20,7 @@ from rsad import (
 
 import rsad.primes
 from rsad import analytic
-from rsad.analytic import _INT_PI_BELOW, _int_prime_pi
-from rsad.exact import _int_pi_and_sum
+from rsad.analytic import _INT_PI_BELOW, _int_lucy
 from rsad.primes import (
     SIEVE_WORK_LIMIT,
     SWEEP_SEGMENT_BYTES,
@@ -268,30 +267,30 @@ def t2_27():
 def test_integer_recursion_matches_the_sieve(t10k, t2_27):
     assert _INT_PI_BELOW == 2**27
     for n in range(3000):
-        assert _int_prime_pi(n) == t10k.prime_count(n), n
-    assert _int_prime_pi(2**27 - 1) == _int_prime_pi(2**27) == t2_27.count == 7603553
+        assert _int_lucy(n) == t10k.prime_count(n), n
+    assert _int_lucy(2**27 - 1) == _int_lucy(2**27) == t2_27.count == 7603553
     rng = random.Random(20261022)
     for n in [rng.randrange(2**27) for _ in range(50)]:
-        assert _int_prime_pi(n) == t2_27.prime_count(n), n
+        assert _int_lucy(n) == t2_27.prime_count(n), n
 
 
 def test_integer_count_and_sum_match_the_sieve(t10k, t10m):
-    # the count and sum in one loop, as the CLI's integer count path checks its primes
+    # the count and sum, as the CLI checks its lists of primes
     for n in range(3000):
-        assert _int_pi_and_sum(n) == _count_and_sum(t10k, n), n
+        assert _int_lucy(n, with_sum=True) == _count_and_sum(t10k, n), n
     rng = random.Random(20261023)
     for n in [rng.randrange(10**7) for _ in range(20)] + [p * p + d for p in prime_list(100)
                                                          for d in (-1, 0)] + [2**20 - 1]:
-        assert _int_pi_and_sum(n) == _count_and_sum(t10m, n), n
-        assert _int_pi_and_sum(n)[0] == _int_prime_pi(n), n
+        assert _int_lucy(n, with_sum=True) == _count_and_sum(t10m, n), n
+        assert _int_lucy(n, with_sum=True)[0] == _int_lucy(n), n
 
 
 @pytest.mark.parametrize("p_max", [1000, pytest.param(10**4, marks=pytest.mark.slow)])
 def test_integer_recursion_at_prime_squares(t2_27, p_max):
     # S(v) first changes at p^2 in the step for p; p up to 10^4 takes about 45 s
     for p in prime_list(p_max):
-        assert _int_prime_pi(p * p) == t2_27.prime_count(p * p), p
-        assert _int_prime_pi(p * p - 1) == t2_27.prime_count(p * p - 1), p
+        assert _int_lucy(p * p) == t2_27.prime_count(p * p), p
+        assert _int_lucy(p * p - 1) == t2_27.prime_count(p * p - 1), p
 
 
 def test_prime_pi_runs_numpys_recursion_once_numpy_is_imported(monkeypatch):
@@ -299,7 +298,7 @@ def test_prime_pi_runs_numpys_recursion_once_numpy_is_imported(monkeypatch):
     def no_integers(n):
         raise AssertionError("the integer recursion ran")
 
-    monkeypatch.setattr(analytic, "_int_prime_pi", no_integers)
+    monkeypatch.setattr(analytic, "_int_lucy", no_integers)
     assert prime_pi(1000) == 168
     assert prime_pi(2**27) == 7603553
 
