@@ -7,12 +7,12 @@ need in the same run; no subcommand reads or writes a cache.  Exit codes:
 0 ok, 2 bad arguments, 3 table, budget or work-bound errors, a file or
 stdout that cannot be written or a sweep worker that died, 4 a
 cross-check failed (a built table's prime count or prime sum among them),
-130 interrupted (Ctrl-C).  li, pi below 2^27, count below a limit of 2^20
-(_integer_path) and every verify run without numpy: count and verify then
-sieve a Python list of the primes, check it as a table is checked, and
-count on it with bisect (_admitted_list).  main returns the code to
-its caller; the console script, entry(), ends the process with it by
-os._exit, skipping the interpreter's teardown.
+130 interrupted (Ctrl-C).  li, pi below 2^27 and every verify need no
+numpy, nor, in any process, does count below a limit of 2^20 where its
+list fits the budget (_integer_path): count and verify sieve a Python list
+of the primes, check it as a table is checked, and count on it with bisect
+(_admitted_list).  main returns the code to its caller; the console
+script, entry(), ends the process with it by os._exit, skipping teardown.
 """
 
 from __future__ import annotations
@@ -33,10 +33,10 @@ from .analytic import prime_pi  # bound here, so tests and tracers replace it on
 # by _bind, one module's names at a time, when a run first reads them: li
 # needs only math and pi only prime_pi (analytic.prime_pi imports numpy from
 # 2^27); _parse_ratio binds exact, which needs no numpy, and verify and
-# count on its integer path (_integer_path) read nothing else.  Importing
-# counting, diagnostics or primes loads numpy, so each command binds them
-# (_bind_sieving_names) only on the path that reads them.  A name a tracer
-# or test set is kept.
+# count on its integer path (_integer_path), numpy loaded or not, read
+# nothing else.  Importing counting, diagnostics or primes loads numpy, so
+# each command binds them (_bind_sieving_names) only on the path that reads
+# them.  A name a tracer or test set is kept.
 _LAZY = {
     "exact": "exact",
     "primes_upto": "exact",
@@ -234,25 +234,20 @@ def _admitted_list(args, max_x: int, limit: int, bytes_per_x: int = 0) -> list[i
 
 
 # count runs on a Python list of the primes (exact) when its limit is below
-# this, in a process without numpy.  Medians of 7 alternating fresh processes
-# (2 vCPUs, Python 3.11.7, numpy 2.4.6) at r = 1, where the list counters
-# visit the most primes for their limit: at a limit of 2^20 - 1 identity,
-# brute and both took 134, 151 and 190 ms on lists and 177, 413 and 363 ms
-# with numpy; at 2^21 - 1 the identity took 213 ms on lists, 183 with numpy.
+# this and the list fits the budget.  Medians of 7 alternating fresh
+# processes (2 vCPUs, Python 3.11.7, numpy 2.4.6) at r = 1, where the list
+# counters visit the most primes for their limit: at a limit of 2^20 - 1
+# identity, brute and both took 134, 151 and 190 ms on lists and 177, 413
+# and 363 ms with numpy; at 2^21 - 1 the identity took 213 ms on lists, 183
+# with numpy.  With numpy imported, identity and both took 56 and 108 ms on
+# lists at 2^20 - 2, 6 and 15 on numpy's path (medians of 9, through main).
 _INT_COUNT_BELOW = 2**20
-# exact._list_peak_bytes(_INT_COUNT_BELOW - 1), what a count on the largest
-# list below the bound holds: under a smaller budget count takes numpy's
-# path, which admits or refuses it on its own table, and at it and above
-# both paths admit every count below the bound.
-_INT_COUNT_PEAK_BYTES = 3893904
 
 
 def _integer_path(args, limit: int) -> bool:
-    """Whether a count takes exact's Python lists, not numpy: only in a
-    process without numpy, below _INT_COUNT_BELOW and at a budget of at
-    least _INT_COUNT_PEAK_BYTES, so both paths refuse the same runs."""
-    return ("numpy" not in sys.modules and limit < _INT_COUNT_BELOW
-            and args.memory_budget_bytes >= _INT_COUNT_PEAK_BYTES)
+    """Whether a count takes exact's Python lists: below _INT_COUNT_BELOW,
+    where their peak fits --memory-budget-bytes; else numpy's path."""
+    return limit < _INT_COUNT_BELOW and exact._list_peak_bytes(limit) <= args.memory_budget_bytes
 
 
 def _cmd_count(args) -> int:

@@ -13,8 +13,8 @@ integers, checks that list, and _list_peak_bytes is what a run on it
 holds.  brute_counts_list, identity_counts_list and check_pi_sums_list are
 verify's checks: the counts at every x by enumeration and by the identity,
 each in an array('q'), and the pi-sum closed form.  Nothing here imports
-numpy, so every `rsad verify`, and a `rsad count` whose limit is small
-(cli._integer_path), run without it.
+numpy: every `rsad verify`, and every `rsad count` whose limit is below
+2^20 and whose list fits its budget (cli._integer_path), runs on these.
 """
 
 from __future__ import annotations

@@ -412,11 +412,11 @@ def test_brute_tables_stop_at_x_for_ratios_above_x(argv, want, capsys, monkeypat
 
 
 def test_method_disagreement_returns_4(capsys, monkeypatch):
-    from rsad import counting
+    from rsad import exact
 
-    real = counting.count_brute
+    real = exact.count_brute_list
     monkeypatch.setattr(
-        counting, "count_brute", lambda x, r, table: real(x, r, table) + 1
+        exact, "count_brute_list", lambda primes, x, r: real(primes, x, r) + 1
     )
     code = run_cli("count", "--x", "100", "--r", "2", "--method", "both")
     assert code == 4
@@ -748,18 +748,16 @@ def test_unallocatable_table_exits_3(child_env):
 _ENTRY_WITH = """
 import sys
 import rsad.cli
-from rsad import PrimeTable
 
 def interrupted(*args):
     raise KeyboardInterrupt
 
-real_build_table = rsad.cli.build_table
-def without_13(limit, **kw):
-    primes = real_build_table(limit, **kw).primes
-    return PrimeTable(limit, primes[primes != 13])
+real_primes_upto = rsad.cli.primes_upto
+def without_13(limit):
+    return [p for p in real_primes_upto(limit) if p != 13]
 
 name = sys.argv.pop(1)
-setattr(rsad.cli, name, {"main": interrupted, "build_table": without_13}[name])
+setattr(rsad.cli, name, {"main": interrupted, "primes_upto": without_13}[name])
 rsad.cli.entry()
 """
 
@@ -784,7 +782,7 @@ def test_interrupt_exits_130_from_entry_only(monkeypatch, child_env):
 
 
 def test_check_failure_and_unwritable_out_exit_through_entry(tmp_path, child_env):
-    proc = run_entry(child_env, "build_table", "count", "--x", "1000", "--r", "2",
+    proc = run_entry(child_env, "primes_upto", "count", "--x", "1000", "--r", "2",
                      "--method", "brute")
     assert (proc.returncode, proc.stdout) == (4, "")
     assert proc.stderr == "table check failed: the prime table to 44 holds 13 primes, pi(44) = 14\n"

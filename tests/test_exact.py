@@ -1,14 +1,15 @@
 """The list counters of rsad.exact against the table counters and the sweep.
 
-count's integer path (cli._integer_path) runs count_brute_list and
-count_identity_list on primes_upto's list wherever its limit is below
-cli._INT_COUNT_BELOW; these tests hold them to count_brute and
+count runs count_brute_list and count_identity_list on primes_upto's list
+wherever its limit is below cli._INT_COUNT_BELOW and the list's peak
+(exact._list_peak_bytes) fits --memory-budget-bytes, numpy loaded or not
+(cli._integer_path); these tests hold them to count_brute and
 count_identity on a built table and to count_sweep, at every small x, at
 random x whose limits lie just below that bound, and at the x where a
 prime enters s1 or s2.  Every verify runs brute_counts_list and
 identity_counts_list, which are held to counting's brute_counts_upto, and
 check_pi_sums_list (tests/test_diagnostics.py).  Both commands admit a run
-on what its list holds (exact._list_peak_bytes), which tracemalloc checks.
+on what its list holds, which tracemalloc checks.
 """
 
 import itertools
@@ -33,6 +34,7 @@ from rsad import (
     count_sweep,
     count_sweep_grid,
 )
+from rsad.cli import COUNT_HEADER
 from rsad.exact import (
     _list_peak_bytes,
     _prefix_sum,
@@ -79,13 +81,23 @@ def test_primes_upto_is_the_table(below_bound):
     assert primes_upto(2**20) == plist  # 2^20 is not prime
 
 
-def test_the_integer_path_takes_every_table_below_its_bound():
-    # _integer_path admits a count only under a budget that admits every
-    # list below the bound, and every table the numpy path would build for
-    # it, so neither path refuses alone
-    assert cli._INT_COUNT_PEAK_BYTES == _list_peak_bytes(BOUND - 1)
-    for need in (_list_peak_bytes, rsad.primes._peak_estimate_bytes):
-        assert max(map(need, range(0, BOUND, 997))) <= cli._INT_COUNT_PEAK_BYTES
+def test_a_count_takes_the_lists_below_the_bound_where_they_fit(monkeypatch, capsys):
+    # numpy is loaded here: the choice reads only the limit and the budget.
+    # At r = 10^6 the limit isqrt(r*x) has few primes below sqrt(x) to count.
+    r = Ratio(10**6)
+    calls = []
+    real = cli.build_table
+    monkeypatch.setattr(cli, "build_table", lambda limit: calls.append(limit) or real(limit))
+    for limit in (BOUND - 1, BOUND):
+        x = ((limit + 1) ** 2 - 1) // r.num
+        assert _required_limit(x, r) == limit
+        need = _list_peak_bytes(limit)
+        for budget in (need - 1, need):
+            assert cli.main(f"count --x {x} --r {r} --method brute --brute-budget {x} "
+                            f"--memory-budget-bytes {budget}".split()) == 0
+    assert calls == [BOUND - 1, BOUND, BOUND]
+    rows = capsys.readouterr().out.split(COUNT_HEADER)[1:]
+    assert len(rows) == 4 and rows[0] == rows[1] and rows[2] == rows[3]
 
 
 @pytest.mark.parametrize("r", SMALL_RATIOS, ids=str)
@@ -245,8 +257,8 @@ def test_verify_lists_stay_within_their_admitted_need(ratios, child_env):
     assert 0 <= need - held < 2**17
 
 
-@pytest.mark.parametrize("budget", [2 * 10**6, cli._INT_COUNT_PEAK_BYTES - 1,
-                                    cli._INT_COUNT_PEAK_BYTES])
+@pytest.mark.parametrize("budget", [2 * 10**6, _list_peak_bytes(BOUND - 1) - 1,
+                                    _list_peak_bytes(BOUND - 1)])
 def test_a_count_on_lists_stays_within_its_budget(budget, child_env):
     # at r = 1, x = (2^20 - 1)^2 reads every prime of the largest list below
     # the bound; under a smaller budget than that list's need a count takes
@@ -254,7 +266,26 @@ def test_a_count_on_lists_stays_within_its_budget(budget, child_env):
     x = (BOUND - 1) ** 2
     code, held = traced_run(child_env, f"count --x {x} --r 1 --method both "
                                        f"--brute-budget {x} --memory-budget-bytes {budget}")
-    if budget < cli._INT_COUNT_PEAK_BYTES:
+    if budget < _list_peak_bytes(BOUND - 1):
         assert code == "numpy"
     else:
+        assert code == "0" and held <= budget
+
+
+# at limit isqrt(2*5e9) = 10^5 the list needs 501496 bytes and the table 574118
+WINDOW = "count --x 5e9 --r 2 --method brute --brute-budget 5e9"
+
+
+def test_a_brute_count_is_admitted_on_its_list_where_its_table_does_not_fit(capsys, child_env):
+    need, table_need = _list_peak_bytes(10**5), rsad.primes._peak_estimate_bytes(10**5)
+    assert (need, table_need) == (501496, 574118)
+    budgets = [need - 1, need, table_need - 1]
+    codes = [cli.main(f"{WINDOW} --memory-budget-bytes {b}".split()) for b in budgets]
+    assert codes == [3, 0, 0]
+    # under the list's need the brute count is admitted or refused on its table
+    assert capsys.readouterr().err == (
+        "error: x=5000000000 with a prime table to 100000 needs up to 574118 bytes "
+        "at peak, over the 501495-byte budget\n")
+    for budget in budgets[1:]:
+        code, held = traced_run(child_env, f"{WINDOW} --memory-budget-bytes {budget}")
         assert code == "0" and held <= budget

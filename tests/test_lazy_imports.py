@@ -3,10 +3,11 @@
 `import rsad`, `import rsad.cli`, `rsad --help`, `rsad li`, `rsad pi`
 below 2^27, `rsad count` below a limit of 2^20 and every `rsad verify`
 need only the standard library, and so does parsing every option; numpy
-and the sieving modules load on first use of one of their names.  count's
-integer path gives the numpy path's exit code, stdout and stderr, and
-verify, which has only its lists, prints the bytes it printed on a numpy
-table when it took one from a --max-x of 2^17.  A name a caller set on
+and the sieving modules load on first use of one of their names.  count
+takes the same path whether numpy is loaded or not, its lists below a
+limit of 2^20 where they fit the budget, and prints what numpy's path
+prints; verify, which has only its lists, prints the bytes it printed on a
+numpy table when it took one from a --max-x of 2^17.  A name a caller set on
 rsad.cli before main ran, as a tracer or a test does, is the one main calls.
 """
 
@@ -156,11 +157,11 @@ def test_the_paths_refuse_a_count_over_the_brute_budget_alike(child_env, capsys)
 
 
 def test_the_paths_refuse_a_count_over_the_memory_budget_alike(child_env, capsys):
-    # below _INT_COUNT_PEAK_BYTES a count takes the numpy path, which refuses
-    # or admits it on its own table; at it and above, the integer path, where
-    # the numpy path admits every table below the bound too
-    need = rsad.primes._peak_estimate_bytes(1414)  # the table to isqrt(2e6)
-    peak = cli._INT_COUNT_PEAK_BYTES
+    # below the list's need a count takes the numpy path, which refuses or
+    # admits it on its own table; at it and above, the integer path.  To
+    # isqrt(2e6) = 1414 the list needs more than the table.
+    need = rsad.primes._peak_estimate_bytes(1414)
+    peak = rsad.exact._list_peak_bytes(1414)
     budgets = [need - 1, need, peak - 1, peak, peak + 1]
     argvs = [f"count --x 1e6 --r 2 --method both --memory-budget-bytes {b}" for b in budgets]
     want = in_process(argvs, capsys)
@@ -173,7 +174,18 @@ def test_the_paths_refuse_a_count_over_the_memory_budget_alike(child_env, capsys
         assert (proc.returncode, proc.stdout, proc.stderr) == run, argv
     assert mains_without_numpy(child_env, argvs[3:]) == want[3:]
     proc = run_without_numpy(child_env, *argvs[2].split())
-    assert "ImportError: numpy refused" in proc.stderr  # below the peak: the numpy path
+    assert "ImportError: numpy refused" in proc.stderr  # below the list's need: numpy's path
+
+
+def test_a_count_below_the_bound_takes_the_lists_with_numpy_loaded(child_env, capsys,
+                                                                   monkeypatch):
+    argv = "count --x 5e11 --r 2 --method both --brute-budget 5e11"  # limit 10^6
+    calls = []
+    monkeypatch.setattr(cli, "build_table", calls.append)
+    want = in_process([argv], capsys)
+    assert calls == [] and want[0][0] == 0
+    proc = run_without_numpy(child_env, *argv.split())
+    assert (proc.returncode, proc.stdout, proc.stderr) == want[0]
 
 
 def test_golden_verifies_run_without_numpy(child_env):
@@ -349,11 +361,12 @@ print(json.dumps({"code": code, "calls": calls}), file=sys.stderr)
 
 
 def test_a_name_set_before_the_first_main_is_the_one_called(child_env, capsys):
-    argv = ["count", "--x", "1e4", "--r", "2", "--method", "brute"]
+    # the limit isqrt(2e12) = 1414213 is above the integer path's bound
+    argv = ["count", "--x", "2e6", "--r", "1000000", "--method", "brute"]
     proc = subprocess.run(
         [sys.executable, "-c", SET_BEFORE_MAIN, *argv],
         capture_output=True, text=True, timeout=60, env=child_env,
     )
-    assert json.loads(proc.stderr) == {"code": 0, "calls": [141]}
+    assert json.loads(proc.stderr) == {"code": 0, "calls": [1414213]}
     assert main(argv) == 0
     assert proc.stdout == capsys.readouterr().out

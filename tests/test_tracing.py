@@ -20,7 +20,8 @@ def test_bench_tracer_installs_records_and_uninstalls(monkeypatch, capsys):
         wrapped = list(tracer._originals)
         assert wrapped
         assert all(getattr(owner, attr) is not orig for owner, attr, orig in wrapped)
-        assert rsad.cli.main(["count", "--x", "100", "--r", "2", "--method", "both"]) == 0
+        # a limit of isqrt(2e12) = 1414213, above the lists' bound: a built table
+        assert rsad.cli.main(["count", "--x", "2e6", "--r", "1000000", "--method", "both"]) == 0
         assert rsad.cli.main(["mertens", "--z", "1e4"]) == 0
         assert rsad.cli.main(["table", "--x-min", "100", "--x-max", "1e5", "--r", "2"]) == 0
         assert rsad.cli.main(["pi", "--x", "100"]) == 0
